@@ -43,10 +43,8 @@ from .refractive import (
     CoercivityReport,
     RefractiveModel,
     affine_model,
-    christoffel,
     coercivity_margin,
     constant_model,
-    geodesic_acceleration,
     metric_inner,
     metric_norm,
     paper4_model,

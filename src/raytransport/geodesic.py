@@ -5,6 +5,14 @@ classical fixed-step RK4.  The affine parameter is metric arc length: states
 are kept at metric unit speed, |v| = 1/n(x) euclidean.  Exits through the
 unit sphere are refined by bisection on |gamma(tau)| - 1 inside the crossing
 step, so entry/exit parameters are resolved far below the step size.
+
+All rays are marched by one batched engine, :func:`march`: rays advance in
+intervals of two RK4 half-steps, a ray whose mid or end state leaves the
+ball is parked at the state that began the interval, and all parked rays
+are refined together at the end.  The characteristic oracle integrates
+along it with the quadrature step as the interval; :func:`trace` is the
+batch of two rays (x, xi) and (x, -xi) with interval 2 * step, recording
+the mid and end state of every interval as path nodes.
 """
 
 from __future__ import annotations
@@ -22,6 +30,10 @@ GLANCING_TOL = 1e-12
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """``step`` is the node spacing of :func:`trace`; ``max_steps`` caps the
+    intervals of every march and ``boundary_tol`` is the distance from the
+    sphere within which a start point counts as a boundary state."""
+
     step: float = 1e-3
     max_steps: int = 20000
     boundary_tol: float = 1e-10
@@ -129,39 +141,104 @@ def refine_exit(model: RefractiveModel, x: np.ndarray, v: np.ndarray, hi, iters:
     return s, xe, ve
 
 
-def _march(model: RefractiveModel, x0: np.ndarray, v0: np.ndarray, cfg: IntegratorConfig):
-    """March one ray forward until it exits; returns node lists and exit state."""
-    h = cfg.step
-    taus = [0.0]
-    xs = [x0.copy()]
-    vs = [v0.copy()]
-    x, v = x0.copy(), v0.copy()
-    for _ in range(cfg.max_steps):
-        xn, vn = rk4_step(model, x[None, :], v[None, :], h)
-        xn, vn = xn[0], vn[0]
-        if np.dot(xn, xn) >= 1.0:
-            s, xe, ve = refine_exit(model, x[None, :], v[None, :], h)
-            tau_exit = taus[-1] + float(s[0])
-            taus.append(tau_exit)
-            xs.append(xe[0])
-            vs.append(ve[0])
-            return taus, xs, vs
-        x, v = xn, vn
-        taus.append(taus[-1] + h)
-        xs.append(x.copy())
-        vs.append(v.copy())
-    raise TraceLimitError(
-        f"ray did not reach the boundary within {cfg.max_steps} steps of size {h}"
-    )
+@dataclass(frozen=True, eq=False)
+class Exits:
+    """The marched rays at their exits, in the order they left the ball.
+
+    ``rays`` indexes the march's input rows.  ``x, v`` and ``carry`` are the
+    state and the caller's data at the start of the crossing interval, which
+    is interval number ``interval`` (from 1) and begins at parameter ``s``;
+    the sphere is reached at parameter ``s + ds`` in state (x_exit, v_exit).
+    """
+
+    rays: np.ndarray
+    interval: np.ndarray
+    x: np.ndarray
+    v: np.ndarray
+    s: np.ndarray
+    ds: np.ndarray
+    x_exit: np.ndarray
+    v_exit: np.ndarray
+    carry: tuple
+
+
+def march(
+    model: RefractiveModel,
+    x0: np.ndarray,
+    v0: np.ndarray,
+    step: float,
+    cfg: IntegratorConfig,
+    carry: tuple = (),
+    advance=None,
+) -> Exits:
+    """March rays (x0, v0) forward to the unit sphere in intervals of ``step``.
+
+    Each interval is two RK4 steps of step/2.  A ray that starts on the
+    sphere without heading strictly inward exits at once: it is not marched
+    and is absent from the result.  Any other ray runs until the mid or end
+    state of an interval leaves the ball; it is parked at the state that
+    began that interval, and all parked rays are refined by one batched
+    :func:`refine_exit` once every ray has left.  The parameter s is the
+    running sum of whole intervals, so a ray exits at s + ds.
+
+    ``carry`` holds per-ray arrays that travel with the rays.  After each
+    interval, ``advance(rays, s, xm, vm, xe, ve, carry)`` gets the rays still
+    inside (indices into x0), their parameter at the interval start, their
+    mid and end states and their carry, and returns the new carry.
+    """
+    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    v0 = np.atleast_2d(np.asarray(v0, dtype=float))
+    half = 0.5 * step
+    rad = np.sqrt(np.einsum("ij,ij->i", x0, x0))
+    heading = np.einsum("ij,ij->i", v0, x0)
+    at_exit = (rad >= 1.0 - 10.0 * cfg.boundary_tol) & (heading >= -GLANCING_TOL)
+
+    alive = np.nonzero(~at_exit)[0]
+    x, v, s = x0[alive], v0[alive], np.zeros(alive.size)
+    carry = tuple(np.asarray(c)[alive] for c in carry)
+    # (rays, interval, x, v, s, bisection bracket, *carry) per parked batch
+    parked = [(alive[:0], alive[:0], x[:0], v[:0], s[:0], s[:0], *(c[:0] for c in carry))]
+    k = 0
+    while alive.size:
+        if k >= cfg.max_steps:
+            raise TraceLimitError(
+                f"{alive.size} rays did not exit within {cfg.max_steps} intervals of length {step}"
+            )
+        k += 1
+        xm, vm = rk4_step(model, x, v, half)
+        xe, ve = rk4_step(model, xm, vm, half)
+        out_end = np.einsum("ij,ij->i", xe, xe) >= 1.0
+        crossed = (np.einsum("ij,ij->i", xm, xm) >= 1.0) | out_end
+        if crossed.any():
+            parked.append((
+                alive[crossed], np.full(np.count_nonzero(crossed), k), x[crossed], v[crossed],
+                s[crossed], np.where(out_end[crossed], step, half), *(c[crossed] for c in carry),
+            ))
+            keep = ~crossed
+            alive, s = alive[keep], s[keep]
+            xm, vm, xe, ve = xm[keep], vm[keep], xe[keep], ve[keep]
+            carry = tuple(c[keep] for c in carry)
+        if advance is not None and alive.size:
+            carry = advance(alive, s, xm, vm, xe, ve, carry)
+        x, v, s = xe, ve, s + step
+
+    rays, interval, xp, vp, sp, hi, *carry_p = (np.concatenate(col) for col in zip(*parked))
+    if rays.size:
+        ds, x_exit, v_exit = refine_exit(model, xp, vp, hi)
+    else:
+        ds, x_exit, v_exit = hi, xp, vp
+    return Exits(rays, interval, xp, vp, sp, ds, x_exit, v_exit, tuple(carry_p))
 
 
 def trace(model: RefractiveModel, p: PhaseSpacePoint, cfg: IntegratorConfig | None = None) -> GeodesicPath:
     """Integrate the geodesic through p both ways to the boundary.
 
-    The backward half is traced as the forward geodesic of (x, -xi) with the
-    parameter sign flipped.  Starts on the boundary are allowed: an outward
-    tangent gives tau_plus = 0, an inward one tau_minus = 0, and a glancing
-    tangent returns the trivial single-node path (tau_minus = tau_plus = 0).
+    The path is one march of the two rays (x, xi) and (x, -xi); the second is
+    the backward half, with its parameter and velocities negated.  Nodes are
+    cfg.step apart up to the exits.  Starts on the boundary are allowed: an
+    outward tangent gives tau_plus = 0, an inward one tau_minus = 0, and a
+    glancing tangent returns the trivial single-node path (tau_minus =
+    tau_plus = 0).
     """
     cfg = cfg or IntegratorConfig()
     x0 = np.asarray(p.x, dtype=float)
@@ -174,39 +251,32 @@ def trace(model: RefractiveModel, p: PhaseSpacePoint, cfg: IntegratorConfig | No
     if r0 > 1.0 + 10.0 * cfg.boundary_tol:
         raise DomainError(f"start point outside the ball: |x| = {r0:.6g}")
 
-    on_boundary = r0 >= 1.0 - 10.0 * cfg.boundary_tol
-    pairing = float(np.dot(xi0, x0))
-    if on_boundary and abs(pairing) <= GLANCING_TOL:
-        return GeodesicPath(
-            taus=np.array([0.0]),
-            xs=x0[None, :].copy(),
-            vs=xi0[None, :].copy(),
-            tau_minus=0.0,
-            tau_plus=0.0,
-            step=cfg.step,
-        )
+    h = cfg.step
+    interval = 2.0 * h
+    sign = np.array([1.0, -1.0])
+    taus, xs, vs = [np.zeros(1)], [x0[None, :]], [xi0[None, :]]
 
-    if on_boundary and pairing > 0.0:
-        fwd = ([0.0], [x0.copy()], [xi0.copy()])
-    else:
-        fwd = _march(model, x0, xi0, cfg)
-    if on_boundary and pairing < 0.0:
-        bwd = ([0.0], [x0.copy()], [xi0.copy()])
-    else:
-        bwd = _march(model, x0, -xi0, cfg)
+    def record(rays, s, xm, vm, xe, ve, carry):
+        for tau, xn, vn in ((s + h, xm, vm), (s + interval, xe, ve)):
+            taus.append(sign[rays] * tau)
+            xs.append(xn)
+            vs.append(sign[rays, None] * vn)
+        return carry
 
-    b_taus, b_xs, b_vs = bwd
-    f_taus, f_xs, f_vs = fwd
-    taus = [-t for t in reversed(b_taus[1:])] + list(f_taus)
-    xs = list(reversed(b_xs[1:])) + list(f_xs)
-    vs = [-v for v in reversed(b_vs[1:])] + list(f_vs)
+    ex = march(model, np.stack([x0, x0]), sign[:, None] * xi0, interval, cfg, advance=record)
+    taus.append(sign[ex.rays] * (ex.s + ex.ds))
+    xs.append(ex.x_exit)
+    vs.append(sign[ex.rays, None] * ex.v_exit)
+    taus = np.concatenate(taus)
+    order = np.argsort(taus, kind="stable")
+    taus = taus[order]
     return GeodesicPath(
-        taus=np.asarray(taus),
-        xs=np.asarray(xs),
-        vs=np.asarray(vs),
+        taus=taus,
+        xs=np.concatenate(xs)[order],
+        vs=np.concatenate(vs)[order],
         tau_minus=float(taus[0]),
         tau_plus=float(taus[-1]),
-        step=cfg.step,
+        step=h,
     )
 
 

@@ -45,7 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geodesic import GLANCING_TOL
-from .refractive import RefractiveModel, acceleration
+from .refractive import RefractiveModel, turn_rate
 
 OUTFLOW, INFLOW, GLANCING = 1, -1, 0
 
@@ -167,10 +167,7 @@ def advection_coefficients(grid: PhaseGrid, model: RefractiveModel):
     phihat = np.stack([-np.sin(grid.phi), np.cos(grid.phi)], axis=-1)
     rdot = np.einsum("ij,ij->i", grid.xi, rhat)
     phidot = np.einsum("ij,ij->i", grid.xi, phihat) / grid.r
-    a = acceleration(model, grid.x, grid.xi)
-    xi2 = np.einsum("ij,ij->i", grid.xi, grid.xi)
-    thetadot = (a[:, 1] * grid.xi[:, 0] - a[:, 0] * grid.xi[:, 1]) / xi2
-    return rdot, phidot, thetadot
+    return rdot, phidot, turn_rate(model, grid.x, grid.xi)
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,18 @@
 A refractive index n(x) > 0 on the closed unit ball induces the conformal
 metric g_ij = n^2(x) delta_ij (Fermat's principle: travel time equals metric
 length).  Everything geometric that the rest of the package needs is a closed
-form in n and its first two derivatives:
+form in n and its gradient:
 
     inner product     <u, v>_g = n^2 (u . v)
     Christoffels      G^k_ij   = (d_j n delta_ik + d_i n delta_jk - d_k n delta_ij) / n
     ray acceleration  a_k      = -G^k_ij v_i v_j
                                = (d_k n |v|^2 - 2 v_k (grad n . v)) / n
 
-where dots and |.| on the right-hand sides are euclidean.  Models carry
-analytic value/gradient/Hessian closures so that integrators and stencil
-assembly can evaluate derivatives at arbitrary points without interpolation.
+where dots and |.| on the right-hand sides are euclidean.  Each model
+carries one fused analytic kernel returning n and grad n at the same points
+(there is no Hessian), so integrators and stencil assembly evaluate both at
+arbitrary points without interpolation.  The Christoffel symbols are not
+formed here; the tests check the closed-form acceleration against them.
 """
 
 from __future__ import annotations
@@ -33,16 +35,14 @@ BALL_TOL = 1e-12
 class RefractiveModel:
     """An analytic refractive index on the closed unit ball.
 
-    All three closures are vectorized: they accept points of shape
-    (..., dim) and return shapes (...), (..., dim) and (..., dim, dim).
-    ``floor`` is a certified lower bound of n on the ball, supplied by the
-    model (not estimated from samples).
+    ``n_grad`` is vectorized: it accepts points of shape (..., dim) and
+    returns (n, grad n) of shapes (...) and (..., dim).  ``floor`` is a
+    certified lower bound of n on the ball, supplied by the model (not
+    estimated from samples).
     """
 
     dim: int
-    n: Callable[[np.ndarray], np.ndarray]
-    grad_n: Callable[[np.ndarray], np.ndarray]
-    hess_n: Callable[[np.ndarray], np.ndarray]
+    n_grad: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     floor: float
     name: str = ""
 
@@ -51,6 +51,12 @@ class RefractiveModel:
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if not self.floor > 0.0:
             raise ValueError(f"floor must be positive, got {self.floor}")
+
+    def n(self, x) -> np.ndarray:
+        return self.n_grad(x)[0]
+
+    def grad_n(self, x) -> np.ndarray:
+        return self.n_grad(x)[1]
 
 
 def check_in_ball(x: np.ndarray) -> np.ndarray:
@@ -79,48 +85,31 @@ def metric_norm(model: RefractiveModel, x, u) -> float:
     return float(np.sqrt(metric_inner(model, x, u, u)))
 
 
-def christoffel(model: RefractiveModel, x) -> np.ndarray:
-    """Christoffel symbols of g = n^2 delta as an array G[k, i, j].
-
-    G^k_ij = (d_j n delta_ik + d_i n delta_jk - d_k n delta_ij) / n,
-    symmetric in the lower pair (i, j).
-    """
-    x = check_in_ball(x)
-    d = model.dim
-    nv = float(model.n(x))
-    g = np.asarray(model.grad_n(x), dtype=float)
-    eye = np.eye(d)
-    gamma = (
-        np.einsum("j,ik->kij", g, eye)
-        + np.einsum("i,jk->kij", g, eye)
-        - np.einsum("k,ij->kij", g, eye)
-    ) / nv
-    return gamma
-
-
-def geodesic_acceleration(model: RefractiveModel, x, v) -> np.ndarray:
-    """Ray acceleration -G^k_ij v_i v_j at a single point.
-
-    Evaluated through the closed form (d_k n |v|^2 - 2 v_k (grad n . v)) / n;
-    the explicit Christoffel contraction agrees to rounding and is kept as a
-    test oracle only.
-    """
-    x = check_in_ball(x)
-    v = np.asarray(v, dtype=float)
-    return acceleration(model, x, v)
-
-
 def acceleration(model: RefractiveModel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Vectorized ray acceleration for batched states x, v of shape (..., dim).
 
     No domain check: integrators call this at high rate on states they keep
     inside the ball themselves.
     """
-    n = np.asarray(model.n(x), dtype=float)
-    g = np.asarray(model.grad_n(x), dtype=float)
-    gv = np.einsum("...i,...i->...", g, v)
-    v2 = np.einsum("...i,...i->...", v, v)
+    n, g = model.n_grad(x)
+    n = np.asarray(n, dtype=float)
+    gv = _dot(g, v)
+    v2 = _dot(v, v)
     return (g * v2[..., None] - 2.0 * v * gv[..., None]) / n[..., None]
+
+
+def turn_rate(model: RefractiveModel, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Turning rate (a2 xi1 - a1 xi2) / |xi|^2 of the direction angle of 2D rays."""
+    a = acceleration(model, x, xi)
+    return (a[..., 1] * xi[..., 0] - a[..., 0] * xi[..., 1]) / _dot(xi, xi)
+
+
+def _dot(a: np.ndarray, b) -> np.ndarray:
+    """Row-wise euclidean product over the last axis, summed in index order."""
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out = out + a[..., i] * b[..., i]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +172,7 @@ def coercivity_margin(model: RefractiveModel, alpha0: float, samples: int = 512)
     if not alpha0 > 0.0:
         raise ValueError(f"alpha0 must be positive, got {alpha0}")
     x = _ball_samples(model.dim, samples)
-    n = np.asarray(model.n(x), dtype=float)
-    g = np.asarray(model.grad_n(x), dtype=float)
+    n, g = model.n_grad(x)
     gn = np.sqrt(np.einsum("...i,...i->...", g, g))
     sup_eucl = float(np.max(gn / n))
     sup_riem = float(np.max(gn / n**2))
@@ -199,54 +187,27 @@ def coercivity_margin(model: RefractiveModel, alpha0: float, samples: int = 512)
 # ---------------------------------------------------------------------------
 # model registry
 # ---------------------------------------------------------------------------
-# Builders return picklable models: the closures are partials of the
+# Builders return picklable models: the kernels are partials of the
 # module-level functions below, so grids of transforms can be farmed out to
 # worker processes.
 
-def _poly_val(coeffs: tuple, x: np.ndarray) -> np.ndarray:
-    s = np.einsum("...i,...i->...", x, x)
-    out = np.zeros_like(s)
+def _radial_n_grad(coeffs: tuple, x) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=float)
+    s = _dot(x, x)
+    n = np.zeros_like(s)
     for c in reversed(coeffs):
-        out = out * s + c
-    return out
-
-
-def _poly_grad(coeffs: tuple, x: np.ndarray) -> np.ndarray:
-    s = np.einsum("...i,...i->...", x, x)
-    dp = np.zeros_like(s)
+        n = n * s + c
+    dn = np.zeros_like(s)
     for k in range(len(coeffs) - 1, 0, -1):
-        dp = dp * s + k * coeffs[k]
-    return 2.0 * dp[..., None] * x
+        dn = dn * s + k * coeffs[k]
+    return n, 2.0 * dn[..., None] * x
 
 
-def _poly_hess(coeffs: tuple, x: np.ndarray) -> np.ndarray:
-    s = np.einsum("...i,...i->...", x, x)
-    dp = np.zeros_like(s)
-    for k in range(len(coeffs) - 1, 0, -1):
-        dp = dp * s + k * coeffs[k]
-    ddp = np.zeros_like(s)
-    for k in range(len(coeffs) - 1, 1, -1):
-        ddp = ddp * s + k * (k - 1) * coeffs[k]
-    d = x.shape[-1]
-    eye = np.eye(d)
-    return 4.0 * ddp[..., None, None] * x[..., :, None] * x[..., None, :] + 2.0 * dp[
-        ..., None, None
-    ] * eye
-
-
-def _affine_val(a: float, b: tuple, x: np.ndarray) -> np.ndarray:
-    return a + np.einsum("...i,i->...", x, np.asarray(b))
-
-
-def _affine_grad(b: tuple, x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(np.asarray(x, dtype=float))
-    out[...] = np.asarray(b)
-    return out
-
-
-def _zero_hess(dim: int, x: np.ndarray) -> np.ndarray:
-    shape = np.asarray(x).shape[:-1] + (dim, dim)
-    return np.zeros(shape)
+def _affine_n_grad(a: float, b: tuple, x) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=float)
+    g = np.empty_like(x)
+    g[...] = b
+    return a + _dot(x, g), g
 
 
 def radial_poly_model(coeffs, dim: int = 2, name: str = "") -> RefractiveModel:
@@ -267,9 +228,7 @@ def radial_poly_model(coeffs, dim: int = 2, name: str = "") -> RefractiveModel:
     floor = min(float(p(s)) for s in candidates)
     return RefractiveModel(
         dim=dim,
-        n=partial(_poly_val, coeffs),
-        grad_n=partial(_poly_grad, coeffs),
-        hess_n=partial(_poly_hess, coeffs),
+        n_grad=partial(_radial_n_grad, coeffs),
         floor=floor,
         name=name or "radial:" + ",".join(repr(c) for c in coeffs),
     )
@@ -292,12 +251,9 @@ def affine_model(a: float, b, name: str = "") -> RefractiveModel:
     floor = a - float(np.linalg.norm(b))
     if not floor > 0.0:
         raise ValueError("affine model is not positive on the ball")
-    dim = len(b)
     return RefractiveModel(
-        dim=dim,
-        n=partial(_affine_val, a, b),
-        grad_n=partial(_affine_grad, b),
-        hess_n=partial(_zero_hess, dim),
+        dim=len(b),
+        n_grad=partial(_affine_n_grad, a, b),
         floor=floor,
         name=name or "affine:" + ",".join(repr(v) for v in (a, *b)),
     )

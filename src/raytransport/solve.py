@@ -17,8 +17,10 @@ once and reused.
 
 Solves are restarted GMRES on the interior block (boundary unknowns are
 eliminated exactly), preconditioned by an incomplete LU factorization, with
-a Jacobi fallback.  Reports carry an independently recomputed relative
-residual of the full assembled system.
+a Jacobi fallback; both solves share one Krylov helper.  Reports name the
+preconditioner that was actually built and carry an independently
+recomputed relative residual: of the full assembled system for the
+stationary solve, of the step system for each implicit Euler step.
 """
 
 from __future__ import annotations
@@ -161,19 +163,60 @@ def assemble(
 # ---------------------------------------------------------------------------
 
 def _make_preconditioner(a_ii: sp.csr_matrix, kind: str):
+    """The preconditioner operator (None for "none") and the kind actually built.
+
+    A failed ILU factorization falls back to Jacobi.
+    """
     if kind == "none":
-        return None
+        return None, kind
     if kind == "jacobi":
         d = a_ii.diagonal()
         d = np.where(np.abs(d) > 0.0, d, 1.0)
-        return spla.LinearOperator(a_ii.shape, matvec=lambda v: v / d)
+        return spla.LinearOperator(a_ii.shape, matvec=lambda v: v / d), kind
     if kind == "ilu":
         try:
             ilu = spla.spilu(a_ii.tocsc(), drop_tol=1e-6, fill_factor=30)
-            return spla.LinearOperator(a_ii.shape, matvec=ilu.solve)
+            return spla.LinearOperator(a_ii.shape, matvec=ilu.solve), kind
         except RuntimeError:
             return _make_preconditioner(a_ii, "jacobi")
     raise ValueError(f"unknown preconditioner {kind!r}")
+
+
+def _krylov(a, b, precond, method: str, tol: float, cycles: int, restart: int, x0, t0: float,
+            residual=None, label: str = "solver"):
+    """Solve a x = b; returns x and its report.
+
+    ``precond`` is a (operator, kind) pair from :func:`_make_preconditioner`.
+    ``residual(x)`` gives the reported relative residual, by default
+    |b - a x| / |b|; the report times from ``t0``.
+    """
+    m, kind = precond
+    count = {"n": 0}
+
+    def cb(_):
+        count["n"] += 1
+
+    if method == "gmres":
+        x, _ = spla.gmres(a, b, x0=x0, rtol=tol, atol=0.0, restart=restart, maxiter=cycles,
+                          M=m, callback=cb, callback_type="pr_norm")
+    elif method == "bicgstab":
+        x, _ = spla.bicgstab(a, b, x0=x0, rtol=tol, atol=0.0, maxiter=cycles * restart, M=m, callback=cb)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    if not np.all(np.isfinite(x)):
+        raise NumericalError(f"{label} produced non-finite iterates")
+    if residual is None:
+        bnorm = float(np.linalg.norm(b))
+        res = float(np.linalg.norm(b - a @ x)) / (bnorm if bnorm > 0.0 else 1.0)
+    else:
+        res = residual(x)
+    return x, SolveReport(
+        iterations=count["n"],
+        final_residual=res,
+        converged=bool(res <= tol),
+        wall_time=time.perf_counter() - t0,
+        method=f"{method}+{kind}",
+    )
 
 
 def default_max_iter(size: int) -> int:
@@ -211,44 +254,19 @@ def solve_static(
 
     u = np.zeros(system.size)
     u[ring] = ub[ring]
-    iters = 0
-    if np.linalg.norm(b_i) == 0.0:
-        xi_sol = np.zeros(interior.size)
-    else:
-        m = _make_preconditioner(a_ii, preconditioner)
-        cycles = max_iter if max_iter is not None else default_max_iter(system.size)
-
-        count = {"n": 0}
-
-        def cb(_):
-            count["n"] += 1
-
-        if method == "gmres":
-            xi_sol, _ = spla.gmres(
-                a_ii, b_i, x0=x0[interior] if x0 is not None else None,
-                rtol=tol, atol=0.0, restart=restart, maxiter=cycles, M=m,
-                callback=cb, callback_type="pr_norm",
-            )
-        elif method == "bicgstab":
-            xi_sol, _ = spla.bicgstab(
-                a_ii, b_i, x0=x0[interior] if x0 is not None else None,
-                rtol=tol, atol=0.0, maxiter=cycles * restart, M=m, callback=cb,
-            )
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        iters = count["n"]
-    if not np.all(np.isfinite(xi_sol)):
-        raise NumericalError("solver produced non-finite iterates")
-    u[interior] = xi_sol
-
     bnorm = float(np.linalg.norm(system.rhs))
-    res = float(np.linalg.norm(system.rhs - a @ u)) / (bnorm if bnorm > 0.0 else 1.0)
-    report = SolveReport(
-        iterations=iters,
-        final_residual=res,
-        converged=bool(res <= tol),
-        wall_time=time.perf_counter() - t0,
-        method=f"{method}+{preconditioner}",
+
+    def full_residual(x):
+        v = u.copy()
+        v[interior] = x
+        return float(np.linalg.norm(system.rhs - a @ v)) / (bnorm if bnorm > 0.0 else 1.0)
+
+    # a zero right-hand side needs no preconditioner: the Krylov call returns 0 at once
+    precond = _make_preconditioner(a_ii, "none" if np.linalg.norm(b_i) == 0.0 else preconditioner)
+    cycles = max_iter if max_iter is not None else default_max_iter(system.size)
+    u[interior], report = _krylov(
+        a_ii, b_i, precond, method, tol, cycles, restart,
+        x0[interior] if x0 is not None else None, t0, residual=full_residual,
     )
     return GridFunction(system.grid, u), report
 
@@ -315,28 +333,11 @@ def solve_dynamic(
             + u_int / dt
             - a_ib @ ub_full[ring]
         )
-        count = {"n": 0}
-
-        def cb(_):
-            count["n"] += 1
-
-        u_new, _ = spla.gmres(
-            m_step, b_i, x0=u_int, rtol=tol, atol=0.0, restart=60,
-            maxiter=cycles, M=precond, callback=cb, callback_type="pr_norm",
-        )
-        if not np.all(np.isfinite(u_new)):
-            raise NumericalError(f"non-finite iterates at step {step}")
-        rnorm = float(np.linalg.norm(b_i))
-        res = float(np.linalg.norm(b_i - m_step @ u_new)) / (rnorm if rnorm > 0.0 else 1.0)
-        report = SolveReport(
-            iterations=count["n"],
-            final_residual=res,
-            converged=bool(res <= tol),
-            wall_time=time.perf_counter() - t0,
-        )
+        u_new, report = _krylov(m_step, b_i, precond, "gmres", tol, cycles, 60, u_int, t0,
+                                label=f"step {step}")
         if not report.converged and not allow_unconverged:
             raise NonConvergenceError(
-                f"step {step} (t = {t_n:.6g}) stopped at relative residual {res:.3e}"
+                f"step {step} (t = {t_n:.6g}) stopped at relative residual {report.final_residual:.3e}"
             )
         u_int = u_new
         full = np.zeros(grid.size)

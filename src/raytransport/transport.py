@@ -16,13 +16,17 @@ vanishes on inflow boundary states and restricts to the transform on outflow
 states, which makes it the reference solution ("characteristic oracle") for
 the grid solvers.
 
-Implementation notes.  All evaluation is routed through one batched
-backward march: rays step with RK4 in two half-steps per quadrature interval
-(the half-step state feeds the interval rule), absorption accumulates as a
-running trapezoid sum on the same nodes, and boundary exits are parked
-during the march and refined afterwards in a single batched bisection.
-Single-state operations are the batch of one, so every public entry point
-exercises the same arithmetic.
+Implementation notes.  Every evaluation is one call of the batched ray
+engine :func:`raytransport.geodesic.march`, run backward from the
+evaluation states with the quadrature step as its interval: rays step with
+RK4 in two half-steps per interval (the half-step state feeds the interval
+rule), absorption accumulates as a running trapezoid sum on the same nodes,
+and the engine parks boundary exits and refines them in one batch, after
+which the same interval rule integrates the stub up to the exit.  This
+module keeps only that quadrature.  Single-state operations are the batch of
+one, and the residual of a user-supplied function is evaluated on the same
+stencil as the residual of the oracle, so every public entry point exercises
+the same arithmetic.
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import StencilError, TraceLimitError
-from .geodesic import GLANCING_TOL, IntegratorConfig, PhaseSpacePoint, refine_exit, rk4_step
-from .refractive import RefractiveModel, acceleration
+from .errors import StencilError
+from .geodesic import GLANCING_TOL, IntegratorConfig, PhaseSpacePoint, march, rk4_step
+from .refractive import RefractiveModel, turn_rate
 from .tensorfield import SymmetricTensorField, moment
 
 
@@ -99,7 +103,7 @@ def _march_backward(
     model: RefractiveModel,
     f: SymmetricTensorField,
     att: Attenuation,
-    t: float,
+    t,
     x0: np.ndarray,
     xi0: np.ndarray,
     q: QuadratureConfig,
@@ -107,126 +111,65 @@ def _march_backward(
     dynamic: bool,
     record: bool = False,
 ) -> MarchResult:
+    """Integrate backward along the rays from (x0, xi0); ``t`` is one time or one per ray."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     xi0 = np.atleast_2d(np.asarray(xi0, dtype=float))
     n_rays = x0.shape[0]
     step = float(q.step)
-    half = 0.5 * step
     simpson = q.rule == "simpson"
+    t = np.asarray(t, dtype=float)
 
     def alpha_at(x, vback):
         return np.asarray(att.alpha(x, -vback), dtype=float)
 
-    def source_at(s_offset, x, vback):
-        tv = (t - s_offset) if dynamic else t
-        return np.asarray(moment(f, tv, x, -vback), dtype=float)
+    def source_at(rays, s_offset, x, vback):
+        tv = t[rays] if t.ndim else t
+        return np.asarray(moment(f, tv - s_offset if dynamic else tv, x, -vback), dtype=float)
+
+    def interval_rule(h, rays, s, xm, vm, xe, ve, carry):
+        """Integral, absorption, alpha and damped source after an interval of length h."""
+        I, A, a, g = carry
+        am = alpha_at(xm, vm)
+        ae = alpha_at(xe, ve)
+        Am = A + 0.25 * h * (a + am)
+        Ae = Am + 0.25 * h * (am + ae)
+        gm = source_at(rays, s + 0.5 * h, xm, vm) * np.exp(-Am)
+        ge = source_at(rays, s + h, xe, ve) * np.exp(-Ae)
+        if simpson:
+            I = I + (h / 6.0) * (g + 4.0 * gm + ge)
+        else:
+            I = I + h * gm
+        return I, Ae, ae, ge
+
+    history: list[tuple] = []  # (rays inside, their integrals) after each interval
+
+    def advance(*state):
+        carry = interval_rule(step, *state)
+        if record:
+            history.append((state[0], carry[0]))
+        return carry
+
+    everyone = np.arange(n_rays)
+    zeros = np.zeros(n_rays)
+    start = (zeros, zeros, alpha_at(x0, -xi0), source_at(everyone, zeros, x0, -xi0))
+    ex = march(model, x0, -xi0, step, cfg, carry=start, advance=advance)
 
     values = np.zeros(n_rays)
     tau_minus = np.zeros(n_rays)
+    if ex.rays.size:
+        xm, vm = rk4_step(model, ex.x, ex.v, 0.5 * ex.ds)
+        stub = interval_rule(ex.ds, ex.rays, ex.s, xm, vm, ex.x_exit, ex.v_exit, ex.carry)
+        values[ex.rays] = stub[0]
+        tau_minus[ex.rays] = -(ex.s + ex.ds)
+    if not record:
+        return MarchResult(values=values, tau_minus=tau_minus)
 
-    # Boundary states heading inward along the reversed ray are the live ones;
-    # inflow and glancing boundary states carry the empty integral.
-    rad = np.sqrt(np.einsum("ij,ij->i", x0, x0))
-    pairing = np.einsum("ij,ij->i", xi0, x0)
-    dead = (rad >= 1.0 - 10.0 * cfg.boundary_tol) & (pairing <= GLANCING_TOL)
-
-    alive = np.nonzero(~dead)[0]
-    xa = x0[alive]
-    va = -xi0[alive]
-    Ia = np.zeros(alive.size)
-    Aa = np.zeros(alive.size)
-    sa = np.zeros(alive.size)
-    aa = alpha_at(xa, va)
-    ga = source_at(np.zeros(alive.size), xa, va)
-
-    parked: list[tuple] = []
-    snapshots: list[np.ndarray] = [np.zeros(n_rays)] if record else []
-    full = np.zeros(n_rays) if record else None
-
-    steps = 0
-    while alive.size:
-        if steps >= cfg.max_steps:
-            raise TraceLimitError(
-                f"{alive.size} rays did not exit within {cfg.max_steps} quadrature steps"
-            )
-        steps += 1
-        xm, vm = rk4_step(model, xa, va, half)
-        xe, ve = rk4_step(model, xm, vm, half)
-        out_mid = np.einsum("ij,ij->i", xm, xm) >= 1.0
-        out_end = np.einsum("ij,ij->i", xe, xe) >= 1.0
-        crossed = out_mid | out_end
-        if crossed.any():
-            # Exit lies within this step; park the pre-step state and refine later.
-            hi = np.where(out_end[crossed], step, half)
-            parked.append((
-                alive[crossed], xa[crossed], va[crossed], Ia[crossed],
-                Aa[crossed], sa[crossed], ga[crossed], aa[crossed], hi,
-                steps,
-            ))
-        keep = ~crossed
-        alive = alive[keep]
-        if alive.size:
-            xk, vk = xm[keep], vm[keep]
-            xek, vek = xe[keep], ve[keep]
-            am = alpha_at(xk, vk)
-            ae = alpha_at(xek, vek)
-            Am = Aa[keep] + 0.25 * step * (aa[keep] + am)
-            Ae = Am + 0.25 * step * (am + ae)
-            sk = sa[keep]
-            gm = source_at(sk + half, xk, vk) * np.exp(-Am)
-            ge = source_at(sk + step, xek, vek) * np.exp(-Ae)
-            if simpson:
-                Ia = Ia[keep] + (step / 6.0) * (ga[keep] + 4.0 * gm + ge)
-            else:
-                Ia = Ia[keep] + step * gm
-            xa, va, Aa, aa, ga = xek, vek, Ae, ae, ge
-            sa = sk + step
-        else:
-            xa = np.empty((0, x0.shape[1]))
-            va = xa
-            Ia = Aa = sa = aa = ga = np.empty(0)
-        if record:
-            full[alive] = Ia
-            snapshots.append(full.copy())
-
-    # Refine all parked exits in one batch and add their stub contributions.
-    if parked:
-        idx = np.concatenate([p[0] for p in parked])
-        xP = np.concatenate([p[1] for p in parked])
-        vP = np.concatenate([p[2] for p in parked])
-        IP = np.concatenate([p[3] for p in parked])
-        AP = np.concatenate([p[4] for p in parked])
-        sP = np.concatenate([p[5] for p in parked])
-        gP = np.concatenate([p[6] for p in parked])
-        aP = np.concatenate([p[7] for p in parked])
-        hiP = np.concatenate([np.asarray(p[8]) for p in parked])
-        kP = np.concatenate([np.full(p[0].size, p[9]) for p in parked])
-
-        ds, xE, vE = refine_exit(model, xP, vP, hiP)
-        xm, vm = rk4_step(model, xP, vP, 0.5 * ds)
-        am = alpha_at(xm, vm)
-        ae = alpha_at(xE, vE)
-        Am = AP + 0.25 * ds * (aP + am)
-        Ae = Am + 0.25 * ds * (am + ae)
-        gm = source_at(sP + 0.5 * ds, xm, vm) * np.exp(-Am)
-        ge = source_at(sP + ds, xE, vE) * np.exp(-Ae)
-        if simpson:
-            stub = (ds / 6.0) * (gP + 4.0 * gm + ge)
-        else:
-            stub = ds * gm
-        values[idx] = IP + stub
-        tau_minus[idx] = -(sP + ds)
-
-        if record:
-            table = np.stack(snapshots, axis=0)
-            for col, row0, val in zip(idx, kP, values[idx]):
-                table[int(row0):, col] = val
-            return MarchResult(values=values, tau_minus=tau_minus, partials=table)
-
-    if record:
-        table = np.stack(snapshots, axis=0) if snapshots else np.zeros((1, n_rays))
-        return MarchResult(values=values, tau_minus=tau_minus, partials=table)
-    return MarchResult(values=values, tau_minus=tau_minus)
+    table = np.zeros((1 + ex.interval.max(initial=0), n_rays))
+    for k, (rays, I) in enumerate(history, start=1):
+        table[k, rays] = I
+    for col, k in zip(ex.rays, ex.interval):
+        table[k:, col] = values[col]
+    return MarchResult(values=values, tau_minus=tau_minus, partials=table)
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +346,54 @@ def _phase_point_2d(model, x, theta) -> PhaseSpacePoint:
     return PhaseSpacePoint(x=np.asarray(x, dtype=float), xi=d / float(model.n(np.asarray(x))))
 
 
-def _turn_rate(model, x, xi) -> float:
-    a = acceleration(model, np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
-    return float((a[1] * xi[0] - a[0] * xi[1]) / np.dot(xi, xi))
+def _residual_stencil(model, f, t: float, points, fd_step: float, time_derivative: bool | None):
+    """The (time, state) pairs at which the transport residual reads u.
+
+    Per point, in order: the center, x1 +- fd_step, x2 +- fd_step and
+    theta +- fd_step at time t, then the center at t +- fd_step when the time
+    derivative is taken (by default when the field depends on time).  The
+    direction angle is held fixed under spatial shifts, with the tangent
+    re-normalized at the shifted base point.
+    """
+    if model.dim != 2:
+        raise ValueError("the transport residual is implemented for dim 2")
+    if time_derivative is None:
+        time_derivative = f.time_dependent or f.switch_on
+    e1 = np.array([fd_step, 0.0])
+    e2 = np.array([0.0, fd_step])
+    stencil = []
+    for p in points:
+        x = np.asarray(p.x, dtype=float)
+        xi = np.asarray(p.xi, dtype=float)
+        r = float(np.linalg.norm(x))
+        if r + fd_step >= 1.0 - 1e-12:
+            raise StencilError(f"stencil of width {fd_step} does not fit at |x| = {r:.6g}")
+        th = float(np.arctan2(xi[1], xi[0]))
+        offs = [(t, x, th), (t, x + e1, th), (t, x - e1, th), (t, x + e2, th), (t, x - e2, th),
+                (t, x, th + fd_step), (t, x, th - fd_step)]
+        if time_derivative:
+            offs += [(t + fd_step, x, th), (t - fd_step, x, th)]
+        stencil += [(tt, _phase_point_2d(model, xx, a)) for tt, xx, a in offs]
+    return stencil
+
+
+def _residual_combine(model, f, att, t: float, points, fd_step: float, vals: np.ndarray) -> np.ndarray:
+    """(d_t u) + H u + alpha u - f . xi^m from u on the stencil, one row per point.
+
+    H u combines central differences in x and in the direction angle, the
+    latter weighted by the turning rate of the ray.
+    """
+    x = np.array([p.x for p in points], dtype=float)
+    xi = np.array([p.xi for p in points], dtype=float)
+    width = 2.0 * fd_step
+    du_dx1 = (vals[:, 1] - vals[:, 2]) / width
+    du_dx2 = (vals[:, 3] - vals[:, 4]) / width
+    du_dth = (vals[:, 5] - vals[:, 6]) / width
+    h_u = xi[:, 0] * du_dx1 + xi[:, 1] * du_dx2 + turn_rate(model, x, xi) * du_dth
+    dt_u = (vals[:, 7] - vals[:, 8]) / width if vals.shape[1] > 7 else 0.0
+    alpha = np.asarray(att.alpha(x, xi), dtype=float)
+    src = np.asarray(moment(f, t, x, xi), dtype=float)
+    return dt_u + h_u + alpha * vals[:, 0] - src
 
 
 def transport_residual(
@@ -428,35 +416,9 @@ def transport_residual(
     same step; by default it is evaluated only when the field depends on
     time (it vanishes identically otherwise).
     """
-    if model.dim != 2:
-        raise ValueError("transport_residual is implemented for dim 2")
-    x = np.asarray(p.x, dtype=float)
-    xi = np.asarray(p.xi, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r + fd_step >= 1.0 - 1e-12:
-        raise StencilError(f"stencil of width {fd_step} does not fit at |x| = {r:.6g}")
-    theta = float(np.arctan2(xi[1], xi[0]))
-
-    def u_at(xx, th):
-        return float(u(t, _phase_point_2d(model, xx, th)))
-
-    u0 = float(u(t, p))
-    e1 = np.array([fd_step, 0.0])
-    e2 = np.array([0.0, fd_step])
-    du_dx1 = (u_at(x + e1, theta) - u_at(x - e1, theta)) / (2.0 * fd_step)
-    du_dx2 = (u_at(x + e2, theta) - u_at(x - e2, theta)) / (2.0 * fd_step)
-    du_dth = (u_at(x, theta + fd_step) - u_at(x, theta - fd_step)) / (2.0 * fd_step)
-    h_u = xi[0] * du_dx1 + xi[1] * du_dx2 + _turn_rate(model, x, xi) * du_dth
-
-    if time_derivative is None:
-        time_derivative = f.time_dependent or f.switch_on
-    dt_u = 0.0
-    if time_derivative:
-        dt_u = (float(u(t + fd_step, p)) - float(u(t - fd_step, p))) / (2.0 * fd_step)
-
-    alpha0 = float(np.asarray(att.alpha(x[None, :], xi[None, :]))[0])
-    src = float(moment(f, t, x, xi))
-    return dt_u + h_u + alpha0 * u0 - src
+    stencil = _residual_stencil(model, f, t, [p], fd_step, time_derivative)
+    vals = np.array([[float(u(tt, pp)) for tt, pp in stencil]])
+    return float(_residual_combine(model, f, att, t, [p], fd_step, vals)[0])
 
 
 def oracle_residuals(
@@ -472,61 +434,16 @@ def oracle_residuals(
     """transport_residual of the characteristic solution at many states.
 
     Equivalent to calling :func:`transport_residual` with
-    u = interior_solution at each state, but all stencil evaluations are
-    batched into single marches.
+    u = interior_solution at each state, but every stencil state of every
+    point is evaluated in one batched march.
     """
-    if model.dim != 2:
-        raise ValueError("oracle_residuals is implemented for dim 2")
+    if not len(points):
+        return np.zeros(0)
     q = q or QuadratureConfig()
     cfg = cfg or _default_cfg(q)
-    n_pts = len(points)
-    starts_x = np.empty((7 * n_pts, 2))
-    starts_xi = np.empty((7 * n_pts, 2))
-    thetas = np.empty(n_pts)
-    for i, p in enumerate(points):
-        x = np.asarray(p.x, dtype=float)
-        xi = np.asarray(p.xi, dtype=float)
-        r = float(np.linalg.norm(x))
-        if r + fd_step >= 1.0 - 1e-12:
-            raise StencilError(f"stencil of width {fd_step} does not fit at |x| = {r:.6g}")
-        th = float(np.arctan2(xi[1], xi[0]))
-        thetas[i] = th
-        offs = [
-            (x, th),
-            (x + np.array([fd_step, 0.0]), th),
-            (x - np.array([fd_step, 0.0]), th),
-            (x + np.array([0.0, fd_step]), th),
-            (x - np.array([0.0, fd_step]), th),
-            (x, th + fd_step),
-            (x, th - fd_step),
-        ]
-        for s, (xx, tt) in enumerate(offs):
-            pp = _phase_point_2d(model, xx, tt)
-            starts_x[7 * i + s] = pp.x
-            starts_xi[7 * i + s] = pp.xi
-
-    vals = _march_backward(model, f, att, float(t), starts_x, starts_xi, q, cfg, dynamic=True).values
-    vals = vals.reshape(n_pts, 7)
-
-    time_derivative = f.time_dependent or f.switch_on
-    dt_u = np.zeros(n_pts)
-    if time_derivative:
-        centers_x = starts_x[::7]
-        centers_xi = starts_xi[::7]
-        up = _march_backward(model, f, att, float(t) + fd_step, centers_x, centers_xi, q, cfg, dynamic=True).values
-        um = _march_backward(model, f, att, float(t) - fd_step, centers_x, centers_xi, q, cfg, dynamic=True).values
-        dt_u = (up - um) / (2.0 * fd_step)
-
-    out = np.empty(n_pts)
-    for i, p in enumerate(points):
-        x = np.asarray(p.x, dtype=float)
-        xi = np.asarray(p.xi, dtype=float)
-        u0, up1, um1, up2, um2, uthp, uthm = vals[i]
-        du_dx1 = (up1 - um1) / (2.0 * fd_step)
-        du_dx2 = (up2 - um2) / (2.0 * fd_step)
-        du_dth = (uthp - uthm) / (2.0 * fd_step)
-        h_u = xi[0] * du_dx1 + xi[1] * du_dx2 + _turn_rate(model, x, xi) * du_dth
-        alpha0 = float(np.asarray(att.alpha(x[None, :], xi[None, :]))[0])
-        src = float(moment(f, t, x, xi))
-        out[i] = dt_u[i] + h_u + alpha0 * u0 - src
-    return out
+    stencil = _residual_stencil(model, f, float(t), points, fd_step, None)
+    times = np.array([tt for tt, _ in stencil])
+    xs = np.array([pp.x for _, pp in stencil])
+    xis = np.array([pp.xi for _, pp in stencil])
+    vals = _march_backward(model, f, att, times, xs, xis, q, cfg, dynamic=True).values
+    return _residual_combine(model, f, att, float(t), points, fd_step, vals.reshape(len(points), -1))

@@ -149,8 +149,8 @@ def check_fiber_identity(
         h = 1e-5
         u_ph = (u_test.value(th, ph + h) - u_test.value(th, ph - h)) / (2.0 * h)
 
-    nval = float(model.n(x))
-    grad = np.asarray(model.grad_n(x), dtype=float)
+    nval, grad = model.n_grad(x)
+    nval = float(nval)
     sin_t, cos_t = np.sin(th), np.cos(th)
     sin_p, cos_p = np.sin(ph), np.cos(ph)
     omega = np.stack([sin_t * cos_p, sin_t * sin_p, cos_t], axis=-1)

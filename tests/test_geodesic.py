@@ -135,3 +135,23 @@ class TestErrors:
         p = rt.unit_phase_point(unit_model, [0.0, 0.0], [1.0, 0.0])
         with pytest.raises(TraceLimitError):
             rt.trace(unit_model, p, rt.IntegratorConfig(step=1e-3, max_steps=5))
+
+
+class TestOneEngine:
+    def test_trace_and_oracle_share_the_exit_parameter(self, demo_model, demo_field, unit_attenuation):
+        """The entry and exit parameters of a trace at step h are the oracle's at
+        quadrature step 2h, marched from (x, xi) and from (x, -xi), bit for bit."""
+        from raytransport.transport import _march_backward
+
+        h = 5e-3
+        cfg = rt.IntegratorConfig(step=h)
+        q = rt.QuadratureConfig(step=2.0 * h)
+        starts = [([0.3, -0.2], 1.1), ([0.0, 0.0], 0.4), ([-0.6, 0.5], 2.9), ([0.0, 1.0], -1.2)]
+        for x, theta in starts:
+            p = rt.angle_phase_point(demo_model, x, theta)
+            tau = [
+                _march_backward(demo_model, demo_field, unit_attenuation, 0.0, p.x, xi, q, cfg,
+                                dynamic=False).tau_minus[0]
+                for xi in (p.xi, -p.xi)
+            ]
+            assert rt.tau_bounds(demo_model, p, cfg) == (tau[0], -tau[1])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 import raytransport as rt
@@ -132,7 +133,33 @@ class TestSolveStatic:
         assert_allclose(sol_b.values, sol_g.values, atol=1e-7)
 
 
+    def test_ilu_failure_reports_jacobi(self, small_setup, monkeypatch):
+        model, field, att, grid = small_setup
+        system = rt.assemble(grid, model, field, att, 1e-3, np.zeros(grid.size))
+        monkeypatch.setattr(spla, "spilu", _failing_spilu)
+        _, rep = rt.solve_static(system, tol=1e-10)
+        assert rep.converged
+        assert rep.method == "gmres+jacobi"
+
+
+def _failing_spilu(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
 class TestSolveDynamic:
+    def test_reports_preconditioner_used(self, small_setup, monkeypatch):
+        model, field, att, grid = small_setup
+        table = np.zeros((3, rt.classify_boundary(grid, model).outflow_idx.size))
+        _, reports = rt.solve_dynamic(grid, model, field, att, 1e-3, 0.5, 1.0, table)
+        assert {r.method for r in reports} == {"gmres+ilu"}
+        _, reports = rt.solve_dynamic(grid, model, field, att, 1e-3, 0.5, 1.0, table,
+                                      preconditioner="none")
+        assert {r.method for r in reports} == {"gmres+none"}
+        monkeypatch.setattr(spla, "spilu", _failing_spilu)
+        _, reports = rt.solve_dynamic(grid, model, field, att, 1e-3, 0.5, 1.0, table)
+        assert {r.method for r in reports} == {"gmres+jacobi"}
+        assert all(r.converged for r in reports)
+
     def test_zero_everything(self, small_setup):
         model, _, att, grid = small_setup
         f0 = rt.constant_scalar_field(0.0)
