@@ -21,7 +21,7 @@ from .errors import ConfigError, NonConvergenceError, NumericalError, TraceLimit
 from .geodesic import IntegratorConfig, angle_phase_point, trace
 from .phasegrid import build_grid, classify_boundary
 from .refractive import coercivity_margin, parse_model
-from .solve import assemble, discrete_coercivity, solve_dynamic, solve_static
+from .solve import assemble, discrete_coercivity, solve_dynamic, solve_static, time_levels
 from .tensorfield import parse_field
 from .transport import (
     QuadratureConfig,
@@ -92,11 +92,7 @@ def _cmd_transform_table(cfg, args) -> int:
     grid = build_grid(model, cfg.grid_i, cfg.grid_j, cfg.grid_k)
     mask = classify_boundary(grid, model)
     idx = mask.outflow_idx
-    if f.time_dependent or f.switch_on:
-        n_steps = int(np.floor(cfg.t_final / cfg.dt + 1e-9))
-        times = [s * cfg.dt for s in range(n_steps + 1)]
-    else:
-        times = [0.0]
+    times = time_levels(cfg.dt, cfg.t_final) if f.is_dynamic else [0.0]
     table = dynamic_boundary_table(model, f, att, grid.x[idx], grid.xi[idx], times, q, icfg)
     rows = [
         (t, grid.phi[i], grid.theta[i], table[r, c])
@@ -117,8 +113,7 @@ def _cmd_solve_static(cfg, args) -> int:
     eps = cfg.epsilons[0]
     system = assemble(grid, model, f, att, eps, u_ref)
     sol, rep = solve_static(
-        system, tol=cfg.tol, max_iter=cfg.max_iter, method=cfg.method,
-        preconditioner=cfg.preconditioner,
+        system, tol=cfg.tol, max_iter=cfg.max_iter, preconditioner=cfg.preconditioner,
     )
     out = _outdir(cfg)
     exports.write_gridfunction_csv(sol, os.path.join(out, "solution.csv"))
@@ -137,8 +132,7 @@ def _cmd_solve_dynamic(cfg, args) -> int:
     f = _field(cfg)
     grid = build_grid(model, cfg.grid_i, cfg.grid_j, cfg.grid_k)
     mask = classify_boundary(grid, model)
-    n_steps = int(np.floor(cfg.t_final / cfg.dt + 1e-9))
-    times = [s * cfg.dt for s in range(n_steps + 1)]
+    times = time_levels(cfg.dt, cfg.t_final)
     idx = mask.outflow_idx
     table = dynamic_boundary_table(model, f, att, grid.x[idx], grid.xi[idx], times, q, icfg)
     states, reports = solve_dynamic(
@@ -150,7 +144,7 @@ def _cmd_solve_dynamic(cfg, args) -> int:
     exports.write_gridfunction_csv(states[-1], os.path.join(out, "final.csv"))
     total_iters = sum(r.iterations for r in reports)
     print(
-        f"solve-dynamic: {len(states) - 1} steps to t = {n_steps * cfg.dt:g}, "
+        f"solve-dynamic: {len(states) - 1} steps to t = {times[-1]:g}, "
         f"total iters = {total_iters}, max residual = {max(r.final_residual for r in reports):.3e}"
     )
     return 0
@@ -162,8 +156,7 @@ def _cmd_sweep(cfg, args) -> int:
     grid = build_grid(model, cfg.grid_i, cfg.grid_j, cfg.grid_k)
     sweep = epsilon_sweep(
         model, f, att, grid, cfg.epsilons, q=q, cfg=icfg, tol=cfg.tol,
-        max_iter=cfg.max_iter, preconditioner=cfg.preconditioner, method=cfg.method,
-        workers=args.workers,
+        max_iter=cfg.max_iter, preconditioner=cfg.preconditioner, workers=args.workers,
     )
     out = _outdir(cfg)
     exports.write_sweep_csv(sweep, os.path.join(out, "sweep.csv"))

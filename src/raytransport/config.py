@@ -208,6 +208,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("grid.i/j/k", "grid sizes must be at least 3")
     if cfg.quad_rule not in ("midpoint", "simpson"):
         bad("quadrature.rule", "must be 'midpoint' or 'simpson'")
+    if cfg.preconditioner not in ("ilu", "jacobi", "none"):
+        bad("solver.preconditioner", "must be 'ilu', 'jacobi' or 'none'")
+    if cfg.method != "gmres":
+        bad("solver.method", "must be 'gmres'")
     positives = {
         "quadrature.step": cfg.quad_step,
         "integrator.step": cfg.int_step,

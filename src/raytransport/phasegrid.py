@@ -28,13 +28,17 @@ Two discrete operators are provided as sparse matrices:
   derivative: the 1/n^2 scale of the ambient fiber derivatives cancels
   against the fiber radius 1/n).
 
-Angle directions wrap periodically.  The innermost ring i = 1 closes its
-radial stencils through the disk center: the missing inward neighbor is the
-antipodal node (r_1, phi + pi, theta), which is the same ambient state at
-signed radius -r_1, and the stencil weights account for the doubled spacing.
-The resulting one-sided closure keeps first-order consistency at the inner
-ring without a special center equation.  At the boundary ring one-sided
-interior differences are used; solver assembly replaces those rows anyway.
+Every stencil is a table of (offset, weight) pairs, applied by one periodic
+builder (phi or theta, wrapping) and one radial builder (separate tables for
+the inner rings, the innermost ring and the boundary ring).  The innermost
+ring i = 1 closes its radial stencils through the disk center: the missing
+inward neighbor is the antipodal node (r_1, phi + pi, theta), which is the
+same ambient state at signed radius -r_1, and the stencil weights account
+for the doubled spacing.  The resulting one-sided closure keeps first-order
+consistency at the inner ring without a special center equation.  At the
+boundary ring one-sided interior differences are used; solver assembly
+replaces those rows anyway.  The upwind H keeps per-node coefficients but
+takes its angular neighbors from the same periodic column rule.
 """
 
 from __future__ import annotations
@@ -74,9 +78,14 @@ class PhaseGrid:
         return (i * self.J + j) * self.K + k
 
     @property
+    def n_interior(self) -> int:
+        """Number of nodes off the ring r = 1; the ring is the tail of the linear order."""
+        return (self.I - 1) * self.J * self.K
+
+    @property
     def boundary_indices(self) -> np.ndarray:
         """Linear indices of the ring r = 1 (0-based i = I - 1)."""
-        return np.arange((self.I - 1) * self.J * self.K, self.I * self.J * self.K)
+        return np.arange(self.n_interior, self.size)
 
     @property
     def dr(self) -> float:
@@ -171,16 +180,14 @@ def advection_coefficients(grid: PhaseGrid, model: RefractiveModel):
 
 
 # ---------------------------------------------------------------------------
-# index bookkeeping for stencils
+# stencils from (offset, weight) tables
 # ---------------------------------------------------------------------------
 
 def _node_indices(grid: PhaseGrid):
     lin = np.arange(grid.size)
-    JK = grid.J * grid.K
-    i0 = lin // JK
+    i0 = lin // (grid.J * grid.K)
     j0 = (lin // grid.K) % grid.J
-    k0 = lin % grid.K
-    return lin, i0, j0, k0
+    return lin, i0, j0
 
 
 def _antipodal_cols(grid: PhaseGrid, lin, j0):
@@ -199,6 +206,15 @@ def _antipodal_cols(grid: PhaseGrid, lin, j0):
     return base + ja * K, base + jb * K, 0.5, 0.5
 
 
+def _periodic_cols(grid: PhaseGrid, lin, axis: str, d: int):
+    """Columns of the nodes ``d`` steps from ``lin`` along phi or theta (wrapping)."""
+    if axis == "phi":
+        j0 = (lin // grid.K) % grid.J
+        return lin + (((j0 + d) % grid.J) - j0) * grid.K
+    k0 = lin % grid.K
+    return lin + ((k0 + d) % grid.K) - k0
+
+
 def _coo(parts, size):
     rows = np.concatenate([p[0] for p in parts])
     cols = np.concatenate([p[1] for p in parts])
@@ -209,87 +225,43 @@ def _coo(parts, size):
     return mat
 
 
-def _radial_first_central(grid: PhaseGrid):
-    """Central first derivative in r (with the pole and boundary closures)."""
-    lin, i0, j0, _ = _node_indices(grid)
+def _central_first(h: float):
+    return ((1, 1.0 / (2 * h)), (-1, -1.0 / (2 * h)))
+
+
+def _central_second(h: float):
+    h2 = h ** 2
+    return ((-1, 1.0 / h2), (0, -2.0 / h2), (1, 1.0 / h2))
+
+
+def _periodic(grid: PhaseGrid, axis: str, weights):
+    """The stencil sum_d w_d u(. + d steps) along phi or theta, at every node."""
+    lin = np.arange(grid.size)
+    return _coo([(lin, _periodic_cols(grid, lin, axis, d), np.full(lin.size, w)) for d, w in weights],
+                grid.size)
+
+
+def _radial(grid: PhaseGrid, inner, pole, boundary):
+    """Radial stencil from (offset in rings, weight) tables.
+
+    ``inner`` serves rings 2..I-1, ``pole`` the innermost ring and
+    ``boundary`` the ring r = 1.  At the pole offset -1 is the antipodal
+    ghost (signed radius -r_1, two steps inward), split over its columns by
+    the ghost weights; the pole table carries the matching nonuniform weights.
+    """
+    lin, i0, j0 = _node_indices(grid)
     JK = grid.J * grid.K
-    h = grid.dr
-    parts = []
-    inner = (i0 >= 1) & (i0 <= grid.I - 2)
-    li = lin[inner]
-    parts += [(li, li + JK, np.full(li.size, 1.0 / (2 * h))),
-              (li, li - JK, np.full(li.size, -1.0 / (2 * h)))]
-    pole = i0 == 0
-    lp = lin[pole]
-    ca, cb, wa, wb = _antipodal_cols(grid, lp, j0[pole])
-    # offsets: ghost at -2h, neighbor at +h
-    parts += [(lp, ca, np.full(lp.size, -wa / (6 * h))),
-              (lp, cb, np.full(lp.size, -wb / (6 * h))),
-              (lp, lp, np.full(lp.size, -1.0 / (2 * h))),
-              (lp, lp + JK, np.full(lp.size, 2.0 / (3 * h)))]
-    bd = i0 == grid.I - 1
-    lb = lin[bd]
-    parts += [(lb, lb - 2 * JK, np.full(lb.size, 1.0 / (2 * h))),
-              (lb, lb - JK, np.full(lb.size, -4.0 / (2 * h))),
-              (lb, lb, np.full(lb.size, 3.0 / (2 * h)))]
-    return _coo(parts, grid.size)
-
-
-def _radial_second(grid: PhaseGrid):
-    lin, i0, j0, _ = _node_indices(grid)
-    JK = grid.J * grid.K
-    h2 = grid.dr ** 2
-    parts = []
-    inner = (i0 >= 1) & (i0 <= grid.I - 2)
-    li = lin[inner]
-    parts += [(li, li - JK, np.full(li.size, 1.0 / h2)),
-              (li, li, np.full(li.size, -2.0 / h2)),
-              (li, li + JK, np.full(li.size, 1.0 / h2))]
-    pole = i0 == 0
-    lp = lin[pole]
-    ca, cb, wa, wb = _antipodal_cols(grid, lp, j0[pole])
-    # nonuniform weights for offsets (-2h, 0, +h)
-    parts += [(lp, ca, np.full(lp.size, wa / (3 * h2))),
-              (lp, cb, np.full(lp.size, wb / (3 * h2))),
-              (lp, lp, np.full(lp.size, -1.0 / h2)),
-              (lp, lp + JK, np.full(lp.size, 2.0 / (3 * h2)))]
-    bd = i0 == grid.I - 1
-    lb = lin[bd]
-    parts += [(lb, lb - 2 * JK, np.full(lb.size, 1.0 / h2)),
-              (lb, lb - JK, np.full(lb.size, -2.0 / h2)),
-              (lb, lb, np.full(lb.size, 1.0 / h2))]
-    return _coo(parts, grid.size)
-
-
-def _periodic_first(grid: PhaseGrid, axis: str):
-    lin, _, j0, k0 = _node_indices(grid)
-    if axis == "phi":
-        step, K = grid.dphi, grid.K
-        plus = lin + (((j0 + 1) % grid.J) - j0) * K
-        minus = lin + (((j0 - 1) % grid.J) - j0) * K
-    else:
-        step = grid.dtheta
-        plus = lin + ((k0 + 1) % grid.K) - k0
-        minus = lin + ((k0 - 1) % grid.K) - k0
-    parts = [(lin, plus, np.full(lin.size, 1.0 / (2 * step))),
-             (lin, minus, np.full(lin.size, -1.0 / (2 * step)))]
-    return _coo(parts, grid.size)
-
-
-def _periodic_second(grid: PhaseGrid, axis: str):
-    lin, _, j0, k0 = _node_indices(grid)
-    if axis == "phi":
-        step, K = grid.dphi, grid.K
-        plus = lin + (((j0 + 1) % grid.J) - j0) * K
-        minus = lin + (((j0 - 1) % grid.J) - j0) * K
-    else:
-        step = grid.dtheta
-        plus = lin + ((k0 + 1) % grid.K) - k0
-        minus = lin + ((k0 - 1) % grid.K) - k0
-    h2 = step ** 2
-    parts = [(lin, minus, np.full(lin.size, 1.0 / h2)),
-             (lin, lin, np.full(lin.size, -2.0 / h2)),
-             (lin, plus, np.full(lin.size, 1.0 / h2))]
+    li = lin[(i0 >= 1) & (i0 <= grid.I - 2)]
+    lp = lin[i0 == 0]
+    lb = lin[i0 == grid.I - 1]
+    ca, cb, wa, wb = _antipodal_cols(grid, lp, j0[i0 == 0])
+    parts = [(li, li + d * JK, np.full(li.size, w)) for d, w in inner]
+    for d, w in pole:
+        if d == -1:
+            parts += [(lp, ca, np.full(lp.size, wa * w)), (lp, cb, np.full(lp.size, wb * w))]
+        else:
+            parts.append((lp, lp + d * JK, np.full(lp.size, w)))
+    parts += [(lb, lb + d * JK, np.full(lb.size, w)) for d, w in boundary]
     return _coo(parts, grid.size)
 
 
@@ -300,7 +272,7 @@ def _periodic_second(grid: PhaseGrid, axis: str):
 def h_matrix(grid: PhaseGrid, model: RefractiveModel) -> sp.csr_matrix:
     """Upwind discretization of the ray derivative H."""
     rdot, phidot, thetadot = advection_coefficients(grid, model)
-    lin, i0, j0, k0 = _node_indices(grid)
+    lin, i0, j0 = _node_indices(grid)
     JK = grid.J * grid.K
     h = grid.dr
     parts = []
@@ -324,30 +296,29 @@ def h_matrix(grid: PhaseGrid, model: RefractiveModel) -> sp.csr_matrix:
     parts += [(lp, lp, cp / (2 * h)), (lp, ca, -wa * cp / (2 * h)), (lp, cc, -wb * cp / (2 * h))]
 
     # periodic legs in phi and theta
-    for coeff, axis in ((phidot, "phi"), (thetadot, "theta")):
-        if axis == "phi":
-            step = grid.dphi
-            plus = lin + (((j0 + 1) % grid.J) - j0) * grid.K
-            minus = lin + (((j0 - 1) % grid.J) - j0) * grid.K
-        else:
-            step = grid.dtheta
-            plus = lin + ((k0 + 1) % grid.K) - k0
-            minus = lin + ((k0 - 1) % grid.K) - k0
+    for coeff, axis, step in ((phidot, "phi", grid.dphi), (thetadot, "theta", grid.dtheta)):
         up = coeff >= 0.0
         lu, cu = lin[up], coeff[up]
-        parts += [(lu, lu, cu / step), (lu, minus[up], -cu / step)]
+        parts += [(lu, lu, cu / step), (lu, _periodic_cols(grid, lu, axis, -1), -cu / step)]
         ld, cd = lin[~up], coeff[~up]
-        parts += [(ld, ld, -cd / step), (ld, plus[~up], cd / step)]
+        parts += [(ld, ld, -cd / step), (ld, _periodic_cols(grid, ld, axis, 1), cd / step)]
 
     return _coo(parts, grid.size)
 
 
 def laplace_x_matrix(grid: PhaseGrid, model: RefractiveModel) -> sp.csr_matrix:
     """Spatial part of the phase Laplacian in polar coordinates."""
-    d2r = _radial_second(grid)
-    d1r = _radial_first_central(grid)
-    d2p = _periodic_second(grid, "phi")
-    d1p = _periodic_first(grid, "phi")
+    h = grid.dr
+    h2 = h ** 2
+    # pole offsets are (-2h, 0, +h); the boundary ring is one-sided
+    d2r = _radial(grid, _central_second(h),
+                  pole=((-1, 1.0 / (3 * h2)), (0, -1.0 / h2), (1, 2.0 / (3 * h2))),
+                  boundary=((-2, 1.0 / h2), (-1, -2.0 / h2), (0, 1.0 / h2)))
+    d1r = _radial(grid, _central_first(h),
+                  pole=((-1, -1.0 / (6 * h)), (0, -1.0 / (2 * h)), (1, 2.0 / (3 * h))),
+                  boundary=((-2, 1.0 / (2 * h)), (-1, -4.0 / (2 * h)), (0, 3.0 / (2 * h))))
+    d2p = _periodic(grid, "phi", _central_second(grid.dphi))
+    d1p = _periodic(grid, "phi", _central_first(grid.dphi))
     n = grid.n_node
     g = np.asarray(model.grad_n(grid.x), dtype=float)
     rhat = np.stack([np.cos(grid.phi), np.sin(grid.phi)], axis=-1)
@@ -364,7 +335,7 @@ def laplace_x_matrix(grid: PhaseGrid, model: RefractiveModel) -> sp.csr_matrix:
 
 def laplace_xi_matrix(grid: PhaseGrid, model: RefractiveModel) -> sp.csr_matrix:
     """Fiber part of the phase Laplacian: a bare second theta derivative."""
-    return _periodic_second(grid, "theta")
+    return _periodic(grid, "theta", _central_second(grid.dtheta))
 
 
 def laplace_matrix(grid: PhaseGrid, model: RefractiveModel) -> sp.csr_matrix:

@@ -4,9 +4,11 @@ The stationary system discretizes
 
     -eps Delta u + H u + alpha u = f . xi^m
 
-on the phase grid, with the boundary ring pinned by row replacement:
-outflow nodes carry the supplied data, inflow and glancing nodes carry 0.
-eps = 0 is allowed and gives the pure upwind transport system.
+on the phase grid, with the boundary ring pinned: the ring is the
+contiguous tail of the linear order, so its rows are replaced by stacking
+identity rows under the interior rows.  Outflow nodes carry the supplied
+data, inflow and glancing nodes carry 0.  eps = 0 is allowed and gives the
+pure upwind transport system.
 
 The time-dependent problem is stepped with implicit Euler,
 
@@ -15,12 +17,14 @@ The time-dependent problem is stepped with implicit Euler,
 with boundary data read at t_{n+1} and u^0 = 0; the step matrix is factored
 once and reused.
 
-Solves are restarted GMRES on the interior block (boundary unknowns are
-eliminated exactly), preconditioned by an incomplete LU factorization, with
-a Jacobi fallback; both solves share one Krylov helper.  Reports name the
-preconditioner that was actually built and carry an independently
-recomputed relative residual: of the full assembled system for the
-stationary solve, of the step system for each implicit Euler step.
+Solves are restarted GMRES on the interior block, preconditioned by an
+incomplete LU factorization with a Jacobi fallback.  Boundary unknowns are
+eliminated exactly: with n interior nodes, the interior block is the slice
+a[:n, :n] and the coupling to the ring is a[:n, n:].  Both solves share one
+Krylov helper.  Reports name the preconditioner that was actually built
+and carry an independently recomputed relative residual: of the full
+assembled system for the stationary solve, of the step system for each
+implicit Euler step.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ class LinearSystem:
 
     @property
     def interior_idx(self) -> np.ndarray:
-        return np.arange((self.grid.I - 1) * self.grid.J * self.grid.K)
+        return np.arange(self.grid.n_interior)
 
 
 def symmetric_part(a: sp.spmatrix) -> sp.csr_matrix:
@@ -141,18 +145,12 @@ def assemble(
     mask = classify_boundary(grid, model)
     ub = _boundary_values(boundary_data, mask, grid.size)
 
-    raw = interior_operator(grid, model, att, epsilon).tocoo()
-    ring = grid.boundary_indices
-    keep = raw.row < ring[0]
-    rows = np.concatenate([raw.row[keep], ring])
-    cols = np.concatenate([raw.col[keep], ring])
-    vals = np.concatenate([raw.data[keep], np.ones(ring.size)])
-    a = sp.coo_matrix((vals, (rows, cols)), shape=raw.shape).tocsr()
-    a.sum_duplicates()
-    a.sort_indices()
+    raw = interior_operator(grid, model, att, epsilon)
+    n = grid.n_interior
+    a = sp.vstack([raw[:n], sp.eye(grid.size - n, grid.size, k=n)], format="csr")
 
     b = np.asarray(moment(f, t, grid.x, grid.xi), dtype=float)
-    b[ring] = ub[ring]
+    b[n:] = ub[n:]
     if not np.all(np.isfinite(a.data)) or not np.all(np.isfinite(b)):
         raise AssemblyError("assembled system contains non-finite entries")
     return LinearSystem(matrix=a, rhs=b, grid=grid, mask=mask, dirichlet_values=ub, epsilon=epsilon)
@@ -182,9 +180,9 @@ def _make_preconditioner(a_ii: sp.csr_matrix, kind: str):
     raise ValueError(f"unknown preconditioner {kind!r}")
 
 
-def _krylov(a, b, precond, method: str, tol: float, cycles: int, restart: int, x0, t0: float,
+def _krylov(a, b, precond, tol: float, cycles: int, restart: int, x0, t0: float,
             residual=None, label: str = "solver"):
-    """Solve a x = b; returns x and its report.
+    """Solve a x = b by restarted GMRES; returns x and its report.
 
     ``precond`` is a (operator, kind) pair from :func:`_make_preconditioner`.
     ``residual(x)`` gives the reported relative residual, by default
@@ -196,13 +194,8 @@ def _krylov(a, b, precond, method: str, tol: float, cycles: int, restart: int, x
     def cb(_):
         count["n"] += 1
 
-    if method == "gmres":
-        x, _ = spla.gmres(a, b, x0=x0, rtol=tol, atol=0.0, restart=restart, maxiter=cycles,
-                          M=m, callback=cb, callback_type="pr_norm")
-    elif method == "bicgstab":
-        x, _ = spla.bicgstab(a, b, x0=x0, rtol=tol, atol=0.0, maxiter=cycles * restart, M=m, callback=cb)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    x, _ = spla.gmres(a, b, x0=x0, rtol=tol, atol=0.0, restart=restart, maxiter=cycles,
+                      M=m, callback=cb, callback_type="pr_norm")
     if not np.all(np.isfinite(x)):
         raise NumericalError(f"{label} produced non-finite iterates")
     if residual is None:
@@ -215,8 +208,13 @@ def _krylov(a, b, precond, method: str, tol: float, cycles: int, restart: int, x
         final_residual=res,
         converged=bool(res <= tol),
         wall_time=time.perf_counter() - t0,
-        method=f"{method}+{kind}",
+        method=f"gmres+{kind}",
     )
+
+
+def time_levels(dt: float, t_final: float) -> list[float]:
+    """The march times 0, dt, ..., N dt with N = floor(t_final / dt), forgiving round-off."""
+    return [s * dt for s in range(int(np.floor(t_final / dt + 1e-9)) + 1)]
 
 
 def default_max_iter(size: int) -> int:
@@ -228,7 +226,6 @@ def solve_static(
     system: LinearSystem,
     tol: float = 1e-10,
     max_iter: int | None = None,
-    method: str = "gmres",
     preconditioner: str = "ilu",
     restart: int = 60,
     x0: np.ndarray | None = None,
@@ -236,37 +233,31 @@ def solve_static(
     """Solve the assembled system to relative residual <= tol.
 
     ``max_iter`` caps GMRES restart cycles (each of ``restart`` inner
-    iterations); BiCGStab interprets it as its plain iteration cap.
-    Non-convergence is reported, not raised: the best iterate is returned
-    with ``converged=False`` and the caller decides.
+    iterations).  Non-convergence is reported, not raised: the best iterate
+    is returned with ``converged=False`` and the caller decides.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     t0 = time.perf_counter()
     a = system.matrix
-    interior = system.interior_idx
-    ring = system.grid.boundary_indices
-    ub = system.dirichlet_values
+    n = system.grid.n_interior
+    a_ii = a[:n, :n]
+    b_i = system.rhs[:n] - a[:n, n:] @ system.dirichlet_values[n:]
 
-    a_ii = a[interior][:, interior].tocsr()
-    a_ib = a[interior][:, ring].tocsr()
-    b_i = system.rhs[interior] - a_ib @ ub[ring]
-
-    u = np.zeros(system.size)
-    u[ring] = ub[ring]
+    u = system.dirichlet_values.copy()
     bnorm = float(np.linalg.norm(system.rhs))
 
     def full_residual(x):
         v = u.copy()
-        v[interior] = x
+        v[:n] = x
         return float(np.linalg.norm(system.rhs - a @ v)) / (bnorm if bnorm > 0.0 else 1.0)
 
     # a zero right-hand side needs no preconditioner: the Krylov call returns 0 at once
     precond = _make_preconditioner(a_ii, "none" if np.linalg.norm(b_i) == 0.0 else preconditioner)
     cycles = max_iter if max_iter is not None else default_max_iter(system.size)
-    u[interior], report = _krylov(
-        a_ii, b_i, precond, method, tol, cycles, restart,
-        x0[interior] if x0 is not None else None, t0, residual=full_residual,
+    u[:n], report = _krylov(
+        a_ii, b_i, precond, tol, cycles, restart,
+        x0[:n] if x0 is not None else None, t0, residual=full_residual,
     )
     return GridFunction(system.grid, u), report
 
@@ -296,53 +287,48 @@ def solve_dynamic(
         raise ValueError("dt must be positive")
     if t_final < dt:
         raise ValueError("t_final must be at least dt")
-    n_steps = int(np.floor(t_final / dt + 1e-9))
+    times = time_levels(dt, t_final)
     mask = classify_boundary(grid, model)
 
     if callable(boundary_data):
         bd = boundary_data
     else:
         table = np.asarray(boundary_data, dtype=float)
-        if table.shape != (n_steps + 1, mask.outflow_idx.size):
+        if table.shape != (len(times), mask.outflow_idx.size):
             raise AssemblyError(
-                f"boundary table shape {table.shape} != {(n_steps + 1, mask.outflow_idx.size)}"
+                f"boundary table shape {table.shape} != {(len(times), mask.outflow_idx.size)}"
             )
 
         def bd(step, t):
             return table[step]
 
     raw = interior_operator(grid, model, att, epsilon)
-    interior = np.arange((grid.I - 1) * grid.J * grid.K)
-    ring = grid.boundary_indices
-    a_ii = raw[interior][:, interior].tocsr()
-    a_ib = raw[interior][:, ring].tocsr()
-    m_step = (a_ii + sp.diags(np.full(interior.size, 1.0 / dt))).tocsr()
+    n = grid.n_interior
+    a_ib = raw[:n, n:]
+    m_step = (raw[:n, :n] + sp.diags(np.full(n, 1.0 / dt))).tocsr()
     precond = _make_preconditioner(m_step, preconditioner)
     cycles = max_iter if max_iter is not None else default_max_iter(grid.size)
 
     states = [GridFunction(grid, np.zeros(grid.size))]
     reports: list[SolveReport] = []
-    u_int = np.zeros(interior.size)
-    for step in range(1, n_steps + 1):
-        t_n = step * dt
+    u_int = np.zeros(n)
+    for step, t_n in enumerate(times[1:], start=1):
         t0 = time.perf_counter()
-        ub_full = np.zeros(grid.size)
-        ub_full[mask.outflow_idx] = np.asarray(bd(step, t_n), dtype=float)
+        full = np.zeros(grid.size)
+        full[mask.outflow_idx] = np.asarray(bd(step, t_n), dtype=float)
         b_i = (
-            np.asarray(moment(f, t_n, grid.x[interior], grid.xi[interior]), dtype=float)
+            np.asarray(moment(f, t_n, grid.x[:n], grid.xi[:n]), dtype=float)
             + u_int / dt
-            - a_ib @ ub_full[ring]
+            - a_ib @ full[n:]
         )
-        u_new, report = _krylov(m_step, b_i, precond, "gmres", tol, cycles, 60, u_int, t0,
+        u_new, report = _krylov(m_step, b_i, precond, tol, cycles, 60, u_int, t0,
                                 label=f"step {step}")
         if not report.converged and not allow_unconverged:
             raise NonConvergenceError(
                 f"step {step} (t = {t_n:.6g}) stopped at relative residual {report.final_residual:.3e}"
             )
         u_int = u_new
-        full = np.zeros(grid.size)
-        full[interior] = u_int
-        full[ring] = ub_full[ring]
+        full[:n] = u_int
         states.append(GridFunction(grid, full))
         reports.append(report)
     return states, reports
@@ -368,8 +354,8 @@ def discrete_coercivity(system: LinearSystem, probes: int = 4, seed: int = 0) ->
     iteration from a fresh random vector; a positive result certifies
     discrete coercivity of the assembled operator.
     """
-    interior = system.interior_idx
-    s = symmetric_part(system.matrix[interior][:, interior])
+    n = system.grid.n_interior
+    s = symmetric_part(system.matrix[:n, :n])
     n = s.shape[0]
     c = float(np.max(np.abs(s).sum(axis=1)))
     shifted = (sp.identity(n) * c - s).tocsr()

@@ -47,6 +47,11 @@ class SymmetricTensorField:
             if any(i < 0 or i >= self.dim for i in idx):
                 raise ValueError(f"multi-index {idx} out of range for dim {self.dim}")
 
+    @property
+    def is_dynamic(self) -> bool:
+        """Whether moments depend on t: through the components or the switch-on."""
+        return self.time_dependent or self.switch_on
+
 
 def moment(f: SymmetricTensorField, t, x, xi) -> np.ndarray:
     """Contract f(t, x) with xi^m; vectorized over leading axes of x and xi.

@@ -177,7 +177,7 @@ def _march_backward(
 # ---------------------------------------------------------------------------
 
 def _require_static(f: SymmetricTensorField):
-    if f.time_dependent or f.switch_on:
+    if f.is_dynamic:
         raise ValueError("field is time-dependent; use the dynamic transform")
 
 
@@ -274,7 +274,7 @@ def interior_solution_grid(
     """
     q = q or QuadratureConfig()
     cfg = cfg or _default_cfg(q)
-    dynamic = f.time_dependent or f.switch_on
+    dynamic = f.is_dynamic
     x, xi = grid.x, grid.xi
     if workers <= 1:
         return _chunk_eval(model, f, att, t, x, xi, q, cfg, dynamic)
@@ -358,7 +358,7 @@ def _residual_stencil(model, f, t: float, points, fd_step: float, time_derivativ
     if model.dim != 2:
         raise ValueError("the transport residual is implemented for dim 2")
     if time_derivative is None:
-        time_derivative = f.time_dependent or f.switch_on
+        time_derivative = f.is_dynamic
     e1 = np.array([fd_step, 0.0])
     e2 = np.array([0.0, fd_step])
     stencil = []

@@ -279,7 +279,6 @@ def epsilon_sweep(
     tol: float = 1e-10,
     max_iter: int | None = None,
     preconditioner: str = "ilu",
-    method: str = "gmres",
     workers: int = 1,
 ) -> SweepResult:
     """Solve the viscosity system for each eps against characteristic boundary data.
@@ -303,9 +302,7 @@ def epsilon_sweep(
     for e in eps:
         try:
             system = assemble(grid, model, f, att, e, u_ref_vals)
-            sol, rep = solve_static(
-                system, tol=tol, max_iter=max_iter, method=method, preconditioner=preconditioner
-            )
+            sol, rep = solve_static(system, tol=tol, max_iter=max_iter, preconditioner=preconditioner)
             field, _ = relative_error(sol, u_ref, floor_cut=floor_cut)
             masked = field.values[norm_mask] if norm_mask.any() else field.values
             l2s.append(float(np.sqrt(np.mean(masked**2))))

@@ -106,6 +106,16 @@ class TestCliCommands:
         cfg.write_text("[run]\ncommand = fly\n")
         assert run(["run", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("key,value", [("method", "foo"), ("preconditioner", "lu")])
+    def test_bad_solver_choice_exits_2(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(
+            "[run]\ncommand = sweep\noutput_dir = %s/out\n"
+            "[grid]\ni = 6\nj = 6\nk = 4\n[solver]\nepsilon = 1e-3\n%s = %s\n" % (tmp_path, key, value))
+        assert run(["run", str(cfg)]) == 2
+        assert f"solver.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_env_var_overrides_output(self, tmp_path, monkeypatch):
         cfg = tmp_path / "trace.cfg"
         cfg.write_text(MINIMAL)

@@ -124,14 +124,6 @@ class TestSolveStatic:
         u12, _ = rt.solve_static(merged, tol=1e-12)
         assert_allclose(u12.values, u1.values + u2.values, atol=1e-9)
 
-    def test_bicgstab_method(self, small_setup):
-        model, field, att, grid = small_setup
-        system = rt.assemble(grid, model, field, att, 1e-3, np.zeros(grid.size))
-        sol_g, _ = rt.solve_static(system, tol=1e-10, method="gmres")
-        sol_b, rep = rt.solve_static(system, tol=1e-10, method="bicgstab")
-        assert rep.converged
-        assert_allclose(sol_b.values, sol_g.values, atol=1e-7)
-
 
     def test_ilu_failure_reports_jacobi(self, small_setup, monkeypatch):
         model, field, att, grid = small_setup

@@ -252,6 +252,10 @@ class TestGridOracle:
         assert np.array_equal(a, b)
 
 
+def _time_component(t, x):
+    return np.asarray(t, dtype=float) + np.zeros(np.asarray(x).shape[:-1])
+
+
 class TestDynamicBoundaryTable:
     def test_switch_on_table_matches_direct(self, unit_model, demo_field, unit_attenuation):
         """The recorded-march table agrees with per-time marches.
@@ -288,6 +292,32 @@ class TestDynamicBoundaryTable:
         xi = np.array([[np.cos(0.5), np.sin(0.5)]])
         table = rt.dynamic_boundary_table(unit_model, demo_field, unit_attenuation, x, xi, [0.0, 1.0, 7.0])
         assert table[0, 0] == table[1, 0] == table[2, 0]
+
+    def test_time_dependent_field(self, unit_model):
+        """f(t, x) = t: one march per time level, each matching the closed form.
+
+        In the unit medium the backward ray from a boundary state at angle
+        tilt to the normal is a chord of length L = 2 cos(tilt), so the row at
+        time t is int_{-L}^0 (t + tau) e^{a tau} dtau.
+        """
+        a = 0.7
+        att = rt.constant_attenuation(a)
+        f = rt.SymmetricTensorField(dim=2, rank=0, components={(): _time_component}, time_dependent=True)
+        angles = np.array([0.0, 1.0, 2.5])
+        tilts = np.array([0.0, 0.4, -1.1])
+        x = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        xi = np.stack([np.cos(angles + tilts), np.sin(angles + tilts)], axis=-1)
+        times = [0.0, 0.5, 1.25]
+        q = rt.QuadratureConfig(step=1e-3)
+        table = rt.dynamic_boundary_table(unit_model, f, att, x, xi, times, q)
+        length = 2.0 * np.cos(tilts)
+        decay = np.exp(-a * length)
+        for r, t in enumerate(times):
+            closed = t * (1.0 - decay) / a - 1.0 / a**2 + decay * (length / a + 1.0 / a**2)
+            assert_allclose(table[r], closed, rtol=1e-9)
+            for c in range(x.shape[0]):
+                p = rt.PhaseSpacePoint(x[c], xi[c])
+                assert table[r, c] == rt.ray_transform_dynamic(unit_model, f, att, t, p, q)
 
     def test_all_inflow_states(self, unit_model, demo_field, unit_attenuation):
         f = rt.with_switch_on(demo_field)
