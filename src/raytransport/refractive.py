@@ -194,11 +194,13 @@ def coercivity_margin(model: RefractiveModel, alpha0: float, samples: int = 512)
 def _radial_n_grad(coeffs: tuple, x) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     s = _dot(x, x)
-    n = np.zeros_like(s)
-    for c in reversed(coeffs):
+    # Horner from the top coefficient; a constant medium gets dn = 0 * c0 = 0
+    top = len(coeffs) - 1
+    n = np.full_like(s, coeffs[top])
+    for c in reversed(coeffs[:top]):
         n = n * s + c
-    dn = np.zeros_like(s)
-    for k in range(len(coeffs) - 1, 0, -1):
+    dn = np.full_like(s, top * coeffs[top])
+    for k in range(top - 1, 0, -1):
         dn = dn * s + k * coeffs[k]
     return n, 2.0 * dn[..., None] * x
 

@@ -14,17 +14,24 @@ The time-dependent problem is stepped with implicit Euler,
 
     (u^{n+1} - u^n) / dt + L_eps u^{n+1} = f(t_{n+1}) . xi^m,
 
-with boundary data read at t_{n+1} and u^0 = 0; the step matrix is factored
-once and reused.
+with boundary data read at t_{n+1} and u^0 = 0.
 
-Solves are restarted GMRES on the interior block, preconditioned by an
-incomplete LU factorization with a Jacobi fallback.  Boundary unknowns are
-eliminated exactly: with n interior nodes, the interior block is the slice
-a[:n, :n] and the coupling to the ring is a[:n, n:].  Both solves share one
-Krylov helper.  Reports name the preconditioner that was actually built
-and carry an independently recomputed relative residual: of the full
-assembled system for the stationary solve, of the step system for each
-implicit Euler step.
+The operator is assembled from parts that do not depend on eps: the
+transport operator T = H + alpha I and the Laplacian, each built once and
+combined per eps as T - eps Delta.
+
+Solves are restarted GMRES on the interior block of the full viscous
+system.  Boundary unknowns are eliminated exactly: with n interior nodes,
+the interior block is the slice a[:n, :n] and the coupling to the ring is
+a[:n, n:].  The preconditioner is an incomplete LU factorization, with a
+Jacobi fallback, of the interior block of the transport operator T (of
+T + I/dt for the implicit Euler step), not of the viscous block: T does not
+depend on eps, so an eps sweep factors it once and every solve of the sweep
+reuses it, and for small eps the viscous block is a small perturbation of
+it.  Both solves share one Krylov helper.  Reports name the preconditioner
+that was actually built and carry an independently recomputed relative
+residual: of the full assembled system for the stationary solve, of the
+step system for each implicit Euler step.
 """
 
 from __future__ import annotations
@@ -57,14 +64,19 @@ class SolveReport:
     final_residual: float
     converged: bool
     wall_time: float
-    method: str = "gmres+ilu"
+    method: str
 
 
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
-    """Assembled discrete operator with Dirichlet rows replaced by identity."""
+    """Assembled discrete operator with Dirichlet rows replaced by identity.
+
+    ``transport`` is the interior block of the transport operator H + alpha I,
+    the matrix the preconditioner is built from.
+    """
 
     matrix: sp.csr_matrix
+    transport: sp.csr_matrix
     rhs: np.ndarray
     grid: PhaseGrid
     mask: BoundaryMask
@@ -109,19 +121,37 @@ def _boundary_values(boundary_data, mask: BoundaryMask, size: int) -> np.ndarray
     )
 
 
-def interior_operator(
+@dataclass(frozen=True, eq=False)
+class OperatorParts:
+    """The eps-free parts of -eps*Laplace + H + alpha*I, on all rows.
+
+    ``transport`` is H + alpha I; ``laplacian`` is None where only eps = 0 is
+    assembled.
+    """
+
+    transport: sp.csr_matrix
+    laplacian: sp.csr_matrix | None
+
+
+def operator_parts(
     grid: PhaseGrid,
     model: RefractiveModel,
     att: Attenuation,
-    epsilon: float,
-) -> sp.csr_matrix:
+    viscous: bool = True,
+) -> OperatorParts:
+    """Build H + alpha I and, if ``viscous``, the Laplacian."""
+    alpha = np.asarray(att.alpha(grid.x, grid.xi), dtype=float)
+    return OperatorParts(
+        transport=h_matrix(grid, model) + sp.diags(alpha),
+        laplacian=laplace_matrix(grid, model) if viscous else None,
+    )
+
+
+def interior_operator(parts: OperatorParts, epsilon: float) -> sp.csr_matrix:
     """The raw operator -eps*Laplace + H + alpha*I on all rows (no pinning)."""
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
-    alpha = np.asarray(att.alpha(grid.x, grid.xi), dtype=float)
-    a = h_matrix(grid, model) + sp.diags(alpha)
-    if epsilon > 0.0:
-        a = a - epsilon * laplace_matrix(grid, model)
+    a = parts.transport - epsilon * parts.laplacian if epsilon > 0.0 else parts.transport.copy()
     a = a.tocsr()
     a.sum_duplicates()
     a.sort_indices()
@@ -136,16 +166,21 @@ def assemble(
     epsilon: float,
     boundary_data,
     t: float = 0.0,
+    parts: OperatorParts | None = None,
 ) -> LinearSystem:
     """Assemble the stationary system with pinned boundary ring.
 
     ``boundary_data`` covers the outflow nodes: a mapping from linear node
     index to value, a full-grid array, or an array in outflow-index order.
+    ``parts`` are the operator's eps-free parts when already built (an eps
+    sweep builds them once); they must come from the same grid, model and
+    attenuation.
     """
     mask = classify_boundary(grid, model)
     ub = _boundary_values(boundary_data, mask, grid.size)
 
-    raw = interior_operator(grid, model, att, epsilon)
+    parts = parts or operator_parts(grid, model, att, viscous=epsilon > 0.0)
+    raw = interior_operator(parts, epsilon)
     n = grid.n_interior
     a = sp.vstack([raw[:n], sp.eye(grid.size - n, grid.size, k=n)], format="csr")
 
@@ -153,49 +188,59 @@ def assemble(
     b[n:] = ub[n:]
     if not np.all(np.isfinite(a.data)) or not np.all(np.isfinite(b)):
         raise AssemblyError("assembled system contains non-finite entries")
-    return LinearSystem(matrix=a, rhs=b, grid=grid, mask=mask, dirichlet_values=ub, epsilon=epsilon)
+    return LinearSystem(matrix=a, transport=parts.transport[:n, :n], rhs=b, grid=grid, mask=mask,
+                        dirichlet_values=ub, epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------
 # Krylov solve
 # ---------------------------------------------------------------------------
 
-def _make_preconditioner(a_ii: sp.csr_matrix, kind: str):
-    """The preconditioner operator (None for "none") and the kind actually built.
+@dataclass(frozen=True)
+class Preconditioner:
+    """An approximate inverse (None for "none") and the kind actually built."""
+
+    operator: spla.LinearOperator | None
+    kind: str
+
+
+NO_PRECONDITIONER = Preconditioner(None, "none")
+
+
+def make_preconditioner(block: sp.csr_matrix, kind: str) -> Preconditioner:
+    """A ``kind`` preconditioner built from ``block``, a transport-operator block.
 
     A failed ILU factorization falls back to Jacobi.
     """
     if kind == "none":
-        return None, kind
+        return NO_PRECONDITIONER
     if kind == "jacobi":
-        d = a_ii.diagonal()
+        d = block.diagonal()
         d = np.where(np.abs(d) > 0.0, d, 1.0)
-        return spla.LinearOperator(a_ii.shape, matvec=lambda v: v / d), kind
+        return Preconditioner(spla.LinearOperator(block.shape, matvec=lambda v: v / d), kind)
     if kind == "ilu":
         try:
-            ilu = spla.spilu(a_ii.tocsc(), drop_tol=1e-6, fill_factor=30)
-            return spla.LinearOperator(a_ii.shape, matvec=ilu.solve), kind
+            ilu = spla.spilu(block.tocsc(), drop_tol=1e-6, fill_factor=30)
+            return Preconditioner(spla.LinearOperator(block.shape, matvec=ilu.solve), kind)
         except RuntimeError:
-            return _make_preconditioner(a_ii, "jacobi")
+            return make_preconditioner(block, "jacobi")
     raise ValueError(f"unknown preconditioner {kind!r}")
 
 
-def _krylov(a, b, precond, tol: float, cycles: int, restart: int, x0, t0: float,
-            residual=None, label: str = "solver"):
+def _krylov(a, b, precond: Preconditioner, tol: float, cycles: int, restart: int, x0,
+            t0: float, residual=None, label: str = "solver"):
     """Solve a x = b by restarted GMRES; returns x and its report.
 
-    ``precond`` is a (operator, kind) pair from :func:`_make_preconditioner`.
     ``residual(x)`` gives the reported relative residual, by default
     |b - a x| / |b|; the report times from ``t0``.
     """
-    m, kind = precond
     count = {"n": 0}
 
     def cb(_):
         count["n"] += 1
 
     x, _ = spla.gmres(a, b, x0=x0, rtol=tol, atol=0.0, restart=restart, maxiter=cycles,
-                      M=m, callback=cb, callback_type="pr_norm")
+                      M=precond.operator, callback=cb, callback_type="pr_norm")
     if not np.all(np.isfinite(x)):
         raise NumericalError(f"{label} produced non-finite iterates")
     if residual is None:
@@ -208,7 +253,7 @@ def _krylov(a, b, precond, tol: float, cycles: int, restart: int, x0, t0: float,
         final_residual=res,
         converged=bool(res <= tol),
         wall_time=time.perf_counter() - t0,
-        method=f"gmres+{kind}",
+        method=f"gmres+{precond.kind}",
     )
 
 
@@ -226,12 +271,14 @@ def solve_static(
     system: LinearSystem,
     tol: float = 1e-10,
     max_iter: int | None = None,
-    preconditioner: str = "ilu",
+    preconditioner: str | Preconditioner = "ilu",
     restart: int = 60,
     x0: np.ndarray | None = None,
 ) -> tuple[GridFunction, SolveReport]:
     """Solve the assembled system to relative residual <= tol.
 
+    ``preconditioner`` is a kind, built here from ``system.transport``, or a
+    preconditioner already built from the same transport block.
     ``max_iter`` caps GMRES restart cycles (each of ``restart`` inner
     iterations).  Non-convergence is reported, not raised: the best iterate
     is returned with ``converged=False`` and the caller decides.
@@ -253,7 +300,12 @@ def solve_static(
         return float(np.linalg.norm(system.rhs - a @ v)) / (bnorm if bnorm > 0.0 else 1.0)
 
     # a zero right-hand side needs no preconditioner: the Krylov call returns 0 at once
-    precond = _make_preconditioner(a_ii, "none" if np.linalg.norm(b_i) == 0.0 else preconditioner)
+    if np.linalg.norm(b_i) == 0.0:
+        precond = NO_PRECONDITIONER
+    elif isinstance(preconditioner, str):
+        precond = make_preconditioner(system.transport, preconditioner)
+    else:
+        precond = preconditioner
     cycles = max_iter if max_iter is not None else default_max_iter(system.size)
     u[:n], report = _krylov(
         a_ii, b_i, precond, tol, cycles, restart,
@@ -302,11 +354,13 @@ def solve_dynamic(
         def bd(step, t):
             return table[step]
 
-    raw = interior_operator(grid, model, att, epsilon)
+    parts = operator_parts(grid, model, att, viscous=epsilon > 0.0)
+    raw = interior_operator(parts, epsilon)
     n = grid.n_interior
     a_ib = raw[:n, n:]
-    m_step = (raw[:n, :n] + sp.diags(np.full(n, 1.0 / dt))).tocsr()
-    precond = _make_preconditioner(m_step, preconditioner)
+    shift = sp.diags(np.full(n, 1.0 / dt))
+    m_step = (raw[:n, :n] + shift).tocsr()
+    precond = make_preconditioner((parts.transport[:n, :n] + shift).tocsr(), preconditioner)
     cycles = max_iter if max_iter is not None else default_max_iter(grid.size)
 
     states = [GridFunction(grid, np.zeros(grid.size))]

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from numpy.testing import assert_allclose
 
 import raytransport as rt
 from raytransport.errors import DomainError
-from raytransport.refractive import acceleration, check_in_ball
+from raytransport.refractive import RefractiveModel, _dot, acceleration, check_in_ball
 
 MODELS = [
     rt.constant_model(1.0),
@@ -155,6 +157,42 @@ class TestAcceleration:
         v2 = np.einsum("...i,...i->...", v, v)
         want = (g * v2[..., None] - 2.0 * v * gv[..., None]) / n[..., None]
         assert np.array_equal(acceleration(model, x, v), want)
+
+
+def _radial_n_grad_reference(coeffs, x):
+    """The radial kernel with Horner started from zero: the reference the trimmed kernel must equal."""
+    x = np.asarray(x, dtype=float)
+    s = _dot(x, x)
+    n = np.zeros_like(s)
+    for c in reversed(coeffs):
+        n = n * s + c
+    dn = np.zeros_like(s)
+    for k in range(len(coeffs) - 1, 0, -1):
+        dn = dn * s + k * coeffs[k]
+    return n, 2.0 * dn[..., None] * x
+
+
+class TestRadialKernel:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("build", [
+        partial(rt.constant_model, 1.3),
+        rt.paper4_model,
+        partial(rt.radial_poly_model, [1.2, 0.4, -0.3, 0.25]),
+    ], ids=["constant", "paper4", "radial4"])
+    def test_bytes_equal_reference(self, build, dim):
+        model = build(dim=dim)
+        coeffs = model.n_grad.args[0]
+        ref = RefractiveModel(dim=dim, n_grad=partial(_radial_n_grad_reference, coeffs),
+                              floor=model.floor)
+        rng = np.random.default_rng(dim)
+        x = rng.standard_normal((4000, dim))
+        x *= rng.uniform(0.0, 1.0, (4000, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+        x[0] = 0.0
+        v = rng.standard_normal((4000, dim))
+        for got, want in zip(model.n_grad(x), ref.n_grad(x)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert acceleration(model, x, v).tobytes() == acceleration(ref, x, v).tobytes()
 
 
 class TestModelDerivatives:

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
@@ -68,9 +71,7 @@ class TestSolveStatic:
         ub = np.zeros(grid.size)
         ring = grid.boundary_indices
         ub[ring] = u_star[ring]
-        made = rt.LinearSystem(
-            matrix=system.matrix, rhs=b, grid=grid, mask=system.mask,
-            dirichlet_values=ub, epsilon=system.epsilon)
+        made = dataclasses.replace(system, rhs=b, dirichlet_values=ub)
         tol = 1e-11
         sol, rep = rt.solve_static(made, tol=tol)
         rel = np.linalg.norm(sol.values - u_star) / np.linalg.norm(u_star)
@@ -118,12 +119,22 @@ class TestSolveStatic:
         b = sys12.rhs.copy()
         interior = sys12.interior_idx
         b[interior] += 0.4  # moment of the rank-0 field is its constant
-        merged = rt.LinearSystem(
-            matrix=sys12.matrix, rhs=b, grid=grid, mask=sys12.mask,
-            dirichlet_values=sys12.dirichlet_values, epsilon=sys12.epsilon)
+        merged = dataclasses.replace(sys12, rhs=b)
         u12, _ = rt.solve_static(merged, tol=1e-12)
         assert_allclose(u12.values, u1.values + u2.values, atol=1e-9)
 
+    @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 0.0])
+    def test_matches_direct_solve(self, small_setup, eps):
+        """The preconditioner comes from H + alpha alone; the solution is still the viscous one."""
+        model, field, att, grid = small_setup
+        mask = rt.classify_boundary(grid, model)
+        data = np.zeros(grid.size)
+        data[mask.outflow_idx] = 0.25 + 0.1 * np.sin(grid.theta[mask.outflow_idx])
+        system = rt.assemble(grid, model, field, att, eps, data)
+        sol, rep = rt.solve_static(system, tol=1e-10)
+        assert rep.converged and rep.method == "gmres+ilu"
+        direct = spla.spsolve(system.matrix.tocsc(), system.rhs)
+        assert np.linalg.norm(sol.values - direct) <= 1e-8 * np.linalg.norm(direct)
 
     def test_ilu_failure_reports_jacobi(self, small_setup, monkeypatch):
         model, field, att, grid = small_setup
@@ -151,6 +162,27 @@ class TestSolveDynamic:
         _, reports = rt.solve_dynamic(grid, model, field, att, 1e-3, 0.5, 1.0, table)
         assert {r.method for r in reports} == {"gmres+jacobi"}
         assert all(r.converged for r in reports)
+
+    def test_matches_direct_steps(self, small_setup):
+        """Each implicit Euler step equals a direct solve of the pinned step system."""
+        model, field, att, grid = small_setup
+        f = rt.with_switch_on(field)
+        mask = rt.classify_boundary(grid, model)
+        eps, dt = 1e-3, 0.25
+        table = np.random.default_rng(3).standard_normal((5, mask.outflow_idx.size))
+        states, reports = rt.solve_dynamic(grid, model, f, att, eps, dt, 1.0, table)
+        assert all(r.converged for r in reports)
+        n = grid.n_interior
+        shift = sp.diags(np.r_[np.full(n, 1.0 / dt), np.zeros(grid.size - n)])
+        u = np.zeros(grid.size)
+        for step in range(1, 5):
+            data = np.zeros(grid.size)
+            data[mask.outflow_idx] = table[step]
+            system = rt.assemble(grid, model, f, att, eps, data, t=step * dt)
+            b = system.rhs.copy()
+            b[:n] += u[:n] / dt
+            u = spla.spsolve((system.matrix + shift).tocsc(), b)
+            assert np.linalg.norm(states[step].values - u) <= 1e-8 * np.linalg.norm(u)
 
     def test_zero_everything(self, small_setup):
         model, _, att, grid = small_setup

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 import raytransport as rt
+from raytransport import verify
+from raytransport.errors import NumericalError
 
 MODELS_3D = [rt.paper4_model(dim=3), rt.affine_model(2.0, [0.3, 0.0, -0.2])]
 POINTS_3D = [(0.2, 0.1, -0.3), (-0.4, 0.25, 0.1), (0.0, 0.0, 0.5)]
@@ -99,10 +102,13 @@ class TestRelativeError:
         assert_allclose(field.values, 2.0)
 
     def test_grid_mismatch(self, grid):
-        other = rt.build_grid(rt.paper4_model(), 4, 4, 4)
-        with pytest.raises(ValueError):
-            rt.relative_error(rt.GridFunction(grid, np.zeros(grid.size)),
-                              rt.GridFunction(other, np.zeros(other.size)))
+        model = rt.paper4_model()
+        # (4,5,6) and (6,5,4) have the same node count
+        for a, b in ((grid, rt.build_grid(model, 4, 4, 4)),
+                     (rt.build_grid(model, 4, 5, 6), rt.build_grid(model, 6, 5, 4))):
+            with pytest.raises(ValueError):
+                rt.relative_error(rt.GridFunction(a, np.zeros(a.size)),
+                                  rt.GridFunction(b, np.ones(b.size)))
 
 
 class TestEpsilonSweep:
@@ -111,6 +117,41 @@ class TestEpsilonSweep:
         sweep = rt.epsilon_sweep(model, field, att, grid, [1e-3, 1e-6, 1e-9])
         assert all(r.converged for r in sweep.reports)
         assert sweep.l2[0] >= sweep.l2[1] >= sweep.l2[2]
+
+    def test_one_factorization_per_sweep(self, monkeypatch):
+        model = rt.paper4_model()
+        grid = rt.build_grid(model, 10, 10, 8)
+        calls = []
+        spilu = spla.spilu
+
+        def counting_spilu(*args, **kwargs):
+            calls.append(args[0].shape)
+            return spilu(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "spilu", counting_spilu)
+        sweep = rt.epsilon_sweep(model, rt.paper4_field(), rt.constant_attenuation(1.0), grid,
+                                 [1e-3, 1e-6, 1e-9])
+        assert calls == [(grid.n_interior, grid.n_interior)]
+        assert all(r.converged for r in sweep.reports)
+        assert {r.method for r in sweep.reports} == {"gmres+ilu"}
+
+    def test_failed_eps_recorded(self, sweep_setup, monkeypatch):
+        model, field, att, grid = sweep_setup
+        solve_static = verify.solve_static
+
+        def failing_at_1e6(system, **kwargs):
+            if system.epsilon == 1e-6:
+                raise NumericalError("solver produced non-finite iterates")
+            return solve_static(system, **kwargs)
+
+        monkeypatch.setattr(verify, "solve_static", failing_at_1e6)
+        sweep = rt.epsilon_sweep(model, field, att, grid, [1e-3, 1e-6, 1e-9])
+        assert np.isnan(sweep.l2[1]) and np.isnan(sweep.linf[1])
+        failed = sweep.reports[1]
+        assert not failed.converged and failed.method == "failed"
+        assert sweep.solutions[1] is None and sweep.error_fields[1] is None
+        assert sweep.reports[0].converged and sweep.reports[2].converged
+        assert np.isfinite(sweep.l2[0]) and np.isfinite(sweep.l2[2])
 
     def test_zero_field_zero_errors(self, sweep_setup):
         model, _, att, grid = sweep_setup
