@@ -7,7 +7,11 @@ checkout's ``src``).  Each tree is imported in its own process, which hashes
 the ``indptr``/``indices``/``data`` of H, Delta_x, Delta_xi and Delta for
 three media on six grids, and on the small grids also the assembled system,
 every matrix handed to ``spilu``, the static and dynamic solutions, their
-residuals and the coercivity estimate.  Exits 1 if any hash differs.
+residuals and the coercivity estimate.  It also hashes the characteristic
+oracle: ``interior_solution_grid`` for the three media on the small grids and
+for paper4 on (30, 30, 10), the switch-on ``dynamic_boundary_table`` (the
+recorded march), the ``trace`` paths of three states and ``oracle_residuals``
+at three points.  Exits 1 if any hash differs.
 """
 
 import hashlib
@@ -18,6 +22,9 @@ import sys
 
 GRIDS = [(3, 3, 3), (4, 5, 6), (7, 9, 4), (10, 10, 8), (30, 30, 10), (40, 40, 20)]
 SOLVE_MAX_NODES = 10 * 10 * 8
+SMALL_GRIDS = GRIDS[:4]
+DEMO_GRID = (30, 30, 10)
+TRACE_STATES = [([0.3, -0.2], 1.1), ([0.0, 0.0], 0.4), ([-0.6, 0.5], 2.9)]
 
 
 def _hash(a):
@@ -83,6 +90,33 @@ def dump() -> dict:
             out[("dynamic", name, shape)] = (
                 tuple(_hash(s.values) for s in states), tuple(r.final_residual.hex() for r in reports),
                 tuple(r.iterations for r in reports), tuple(spilu_inputs))
+    out.update(dump_oracle(media, att, field))
+    return out
+
+
+def dump_oracle(media: dict, att, field) -> dict:
+    import numpy as np
+
+    import raytransport as rt
+
+    out = {}
+    for name, model in media.items():
+        shapes = SMALL_GRIDS + [DEMO_GRID] if name == "paper4" else SMALL_GRIDS
+        for shape in shapes:
+            grid = rt.build_grid(model, *shape)
+            out[("oracle", name, shape)] = _hash(rt.interior_solution_grid(model, field, att, grid))
+        grid = rt.build_grid(model, 10, 10, 8)
+        idx = rt.classify_boundary(grid, model).outflow_idx
+        out[("table", name)] = _hash(rt.dynamic_boundary_table(
+            model, rt.with_switch_on(field), att, grid.x[idx], grid.xi[idx], [0.0, 0.3, 0.55, 2.0],
+            rt.QuadratureConfig(step=1e-2)))
+        for x, theta in TRACE_STATES:
+            path = rt.trace(model, rt.angle_phase_point(model, x, theta), rt.IntegratorConfig(step=5e-3))
+            out[("trace", name, tuple(x), theta)] = (
+                _hash(path.taus), _hash(path.xs), _hash(path.vs), path.tau_minus.hex(), path.tau_plus.hex())
+        points = [rt.angle_phase_point(model, x, theta) for x, theta in TRACE_STATES]
+        out[("residuals", name)] = _hash(rt.oracle_residuals(
+            model, rt.with_switch_on(field), att, 0.4, points, 1e-3, rt.QuadratureConfig(step=1e-2)))
     return out
 
 

@@ -13,6 +13,15 @@ are refined together at the end.  The characteristic oracle integrates
 along it with the quadrature step as the interval; :func:`trace` is the
 batch of two rays (x, xi) and (x, -xi) with interval 2 * step, recording
 the mid and end state of every interval as path nodes.
+
+The engine keeps every ray state component-major from entry to exit:
+positions and velocities live in C-contiguous (dim, N) arrays and the
+kernels receive their (N, dim) transpose views.  Each coordinate of the
+batch is then one contiguous row, so the per-component reads of every
+kernel (``x[..., i]`` in the medium, the moments and the radius tests) are
+unit-stride instead of stride-dim gathers.  Elementwise arithmetic does not
+depend on the layout and every row sum runs in index order, so the numbers
+are those of a row-major march, bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TraceLimitError
-from .refractive import RefractiveModel, acceleration
+from .refractive import RefractiveModel, _dot, acceleration
 
 # Tangential boundary starts below this |<xi, nu>| are treated as glancing.
 GLANCING_TOL = 1e-12
@@ -97,27 +106,47 @@ class GeodesicPath:
 
 
 # ---------------------------------------------------------------------------
-# RK4 stepping (batched: states of shape (N, dim))
+# RK4 stepping (batched: states of shape (N, dim), any memory layout)
 # ---------------------------------------------------------------------------
+
+def _per_row(h) -> np.ndarray:
+    """A scalar step as a 0-d array, a per-row step as a column."""
+    h = np.asarray(h, dtype=float)
+    return h[..., None] if h.ndim else h
+
+
+def _rk4_position(model: RefractiveModel, x: np.ndarray, v: np.ndarray, h: np.ndarray):
+    """The new position of an RK4 step of size h (from :func:`_per_row`).
+
+    Returns it with the stages a1..a3 and the velocities v3, v4 that the new
+    velocity needs; the position itself never needs the fourth stage.
+    """
+    a1 = acceleration(model, x, v)
+    v2 = v + 0.5 * h * a1
+    a2 = acceleration(model, x + 0.5 * h * v, v2)
+    v3 = v + 0.5 * h * a2
+    a3 = acceleration(model, x + 0.5 * h * v2, v3)
+    v4 = v + h * a3
+    return _rk4_sum(x, h, v, v2, v3, v4), (a1, a2, a3), v3, v4
+
+
+def _rk4_sum(y, h, k1, k2, k3, k4):
+    """y + (h / 6) * (k1 + 2 k2 + 2 k3 + k4), summed in place in that order."""
+    acc = 2.0 * k2
+    acc += k1
+    acc += 2.0 * k3
+    acc += k4
+    acc *= h / 6.0
+    acc += y
+    return acc
+
 
 def rk4_step(model: RefractiveModel, x: np.ndarray, v: np.ndarray, h):
     """One classical RK4 step of size h (scalar or per-row array)."""
-    h = np.asarray(h, dtype=float)
-    if h.ndim:
-        h = h[..., None]
-    a1 = acceleration(model, x, v)
-    x2 = x + 0.5 * h * v
-    v2 = v + 0.5 * h * a1
-    a2 = acceleration(model, x2, v2)
-    x3 = x + 0.5 * h * v2
-    v3 = v + 0.5 * h * a2
-    a3 = acceleration(model, x3, v3)
-    x4 = x + h * v3
-    v4 = v + h * a3
-    a4 = acceleration(model, x4, v4)
-    xn = x + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
-    vn = v + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-    return xn, vn
+    h = _per_row(h)
+    xn, (a1, a2, a3), v3, v4 = _rk4_position(model, x, v, h)
+    a4 = acceleration(model, x + h * v3, v4)
+    return xn, _rk4_sum(v, h, a1, a2, a3, a4)
 
 
 def refine_exit(model: RefractiveModel, x: np.ndarray, v: np.ndarray, hi, iters: int = 60):
@@ -126,19 +155,29 @@ def refine_exit(model: RefractiveModel, x: np.ndarray, v: np.ndarray, hi, iters:
     ``x, v`` are the last states strictly inside the ball and the crossing
     happens within step size ``hi`` (scalar or per-row).  Returns
     (s_exit, x_exit, v_exit); each bisection iterate re-steps from (x, v) so
-    the refined state is an RK4 state, not an interpolant.
+    the refined state is an RK4 state, not an interpolant.  The iterates need
+    only the RK4 position; the final state is one full :func:`rk4_step`.
     """
     lo = np.zeros(x.shape[0])
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (x.shape[0],)).copy()
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        xm, _ = rk4_step(model, x, v, mid)
-        outside = np.einsum("ij,ij->i", xm, xm) >= 1.0
+        xm = _rk4_position(model, x, v, _per_row(mid))[0]
+        outside = _dot(xm, xm) >= 1.0
         hi = np.where(outside, mid, hi)
         lo = np.where(outside, lo, mid)
     s = hi  # first parameter at or beyond the sphere
     xe, ve = rk4_step(model, x, v, s)
     return s, xe, ve
+
+
+def _keep(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The rows of a selected by mask, in a's component-major layout.
+
+    ``a.T`` puts the ray axis last, so compressing it keeps every component a
+    contiguous row; ``a[mask]`` would return a row-major copy.
+    """
+    return np.compress(mask, a.T, axis=-1).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,17 +224,25 @@ def march(
     interval, ``advance(rays, s, xm, vm, xe, ve, carry)`` gets the rays still
     inside (indices into x0), their parameter at the interval start, their
     mid and end states and their carry, and returns the new carry.
+
+    x0 and v0 may have any memory layout; they are copied once into
+    component-major arrays when the rays still inside are selected, and every
+    state the march hands out (to ``advance`` and in the returned
+    :class:`Exits`) is an (N, dim) transpose view of a C-contiguous (dim, N)
+    array.  Rays are compacted and parked batches joined along the ray axis
+    of that layout, so no step of the march falls back to row-major copies.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     v0 = np.atleast_2d(np.asarray(v0, dtype=float))
     half = 0.5 * step
-    rad = np.sqrt(np.einsum("ij,ij->i", x0, x0))
-    heading = np.einsum("ij,ij->i", v0, x0)
-    at_exit = (rad >= 1.0 - 10.0 * cfg.boundary_tol) & (heading >= -GLANCING_TOL)
+    rad = np.sqrt(_dot(x0, x0))
+    heading = _dot(v0, x0)
+    inside = ~((rad >= 1.0 - 10.0 * cfg.boundary_tol) & (heading >= -GLANCING_TOL))
 
-    alive = np.nonzero(~at_exit)[0]
-    x, v, s = x0[alive], v0[alive], np.zeros(alive.size)
-    carry = tuple(np.asarray(c)[alive] for c in carry)
+    alive = np.nonzero(inside)[0]
+    # the one conversion: compressing x0.T yields C-contiguous (dim, N) rows
+    x, v, s = _keep(x0, inside), _keep(v0, inside), np.zeros(alive.size)
+    carry = tuple(_keep(np.asarray(c), inside) for c in carry)
     # (rays, interval, x, v, s, bisection bracket, *carry) per parked batch
     parked = [(alive[:0], alive[:0], x[:0], v[:0], s[:0], s[:0], *(c[:0] for c in carry))]
     k = 0
@@ -207,22 +254,21 @@ def march(
         k += 1
         xm, vm = rk4_step(model, x, v, half)
         xe, ve = rk4_step(model, xm, vm, half)
-        out_end = np.einsum("ij,ij->i", xe, xe) >= 1.0
-        crossed = (np.einsum("ij,ij->i", xm, xm) >= 1.0) | out_end
+        out_end = _dot(xe, xe) >= 1.0
+        crossed = (_dot(xm, xm) >= 1.0) | out_end
         if crossed.any():
-            parked.append((
-                alive[crossed], np.full(np.count_nonzero(crossed), k), x[crossed], v[crossed],
-                s[crossed], np.where(out_end[crossed], step, half), *(c[crossed] for c in carry),
-            ))
+            parked.append(tuple(_keep(a, crossed) for a in (
+                alive, np.full(alive.size, k), x, v, s, np.where(out_end, step, half), *carry)))
             keep = ~crossed
-            alive, s = alive[keep], s[keep]
-            xm, vm, xe, ve = xm[keep], vm[keep], xe[keep], ve[keep]
-            carry = tuple(c[keep] for c in carry)
+            alive, s, xm, vm, xe, ve = (_keep(a, keep) for a in (alive, s, xm, vm, xe, ve))
+            carry = tuple(_keep(c, keep) for c in carry)
         if advance is not None and alive.size:
             carry = advance(alive, s, xm, vm, xe, ve, carry)
         x, v, s = xe, ve, s + step
 
-    rays, interval, xp, vp, sp, hi, *carry_p = (np.concatenate(col) for col in zip(*parked))
+    # join the parked batches along the ray axis, keeping the layout
+    rays, interval, xp, vp, sp, hi, *carry_p = (
+        np.concatenate([a.T for a in col], axis=-1).T for col in zip(*parked))
     if rays.size:
         ds, x_exit, v_exit = refine_exit(model, xp, vp, hi)
     else:

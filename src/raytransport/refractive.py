@@ -95,7 +95,13 @@ def acceleration(model: RefractiveModel, x: np.ndarray, v: np.ndarray) -> np.nda
     n = np.asarray(n, dtype=float)
     gv = _dot(g, v)
     v2 = _dot(v, v)
-    return (g * v2[..., None] - 2.0 * v * gv[..., None]) / n[..., None]
+    # (g |v|^2 - 2 v (g . v)) / n, each operation in place on fresh arrays
+    a = g * v2[..., None]
+    vgv = 2.0 * v
+    vgv *= gv[..., None]
+    a -= vgv
+    a /= n[..., None]
+    return a
 
 
 def turn_rate(model: RefractiveModel, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -108,7 +114,7 @@ def _dot(a: np.ndarray, b) -> np.ndarray:
     """Row-wise euclidean product over the last axis, summed in index order."""
     out = a[..., 0] * b[..., 0]
     for i in range(1, a.shape[-1]):
-        out = out + a[..., i] * b[..., i]
+        out += a[..., i] * b[..., i]
     return out
 
 
@@ -198,11 +204,14 @@ def _radial_n_grad(coeffs: tuple, x) -> tuple[np.ndarray, np.ndarray]:
     top = len(coeffs) - 1
     n = np.full_like(s, coeffs[top])
     for c in reversed(coeffs[:top]):
-        n = n * s + c
+        n *= s
+        n += c
     dn = np.full_like(s, top * coeffs[top])
     for k in range(top - 1, 0, -1):
-        dn = dn * s + k * coeffs[k]
-    return n, 2.0 * dn[..., None] * x
+        dn *= s
+        dn += k * coeffs[k]
+    dn *= 2.0
+    return n, dn[..., None] * x
 
 
 def _affine_n_grad(a: float, b: tuple, x) -> tuple[np.ndarray, np.ndarray]:

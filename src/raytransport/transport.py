@@ -316,11 +316,10 @@ def dynamic_boundary_table(
         raise ValueError("times must be nonnegative")
 
     if f.time_dependent:
-        rows = [
-            _march_backward(model, f, att, float(tv), x, xi, q, cfg, dynamic=True).values
-            for tv in times
-        ]
-        return np.stack(rows, axis=0)
+        table = np.zeros((times.size, np.atleast_2d(x).shape[0]))
+        for row, tv in zip(table, times):
+            row[:] = _march_backward(model, f, att, float(tv), x, xi, q, cfg, dynamic=True).values
+        return table
 
     if not f.switch_on:
         vals = _march_backward(model, f, att, 0.0, x, xi, q, cfg, dynamic=False).values

@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 import raytransport as rt
 from raytransport.errors import DomainError, TraceLimitError
-from raytransport.geodesic import speed_defect
+from raytransport.geodesic import march, refine_exit, rk4_step, speed_defect
+from raytransport.refractive import acceleration
 
 
 def path_speed_defect(model, path):
@@ -155,3 +156,75 @@ class TestOneEngine:
                 for xi in (p.xi, -p.xi)
             ]
             assert rt.tau_bounds(demo_model, p, cfg) == (tau[0], -tau[1])
+
+
+def _bits(*arrays):
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+def _layouts(a):
+    """The same rows stored row-major, component-major and as a strided view."""
+    return {
+        "row-major": np.ascontiguousarray(a),
+        "component-major": np.ascontiguousarray(a.T).T,
+        "strided": np.repeat(a, 2, axis=0)[::2],
+    }
+
+
+class TestLayoutIndependence:
+    """Every kernel of the march returns the same bits for any memory layout of its states."""
+
+    MEDIA = [("paper4", 2), ("affine:2,0.3,0.2", 2), ("paper4", 3)]
+
+    @pytest.fixture(params=MEDIA, ids=lambda m: f"{m[0]}-{m[1]}d")
+    def medium(self, request):
+        spec, dim = request.param
+        model = rt.parse_model(spec, dim=dim)
+        rng = np.random.default_rng(41)
+        d = rng.standard_normal((300, dim))
+        x = rng.uniform(0.0, 0.9, (300, 1)) * d / np.linalg.norm(d, axis=1, keepdims=True)
+        v = rng.standard_normal((300, dim))
+        v /= (np.linalg.norm(v, axis=1) * model.n(x))[:, None]
+        return model, x, v
+
+    @staticmethod
+    def _each_layout(x, v, fn):
+        xs, vs = _layouts(x), _layouts(v)
+        bits = {name: _bits(*fn(xs[name], vs[name])) for name in xs}
+        assert bits["component-major"] == bits["row-major"]
+        assert bits["strided"] == bits["row-major"]
+
+    def test_acceleration(self, medium):
+        model, x, v = medium
+        self._each_layout(x, v, lambda xl, vl: (acceleration(model, xl, vl),))
+
+    def test_rk4_step(self, medium):
+        model, x, v = medium
+        h = np.linspace(1e-3, 5e-2, x.shape[0])
+        self._each_layout(x, v, lambda xl, vl: rk4_step(model, xl, vl, 1e-2))
+        self._each_layout(x, v, lambda xl, vl: rk4_step(model, xl, vl, h))
+
+    def test_refine_exit(self, medium):
+        model, x, v = medium
+        self._each_layout(x, v, lambda xl, vl: refine_exit(model, xl, vl, 3.0))
+
+    def test_march(self, medium):
+        model, x, v = medium
+        cfg = rt.IntegratorConfig()
+        carry = (np.arange(x.shape[0], dtype=float), np.ones((x.shape[0], 2)))
+
+        def run(xl, vl):
+            seen = []
+
+            def advance(rays, s, xm, vm, xe, ve, carry):
+                for a in (xm, vm, xe, ve):
+                    assert a.T.flags["C_CONTIGUOUS"]
+                seen.extend([rays, s, xm, ve])
+                return (carry[0] + s, carry[1] * 0.5)
+
+            ex = march(model, xl, vl, 0.05, cfg, carry=carry, advance=advance)
+            for a in (ex.x, ex.v, ex.x_exit, ex.v_exit):
+                assert a.T.flags["C_CONTIGUOUS"]
+            return (ex.rays, ex.interval, ex.x, ex.v, ex.s, ex.ds, ex.x_exit, ex.v_exit, *ex.carry, *seen)
+
+        self._each_layout(x, v, run)

@@ -326,6 +326,22 @@ class TestDynamicBoundaryTable:
         table = rt.dynamic_boundary_table(unit_model, f, unit_attenuation, x, xi, [0.0, 0.7])
         assert_allclose(table, 0.0)
 
+    @pytest.mark.parametrize("kind", ["static", "switch_on", "time_dependent"])
+    def test_no_times_gives_empty_table(self, unit_model, demo_field, unit_attenuation, kind):
+        f = {
+            "static": demo_field,
+            "switch_on": rt.with_switch_on(demo_field),
+            "time_dependent": rt.SymmetricTensorField(
+                dim=2, rank=0, components={(): _time_component}, time_dependent=True),
+        }[kind]
+        angles = np.array([0.0, 1.0, 2.5])
+        x = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        xi = np.stack([np.cos(angles - 0.4), np.sin(angles - 0.4)], axis=-1)
+        q = rt.QuadratureConfig(step=1e-2)
+        table = rt.dynamic_boundary_table(unit_model, f, unit_attenuation, x, xi, [], q)
+        assert table.shape == (0, 3)
+        assert table.dtype == float
+
 
 class TestThreeDimensional:
     def test_chord_transform_closed_form(self):
