@@ -12,9 +12,17 @@ oracle: ``interior_solution_grid`` for the three media on the small grids and
 for paper4 on (30, 30, 10), the switch-on ``dynamic_boundary_table`` (the
 recorded march), the ``trace`` paths of three states and ``oracle_residuals``
 at three points.  Exits 1 if any hash differs.
+
+Every differing entry is printed with its max relative change: for each
+float array and sparse matrix of the entry, max |new - old| / max |old|,
+and the largest of these (matrices are subtracted as matrices, so a moved
+sparsity pattern counts by the values it moves).  Differences in the
+entry's other fields (sparsity, scalars such as solver residuals,
+iteration counts, methods) are named next to it.
 """
 
 import hashlib
+import itertools
 import os
 import pickle
 import subprocess
@@ -27,14 +35,35 @@ DEMO_GRID = (30, 30, 10)
 TRACE_STATES = [([0.3, -0.2], 1.1), ([0.0, 0.0], 0.4), ([-0.6, 0.5], 2.9)]
 
 
-def _hash(a):
-    import numpy as np
+class Digest:
+    """The sha256 of an array's bytes; a float array also keeps its values."""
 
-    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() + f":{a.dtype}:{a.shape}"
+    def __init__(self, a):
+        import numpy as np
+
+        a = np.ascontiguousarray(a)
+        self.text = hashlib.sha256(a.tobytes()).hexdigest() + f":{a.dtype}:{a.shape}"
+        self.values = a if a.dtype.kind == "f" else None
+
+    def __eq__(self, other):
+        return isinstance(other, Digest) and self.text == other.text
+
+    def __hash__(self):
+        return hash(self.text)
 
 
-def _mat(m):
-    return _hash(m.indptr), _hash(m.indices), _hash(m.data)
+class MatrixDigest:
+    """The digests of a CSR matrix's ``indptr``, ``indices`` and ``data``; keeps the matrix."""
+
+    def __init__(self, m):
+        self.text = tuple(Digest(a).text for a in (m.indptr, m.indices, m.data))
+        self.matrix = m
+
+    def __eq__(self, other):
+        return isinstance(other, MatrixDigest) and self.text == other.text
+
+    def __hash__(self):
+        return hash(self.text)
 
 
 def dump() -> dict:
@@ -49,7 +78,7 @@ def dump() -> dict:
     spilu = spla.spilu
 
     def recording_spilu(a, *args, **kwargs):
-        spilu_inputs.append(_mat(a))
+        spilu_inputs.append(MatrixDigest(a))
         return spilu(a, *args, **kwargs)
 
     spla.spilu = recording_spilu
@@ -64,21 +93,21 @@ def dump() -> dict:
     for name, model in media.items():
         for shape in GRIDS:
             grid = rt.build_grid(model, *shape)
-            out[("H", name, shape)] = _mat(pg.h_matrix(grid, model))
-            out[("Lx", name, shape)] = _mat(pg.laplace_x_matrix(grid, model))
-            out[("Lxi", name, shape)] = _mat(pg.laplace_xi_matrix(grid, model))
-            out[("L", name, shape)] = _mat(pg.laplace_matrix(grid, model))
+            out[("H", name, shape)] = MatrixDigest(pg.h_matrix(grid, model))
+            out[("Lx", name, shape)] = MatrixDigest(pg.laplace_x_matrix(grid, model))
+            out[("Lxi", name, shape)] = MatrixDigest(pg.laplace_xi_matrix(grid, model))
+            out[("L", name, shape)] = MatrixDigest(pg.laplace_matrix(grid, model))
             if grid.size > SOLVE_MAX_NODES:
                 continue
             data = np.random.default_rng(0).standard_normal(grid.size)
             for eps in (1e-3, 0.0):
                 system = sv.assemble(grid, model, field, att, eps, data)
-                out[("A", name, shape, eps)] = _mat(system.matrix) + (_hash(system.rhs),)
+                out[("A", name, shape, eps)] = (MatrixDigest(system.matrix), Digest(system.rhs))
                 for kind in ("ilu", "jacobi"):
                     spilu_inputs.clear()
                     sol, rep = sv.solve_static(system, tol=1e-10, preconditioner=kind)
                     out[("static", kind, name, shape, eps)] = (
-                        _hash(sol.values), rep.final_residual.hex(), rep.iterations, rep.method,
+                        Digest(sol.values), rep.final_residual.hex(), rep.iterations, rep.method,
                         tuple(spilu_inputs))
             est = sv.discrete_coercivity(system, probes=2, seed=0)
             out[("lambda_min", name, shape)] = (float(est.lambda_min).hex(), est.reliable)
@@ -88,7 +117,7 @@ def dump() -> dict:
             states, reports = sv.solve_dynamic(grid, model, rt.with_switch_on(field), att, 1e-3,
                                                0.25, 1.0, table)
             out[("dynamic", name, shape)] = (
-                tuple(_hash(s.values) for s in states), tuple(r.final_residual.hex() for r in reports),
+                tuple(Digest(s.values) for s in states), tuple(r.final_residual.hex() for r in reports),
                 tuple(r.iterations for r in reports), tuple(spilu_inputs))
     out.update(dump_oracle(media, att, field))
     return out
@@ -104,20 +133,67 @@ def dump_oracle(media: dict, att, field) -> dict:
         shapes = SMALL_GRIDS + [DEMO_GRID] if name == "paper4" else SMALL_GRIDS
         for shape in shapes:
             grid = rt.build_grid(model, *shape)
-            out[("oracle", name, shape)] = _hash(rt.interior_solution_grid(model, field, att, grid))
+            out[("oracle", name, shape)] = Digest(rt.interior_solution_grid(model, field, att, grid))
         grid = rt.build_grid(model, 10, 10, 8)
         idx = rt.classify_boundary(grid, model).outflow_idx
-        out[("table", name)] = _hash(rt.dynamic_boundary_table(
+        out[("table", name)] = Digest(rt.dynamic_boundary_table(
             model, rt.with_switch_on(field), att, grid.x[idx], grid.xi[idx], [0.0, 0.3, 0.55, 2.0],
             rt.QuadratureConfig(step=1e-2)))
         for x, theta in TRACE_STATES:
             path = rt.trace(model, rt.angle_phase_point(model, x, theta), rt.IntegratorConfig(step=5e-3))
             out[("trace", name, tuple(x), theta)] = (
-                _hash(path.taus), _hash(path.xs), _hash(path.vs), path.tau_minus.hex(), path.tau_plus.hex())
+                Digest(path.taus), Digest(path.xs), Digest(path.vs), path.tau_minus.hex(), path.tau_plus.hex())
         points = [rt.angle_phase_point(model, x, theta) for x, theta in TRACE_STATES]
-        out[("residuals", name)] = _hash(rt.oracle_residuals(
+        out[("residuals", name)] = Digest(rt.oracle_residuals(
             model, rt.with_switch_on(field), att, 0.4, points, 1e-3, rt.QuadratureConfig(step=1e-2)))
     return out
+
+
+def _floats(entry):
+    """The float arrays and sparse matrices of an entry, in order."""
+    if isinstance(entry, Digest):
+        if entry.values is not None:
+            yield entry.values
+    elif isinstance(entry, MatrixDigest):
+        yield entry.matrix
+    elif isinstance(entry, tuple):
+        for e in entry:
+            yield from _floats(e)
+
+
+def _skeleton(entry):
+    """The entry with each float array replaced by its shape and each matrix by its pattern."""
+    if isinstance(entry, Digest):
+        return ("float", entry.values.shape) if entry.values is not None else entry.text
+    if isinstance(entry, MatrixDigest):
+        return entry.text[:2]  # the sparsity pattern
+    if isinstance(entry, tuple):
+        return tuple(_skeleton(e) for e in entry)
+    return entry
+
+
+def max_relative_change(old, new) -> float:
+    """max over the entry's float arrays and matrices of max |new - old| / max |old|.
+
+    Matrices are compared as matrices, so a moved sparsity pattern counts
+    only by the values it moves.  inf if the two entries do not pair up.
+    """
+    import numpy as np
+    import scipy.sparse as sp
+
+    worst = 0.0
+    for a, b in itertools.zip_longest(_floats(old), _floats(new)):
+        if a is None or b is None or a.shape != b.shape:
+            return float("inf")
+        if sp.issparse(a):
+            scale, change = abs(a).max(), abs(b - a).max()
+        elif np.array_equal(a, b, equal_nan=True):
+            continue
+        else:
+            scale, change = np.max(np.abs(a)), np.max(np.abs(b - a))
+        if change:
+            worst = max(worst, float(change) / float(scale) if scale else float("inf"))
+    return worst
 
 
 def _dump_tree(src: str) -> dict:
@@ -139,7 +215,8 @@ def main(old_src: str, new_src: str) -> int:
         kinds[k[0]] = kinds.get(k[0], 0) + 1
     print(f"compared {len(old)} entries: " + ", ".join(f"{k} {n}" for k, n in kinds.items()))
     for k in differing:
-        print(f"differs: {k}")
+        note = "" if _skeleton(old[k]) == _skeleton(new[k]) else ", other fields differ"
+        print(f"differs: {k}  max relative change {max_relative_change(old[k], new[k]):.2e}{note}")
     print(f"{len(differing)} differing")
     return 1 if differing else 0
 

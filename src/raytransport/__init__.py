@@ -34,8 +34,6 @@ from .phasegrid import (
     GridFunction,
     PhaseGrid,
     advection_coefficients,
-    apply_H,
-    apply_laplace,
     build_grid,
     classify_boundary,
 )
@@ -45,8 +43,6 @@ from .refractive import (
     affine_model,
     coercivity_margin,
     constant_model,
-    metric_inner,
-    metric_norm,
     paper4_model,
     parse_model,
     radial_poly_model,

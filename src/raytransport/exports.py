@@ -84,13 +84,3 @@ def write_sweep_csv(sweep, path: str) -> str:
         sweep.rows(),
     )
 
-
-def write_system_dump(system, prefix: str) -> tuple[str, str]:
-    """Debug dump: triplet CSV of the matrix plus the right-hand side."""
-    coo = system.matrix.tocoo()
-    mat_path = write_rows_csv(
-        prefix + "_matrix.csv", ["row", "col", "value"],
-        zip(coo.row, coo.col, coo.data),
-    )
-    rhs_path = write_rows_csv(prefix + "_b.csv", ["row", "value"], enumerate(system.rhs))
-    return mat_path, rhs_path

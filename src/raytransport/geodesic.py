@@ -109,13 +109,13 @@ class GeodesicPath:
 # RK4 stepping (batched: states of shape (N, dim), any memory layout)
 # ---------------------------------------------------------------------------
 
-def _per_row(h) -> np.ndarray:
-    """A scalar step as a 0-d array, a per-row step as a column."""
+def _per_row(h):
+    """A scalar step as a Python float, a per-row step as a column."""
     h = np.asarray(h, dtype=float)
-    return h[..., None] if h.ndim else h
+    return h[..., None] if h.ndim else float(h)
 
 
-def _rk4_position(model: RefractiveModel, x: np.ndarray, v: np.ndarray, h: np.ndarray):
+def _rk4_position(model: RefractiveModel, x: np.ndarray, v: np.ndarray, h):
     """The new position of an RK4 step of size h (from :func:`_per_row`).
 
     Returns it with the stages a1..a3 and the velocities v3, v4 that the new

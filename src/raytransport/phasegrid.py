@@ -344,12 +344,3 @@ def laplace_matrix(grid: PhaseGrid, model: RefractiveModel) -> sp.csr_matrix:
     out.sort_indices()
     return out
 
-
-def apply_H(grid: PhaseGrid, model: RefractiveModel, u: GridFunction) -> GridFunction:
-    """Upwind ray derivative of a grid function."""
-    return GridFunction(grid, h_matrix(grid, model) @ u.values)
-
-
-def apply_laplace(grid: PhaseGrid, model: RefractiveModel, u: GridFunction) -> GridFunction:
-    """Phase Laplacian (spatial + fiber part) of a grid function."""
-    return GridFunction(grid, laplace_matrix(grid, model) @ u.values)

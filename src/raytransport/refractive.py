@@ -11,10 +11,18 @@ form in n and its gradient:
                                = (d_k n |v|^2 - 2 v_k (grad n . v)) / n
 
 where dots and |.| on the right-hand sides are euclidean.  Each model
-carries one fused analytic kernel returning n and grad n at the same points
-(there is no Hessian), so integrators and stencil assembly evaluate both at
-arbitrary points without interpolation.  The Christoffel symbols are not
-formed here; the tests check the closed-form acceleration against them.
+carries two analytic kernels: ``n_grad`` returns n and grad n at the same
+points (there is no Hessian), for stencil assembly, and ``accel`` returns
+the ray acceleration, the one quantity the ray engine asks for.  ``accel``
+is written per model family so that no gradient array is formed:
+
+    radial   n = p(s), s = |x|^2, grad n = 2 p'(s) x:
+             a = k (x |v|^2 - 2 v (x . v)) with k = 2 p'(s) / n, one Horner
+             pass each for p and p' (a constant medium gives a = 0);
+    affine   n = a + b . x: the gradient form with the slope b as scalars.
+
+Dot products are summed in index order.  The Christoffel symbols are not
+formed here; the tests check the kernels against them.
 """
 
 from __future__ import annotations
@@ -25,24 +33,21 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
-
-# Points whose euclidean norm exceeds 1 by more than this are outside the domain.
-BALL_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class RefractiveModel:
     """An analytic refractive index on the closed unit ball.
 
-    ``n_grad`` is vectorized: it accepts points of shape (..., dim) and
-    returns (n, grad n) of shapes (...) and (..., dim).  ``floor`` is a
-    certified lower bound of n on the ball, supplied by the model (not
-    estimated from samples).
+    Both kernels are vectorized over points of shape (..., dim), any memory
+    layout.  ``n_grad(x)`` returns (n, grad n) of shapes (...) and
+    (..., dim); ``accel(x, v)`` returns the ray acceleration of the states
+    (x, v), shape (..., dim).  ``floor`` is a certified lower bound of n on
+    the ball, supplied by the model (not estimated from samples).
     """
 
     dim: int
     n_grad: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    accel: Callable[[np.ndarray, np.ndarray], np.ndarray]
     floor: float
     name: str = ""
 
@@ -59,55 +64,35 @@ class RefractiveModel:
         return self.n_grad(x)[1]
 
 
-def check_in_ball(x: np.ndarray) -> np.ndarray:
-    """Validate that every point of x (..., dim) lies in the closed unit ball."""
-    x = np.asarray(x, dtype=float)
-    r2 = np.einsum("...i,...i->...", x, x)
-    if np.any(r2 > (1.0 + BALL_TOL) ** 2):
-        raise DomainError(f"point outside the closed unit ball: |x| = {np.sqrt(r2.max()):.6g}")
-    return x
-
-
-# ---------------------------------------------------------------------------
-# pointwise metric quantities
-# ---------------------------------------------------------------------------
-
-def metric_inner(model: RefractiveModel, x, u, v) -> float:
-    """Metric inner product <u, v>_g = n^2(x) (u . v) at a point of the ball."""
-    x = check_in_ball(x)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return float(model.n(x) ** 2 * np.dot(u, v))
-
-
-def metric_norm(model: RefractiveModel, x, u) -> float:
-    """Metric norm |u|_g = n(x) |u|."""
-    return float(np.sqrt(metric_inner(model, x, u, u)))
-
-
 def acceleration(model: RefractiveModel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Vectorized ray acceleration for batched states x, v of shape (..., dim).
 
     No domain check: integrators call this at high rate on states they keep
     inside the ball themselves.
     """
-    n, g = model.n_grad(x)
-    n = np.asarray(n, dtype=float)
-    gv = _dot(g, v)
-    v2 = _dot(v, v)
-    # (g |v|^2 - 2 v (g . v)) / n, each operation in place on fresh arrays
-    a = g * v2[..., None]
-    vgv = 2.0 * v
-    vgv *= gv[..., None]
-    a -= vgv
-    a /= n[..., None]
-    return a
+    return model.accel(x, v)
 
 
 def turn_rate(model: RefractiveModel, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Turning rate (a2 xi1 - a1 xi2) / |xi|^2 of the direction angle of 2D rays."""
-    a = acceleration(model, x, xi)
-    return (a[..., 1] * xi[..., 0] - a[..., 0] * xi[..., 1]) / _dot(xi, xi)
+    """Turning rate (a2 xi1 - a1 xi2) / |xi|^2 of the direction angle of 2D rays.
+
+    a is the gradient form from ``n_grad``, not the ``accel`` kernel: where xi
+    is radial the exact rate is 0, and the sign of the computed round-off
+    picks the upwind side of H, so this form keeps the grid operators' bits.
+    """
+    n, g = model.n_grad(x)
+    xi2 = _dot(xi, xi)
+    a = _gradient_form(n, _dot(g, xi), g * xi2[..., None], xi)
+    return (a[..., 1] * xi[..., 0] - a[..., 0] * xi[..., 1]) / xi2
+
+
+def _gradient_form(n, gv, g_v2, v) -> np.ndarray:
+    """(g |v|^2 - 2 v (g . v)) / n from n, g . v and g |v|^2 (overwritten)."""
+    t = 2.0 * v
+    t *= gv[..., None]
+    g_v2 -= t
+    g_v2 /= n[..., None]
+    return g_v2
 
 
 def _dot(a: np.ndarray, b) -> np.ndarray:
@@ -197,28 +182,64 @@ def coercivity_margin(model: RefractiveModel, alpha0: float, samples: int = 512)
 # module-level functions below, so grids of transforms can be farmed out to
 # worker processes.
 
+def _horner(coeffs: tuple, s):
+    """sum_k coeffs[k] s^k, Horner from c_top * s (a bare float for fewer than two coefficients)."""
+    if not coeffs:
+        return 0.0
+    p = coeffs[-1]
+    if len(coeffs) > 1:
+        p = s * p
+        p += coeffs[-2]
+        for c in reversed(coeffs[:-2]):
+            p *= s
+            p += c
+    return p
+
+
 def _radial_n_grad(coeffs: tuple, x) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     s = _dot(x, x)
-    # Horner from the top coefficient; a constant medium gets dn = 0 * c0 = 0
-    top = len(coeffs) - 1
-    n = np.full_like(s, coeffs[top])
-    for c in reversed(coeffs[:top]):
-        n *= s
-        n += c
-    dn = np.full_like(s, top * coeffs[top])
-    for k in range(top - 1, 0, -1):
-        dn *= s
-        dn += k * coeffs[k]
-    dn *= 2.0
-    return n, dn[..., None] * x
+    n = _horner(coeffs, s)
+    if len(coeffs) == 1:
+        n = np.full_like(s, n)
+    # p'(s) from its coefficients k c_k; a constant medium gets grad n = 0 * x
+    dn = 2.0 * _horner(tuple(k * c for k, c in enumerate(coeffs))[1:], s)
+    return n, np.asarray(dn)[..., None] * x
+
+
+def _radial_accel(coeffs: tuple, dcoeffs2: tuple, x, v) -> np.ndarray:
+    """k (x |v|^2 - 2 v (x . v)) with k = 2 p'(s) / p(s), s = |x|^2; ``dcoeffs2`` are those of 2 p'."""
+    s = _dot(x, x)
+    k = _horner(dcoeffs2, s) / _horner(coeffs, s)
+    v2 = _dot(v, v)
+    v2 *= k
+    xv = _dot(x, v)
+    xv *= k
+    xv *= 2.0
+    a = x * v2[..., None]
+    a -= v * xv[..., None]
+    return a
+
+
+def _slope(x, b: tuple):
+    """b . x for a slope held as scalars, summed in index order like :func:`_dot`."""
+    out = x[..., 0] * b[0]
+    for i in range(1, len(b)):
+        out += x[..., i] * b[i]
+    return out
 
 
 def _affine_n_grad(a: float, b: tuple, x) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     g = np.empty_like(x)
     g[...] = b
-    return a + _dot(x, g), g
+    return a + _slope(x, b), g
+
+
+def _affine_accel(a: float, b: tuple, x, v) -> np.ndarray:
+    # b_i |v|^2 with the component axis last, in v's layout
+    b_v2 = np.moveaxis(np.multiply.outer(b, _dot(v, v)), 0, -1)
+    return _gradient_form(a + _slope(x, b), _slope(v, b), b_v2, v)
 
 
 def radial_poly_model(coeffs, dim: int = 2, name: str = "") -> RefractiveModel:
@@ -240,6 +261,7 @@ def radial_poly_model(coeffs, dim: int = 2, name: str = "") -> RefractiveModel:
     return RefractiveModel(
         dim=dim,
         n_grad=partial(_radial_n_grad, coeffs),
+        accel=partial(_radial_accel, coeffs, tuple(2.0 * k * c for k, c in enumerate(coeffs))[1:]),
         floor=floor,
         name=name or "radial:" + ",".join(repr(c) for c in coeffs),
     )
@@ -265,6 +287,7 @@ def affine_model(a: float, b, name: str = "") -> RefractiveModel:
     return RefractiveModel(
         dim=len(b),
         n_grad=partial(_affine_n_grad, a, b),
+        accel=partial(_affine_accel, a, b),
         floor=floor,
         name=name or "affine:" + ",".join(repr(v) for v in (a, *b)),
     )

@@ -119,22 +119,24 @@ def _march_backward(
     simpson = q.rule == "simpson"
     t = np.asarray(t, dtype=float)
 
-    def alpha_at(x, vback):
-        return np.asarray(att.alpha(x, -vback), dtype=float)
+    def alpha_at(x, xi):
+        return np.asarray(att.alpha(x, xi), dtype=float)
 
-    def source_at(rays, s_offset, x, vback):
+    def source_at(rays, s_offset, x, xi):
         tv = t[rays] if t.ndim else t
-        return np.asarray(moment(f, tv - s_offset if dynamic else tv, x, -vback), dtype=float)
+        return np.asarray(moment(f, tv - s_offset if dynamic else tv, x, xi), dtype=float)
 
     def interval_rule(h, rays, s, xm, vm, xe, ve, carry):
         """Integral, absorption, alpha and damped source after an interval of length h."""
         I, A, a, g = carry
-        am = alpha_at(xm, vm)
-        ae = alpha_at(xe, ve)
+        # the march runs backward: the forward direction at each state is -v
+        xim, xie = -vm, -ve
+        am = alpha_at(xm, xim)
+        ae = alpha_at(xe, xie)
         Am = A + 0.25 * h * (a + am)
         Ae = Am + 0.25 * h * (am + ae)
-        gm = source_at(rays, s + 0.5 * h, xm, vm) * np.exp(-Am)
-        ge = source_at(rays, s + h, xe, ve) * np.exp(-Ae)
+        gm = source_at(rays, s + 0.5 * h, xm, xim) * np.exp(-Am)
+        ge = source_at(rays, s + h, xe, xie) * np.exp(-Ae)
         if simpson:
             I = I + (h / 6.0) * (g + 4.0 * gm + ge)
         else:
@@ -151,7 +153,7 @@ def _march_backward(
 
     everyone = np.arange(n_rays)
     zeros = np.zeros(n_rays)
-    start = (zeros, zeros, alpha_at(x0, -xi0), source_at(everyone, zeros, x0, -xi0))
+    start = (zeros, zeros, alpha_at(x0, xi0), source_at(everyone, zeros, x0, xi0))
     ex = march(model, x0, -xi0, step, cfg, carry=start, advance=advance)
 
     values = np.zeros(n_rays)

@@ -5,7 +5,16 @@ import raytransport as rt
 from raytransport.cli import run
 from raytransport.config import ExperimentConfig, parse_config_text
 from raytransport.errors import ConfigError
-from raytransport.exports import write_gridfunction_csv, write_pgm_slice
+from raytransport.exports import write_gridfunction_csv, write_pgm_slice, write_rows_csv
+
+
+def write_system_dump(system, prefix):
+    """Triplet CSV of the matrix plus the right-hand side."""
+    coo = system.matrix.tocoo()
+    mat_path = write_rows_csv(
+        prefix + "_matrix.csv", ["row", "col", "value"], zip(coo.row, coo.col, coo.data))
+    rhs_path = write_rows_csv(prefix + "_b.csv", ["row", "value"], enumerate(system.rhs))
+    return mat_path, rhs_path
 
 MINIMAL = """
 [run]
@@ -201,8 +210,6 @@ class TestExports:
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
     def test_system_dump(self, tmp_path, demo_model):
-        from raytransport.exports import write_system_dump
-
         att = rt.constant_attenuation(1.0)
         grid = rt.build_grid(demo_model, 4, 4, 4)
         system = rt.assemble(grid, demo_model, rt.paper4_field(), att, 1e-3, np.zeros(grid.size))

@@ -9,9 +9,20 @@ from raytransport.phasegrid import (
     INFLOW,
     OUTFLOW,
     h_matrix,
+    laplace_matrix,
     laplace_x_matrix,
     laplace_xi_matrix,
 )
+
+
+def apply_H(grid, model, u):
+    """Upwind ray derivative of a grid function."""
+    return rt.GridFunction(grid, h_matrix(grid, model) @ u.values)
+
+
+def apply_laplace(grid, model, u):
+    """Phase Laplacian (spatial + fiber part) of a grid function."""
+    return rt.GridFunction(grid, laplace_matrix(grid, model) @ u.values)
 
 
 def node_rings(grid):
@@ -111,13 +122,13 @@ class TestAdvectionCoefficients:
 class TestUpwindDerivative:
     def test_constant_annihilated(self, unit_model):
         grid = rt.build_grid(unit_model, 10, 10, 6)
-        out = rt.apply_H(grid, unit_model, rt.GridFunction(grid, np.ones(grid.size)))
+        out = apply_H(grid, unit_model, rt.GridFunction(grid, np.ones(grid.size)))
         assert_allclose(out.values, 0.0, atol=1e-13)
 
     def test_linear_function_straight_medium(self, unit_model):
         grid = rt.build_grid(unit_model, 16, 16, 8)
         u = rt.GridFunction(grid, grid.x[:, 0])
-        out = rt.apply_H(grid, unit_model, u)
+        out = apply_H(grid, unit_model, u)
         # H x1 = xi_1 = cos(theta); first-order scheme, O(spacing) error
         spacing = max(grid.dr, grid.dphi, grid.dtheta)
         assert np.abs(out.values - np.cos(grid.theta)).max() <= spacing
@@ -137,7 +148,7 @@ class TestUpwindDerivative:
             grid = rt.build_grid(demo_model, I, J, K)
             u = rt.GridFunction(
                 grid, np.exp(grid.x[:, 0]) * np.cos(grid.x[:, 1]) * (1 + 0.3 * np.sin(grid.theta)))
-            got = rt.apply_H(grid, demo_model, u).values
+            got = apply_H(grid, demo_model, u).values
             errs.append(np.abs(got - exact(grid)).max())
         assert 1.5 <= errs[0] / errs[1] <= 2.5
 
@@ -149,7 +160,7 @@ class TestUpwindDerivative:
             return np.exp(x[..., 0]) * np.cos(x[..., 1]) * (1 + 0.3 * np.sin(theta))
 
         u = rt.GridFunction(grid, u_fn(grid.x, grid.theta))
-        hu = rt.apply_H(grid, demo_model, u).values
+        hu = apply_H(grid, demo_model, u).values
         for i in (grid.index(10, 5, 3), grid.index(15, 20, 9)):
             p = rt.PhaseSpacePoint(grid.x[i], grid.xi[i])
             path = rt.trace(demo_model, p, rt.IntegratorConfig(step=1e-4, max_steps=120000))
@@ -203,7 +214,7 @@ class TestUpwindDerivative:
 class TestLaplacian:
     def test_constant_annihilated(self, demo_model):
         grid = rt.build_grid(demo_model, 10, 10, 6)
-        out = rt.apply_laplace(grid, demo_model, rt.GridFunction(grid, np.ones(grid.size)))
+        out = apply_laplace(grid, demo_model, rt.GridFunction(grid, np.ones(grid.size)))
         assert_allclose(out.values, 0.0, atol=1e-12)
 
     def test_quadratic_radial_function(self, unit_model):
@@ -256,8 +267,8 @@ class TestLaplacian:
     def test_periodicity_exact(self, demo_model):
         grid = rt.build_grid(demo_model, 6, 9, 7)  # odd angle counts hit the interpolated pole closure
         u_vals = np.sin(2 * grid.phi) * np.cos(grid.theta) + grid.r
-        a = rt.apply_laplace(grid, demo_model, rt.GridFunction(grid, u_vals)).values
-        b = rt.apply_laplace(grid, demo_model, rt.GridFunction(grid, u_vals.copy())).values
+        a = apply_laplace(grid, demo_model, rt.GridFunction(grid, u_vals)).values
+        b = apply_laplace(grid, demo_model, rt.GridFunction(grid, u_vals.copy())).values
         assert np.array_equal(a, b)
 
 

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 import raytransport as rt
 from raytransport.errors import DomainError
-from raytransport.refractive import RefractiveModel, _dot, acceleration, check_in_ball
+from raytransport.refractive import _dot, acceleration
 
 MODELS = [
     rt.constant_model(1.0),
@@ -21,6 +21,61 @@ MODELS = [
 point_strategy = st.tuples(
     st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)
 ).map(np.array)
+
+
+# Points whose euclidean norm exceeds 1 by more than this are outside the domain.
+BALL_TOL = 1e-12
+
+
+def check_in_ball(x) -> np.ndarray:
+    """Validate that every point of x (..., dim) lies in the closed unit ball."""
+    x = np.asarray(x, dtype=float)
+    r2 = np.einsum("...i,...i->...", x, x)
+    if np.any(r2 > (1.0 + BALL_TOL) ** 2):
+        raise DomainError(f"point outside the closed unit ball: |x| = {np.sqrt(r2.max()):.6g}")
+    return x
+
+
+def metric_inner(model, x, u, v) -> float:
+    """Metric inner product <u, v>_g = n^2(x) (u . v) at a point of the ball."""
+    x = check_in_ball(x)
+    return float(model.n(x) ** 2 * np.dot(np.asarray(u, dtype=float), np.asarray(v, dtype=float)))
+
+
+def metric_norm(model, x, u) -> float:
+    """Metric norm |u|_g = n(x) |u|."""
+    return float(np.sqrt(metric_inner(model, x, u, u)))
+
+
+def gradient_acceleration(model, x, v) -> np.ndarray:
+    """(grad n |v|^2 - 2 v (grad n . v)) / n from the model's n_grad, dots in index order.
+
+    The general closed form that the per-model ``accel`` kernels replace:
+    the affine kernel must equal it bit for bit, the radial one to round-off.
+    """
+    n, g = model.n_grad(x)
+    gv = _dot(g, v)
+    v2 = _dot(v, v)
+    return (g * v2[..., None] - 2.0 * v * gv[..., None]) / n[..., None]
+
+
+def assert_near_gradient_form(model, x, v):
+    """|a - gradient form| <= 16 eps |grad n| |v|^2 / n in every component of every row."""
+    got = acceleration(model, x, v)
+    want = gradient_acceleration(model, x, v)
+    n, g = model.n_grad(x)
+    bound = 16.0 * np.finfo(float).eps * np.sqrt(_dot(g, g)) * _dot(v, v) / n
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= bound[..., None])
+
+
+def ball_states(dim, count, seed):
+    """Random states with positions in the ball (the first at the center)."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((count, dim))
+    x *= rng.uniform(0.0, 1.0, (count, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+    x[0] = 0.0
+    return x, rng.standard_normal((count, dim))
 
 
 def christoffel(model, x) -> np.ndarray:
@@ -76,26 +131,26 @@ def christoffel_from_metric(model, x, h=1e-6):
 
 class TestMetricInner:
     def test_euclidean_case(self, unit_model):
-        assert rt.metric_inner(unit_model, [0.3, 0.1], [1, 0], [1, 0]) == 1.0
+        assert metric_inner(unit_model, [0.3, 0.1], [1, 0], [1, 0]) == 1.0
 
     def test_demo_origin(self, demo_model):
         # n(0) = 1.5, so n^2 = 2.25
-        assert rt.metric_inner(demo_model, [0.0, 0.0], [1, 0], [1, 0]) == pytest.approx(2.25, abs=0)
+        assert metric_inner(demo_model, [0.0, 0.0], [1, 0], [1, 0]) == pytest.approx(2.25, abs=0)
 
     def test_orthogonality_preserved(self, demo_model):
-        assert rt.metric_inner(demo_model, [0.2, -0.5], [1, 0], [0, 1]) == 0.0
+        assert metric_inner(demo_model, [0.2, -0.5], [1, 0], [0, 1]) == 0.0
 
     def test_outside_ball_rejected(self, demo_model):
         with pytest.raises(DomainError):
-            rt.metric_inner(demo_model, [1.2, 0.0], [1, 0], [1, 0])
+            metric_inner(demo_model, [1.2, 0.0], [1, 0], [1, 0])
 
     @settings(max_examples=30, deadline=None)
     @given(x=point_strategy, u=point_strategy, v=point_strategy)
     def test_conformal_consistency(self, x, u, v):
         model = rt.paper4_model()
         n2 = float(model.n(x)) ** 2
-        assert rt.metric_inner(model, x, u, v) == pytest.approx(n2 * np.dot(u, v), rel=1e-14, abs=1e-14)
-        norm = rt.metric_norm(model, x, u)
+        assert metric_inner(model, x, u, v) == pytest.approx(n2 * np.dot(u, v), rel=1e-14, abs=1e-14)
+        norm = metric_norm(model, x, u)
         assert norm == pytest.approx(float(model.n(x)) * np.linalg.norm(u), rel=1e-12, abs=1e-12)
 
 
@@ -148,15 +203,37 @@ class TestAcceleration:
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
     def test_batched_equals_einsum_form(self, model):
-        """The batched kernel sums in index order, as einsum does in 2D: equal bit for bit."""
+        """The affine kernel is the gradient form with index-order sums, as einsum
+        sums in 2D: equal bit for bit.  The radial closed form reorders the
+        arithmetic, so it is held to the round-off bound instead."""
         rng = np.random.default_rng(5)
         x = rng.uniform(-0.6, 0.6, size=(500, 2))
         v = rng.uniform(-1.0, 1.0, size=(500, 2))
-        n, g = model.n_grad(x)
-        gv = np.einsum("...i,...i->...", g, v)
-        v2 = np.einsum("...i,...i->...", v, v)
-        want = (g * v2[..., None] - 2.0 * v * gv[..., None]) / n[..., None]
-        assert np.array_equal(acceleration(model, x, v), want)
+        if model.name.startswith("affine"):
+            n, g = model.n_grad(x)
+            gv = np.einsum("...i,...i->...", g, v)
+            v2 = np.einsum("...i,...i->...", v, v)
+            want = (g * v2[..., None] - 2.0 * v * gv[..., None]) / n[..., None]
+            assert np.array_equal(acceleration(model, x, v), want)
+        else:
+            assert_near_gradient_form(model, x, v)
+
+    @pytest.mark.parametrize("model", MODELS + [rt.paper4_model(dim=3), rt.affine_model(2.0, [0.3, -0.2, 0.5])],
+                             ids=lambda m: f"{m.name}-{m.dim}d")
+    def test_single_point(self, model):
+        """A (dim,) state gives a (dim,) acceleration equal to its row of the batch."""
+        x, v = ball_states(model.dim, 6, 9)
+        batch = acceleration(model, x, v)
+        for i in range(x.shape[0]):
+            a = acceleration(model, x[i], v[i])
+            assert a.shape == (model.dim,)
+            assert a.tobytes() == batch[i].tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_affine_bytes_equal_gradient_form(self, dim):
+        model = rt.affine_model(2.0, [0.3, -0.2, 0.5][:dim])
+        x, v = ball_states(dim, 4000, 21)
+        assert acceleration(model, x, v).tobytes() == gradient_acceleration(model, x, v).tobytes()
 
 
 def _radial_n_grad_reference(coeffs, x):
@@ -172,27 +249,40 @@ def _radial_n_grad_reference(coeffs, x):
     return n, 2.0 * dn[..., None] * x
 
 
+RADIAL_BUILDERS = {
+    "constant": partial(rt.constant_model, 1.3),
+    "paper4": rt.paper4_model,
+    "radial3": partial(rt.radial_poly_model, [2.0, -0.5, 0.25]),
+    "radial4": partial(rt.radial_poly_model, [1.2, 0.4, -0.3, 0.25]),
+}
+
+
 class TestRadialKernel:
     @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("build", [
-        partial(rt.constant_model, 1.3),
-        rt.paper4_model,
-        partial(rt.radial_poly_model, [1.2, 0.4, -0.3, 0.25]),
-    ], ids=["constant", "paper4", "radial4"])
+    @pytest.mark.parametrize("build", [RADIAL_BUILDERS[k] for k in ("constant", "paper4", "radial4")],
+                             ids=["constant", "paper4", "radial4"])
     def test_bytes_equal_reference(self, build, dim):
         model = build(dim=dim)
         coeffs = model.n_grad.args[0]
-        ref = RefractiveModel(dim=dim, n_grad=partial(_radial_n_grad_reference, coeffs),
-                              floor=model.floor)
         rng = np.random.default_rng(dim)
         x = rng.standard_normal((4000, dim))
         x *= rng.uniform(0.0, 1.0, (4000, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
         x[0] = 0.0
-        v = rng.standard_normal((4000, dim))
-        for got, want in zip(model.n_grad(x), ref.n_grad(x)):
+        for got, want in zip(model.n_grad(x), _radial_n_grad_reference(coeffs, x)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-        assert acceleration(model, x, v).tobytes() == acceleration(ref, x, v).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("name", list(RADIAL_BUILDERS))
+    def test_acceleration_near_gradient_form(self, name, dim):
+        model = RADIAL_BUILDERS[name](dim=dim)
+        x, v = ball_states(dim, 4000, 10 + dim)
+        assert_near_gradient_form(model, x, v)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_constant_medium_has_no_acceleration(self, dim):
+        x, v = ball_states(dim, 100, 3)
+        assert np.all(acceleration(rt.constant_model(1.3, dim=dim), x, v) == 0.0)
 
 
 class TestModelDerivatives:
