@@ -10,8 +10,8 @@ every matrix handed to ``spilu``, the static and dynamic solutions, their
 residuals and the coercivity estimate.  It also hashes the characteristic
 oracle: ``interior_solution_grid`` for the three media on the small grids and
 for paper4 on (30, 30, 10), the switch-on ``dynamic_boundary_table`` (the
-recorded march), the ``trace`` paths of three states and ``oracle_residuals``
-at three points.  Exits 1 if any hash differs.
+recorded march), the time-dependent one (one march per time level), the
+``trace`` paths of three states and ``oracle_residuals`` at three points.  Exits 1 if any hash differs.
 
 Every differing entry is printed with its max relative change: for each
 float array and sparse matrix of the entry, max |new - old| / max |old|,
@@ -21,12 +21,14 @@ entry's other fields (sparsity, scalars such as solver residuals,
 iteration counts, methods) are named next to it.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import os
 import pickle
 import subprocess
 import sys
+from functools import partial
 
 GRIDS = [(3, 3, 3), (4, 5, 6), (7, 9, 4), (10, 10, 8), (30, 30, 10), (40, 40, 20)]
 SOLVE_MAX_NODES = 10 * 10 * 8
@@ -123,11 +125,19 @@ def dump() -> dict:
     return out
 
 
+def _ramped(component, t, x):
+    """A field component scaled by 1 + t, so the field depends on time."""
+    return (1.0 + t) * component(t, x)
+
+
 def dump_oracle(media: dict, att, field) -> dict:
     import numpy as np
 
     import raytransport as rt
 
+    ramped = dataclasses.replace(
+        field, components={i: partial(_ramped, c) for i, c in field.components.items()},
+        time_dependent=True)
     out = {}
     for name, model in media.items():
         shapes = SMALL_GRIDS + [DEMO_GRID] if name == "paper4" else SMALL_GRIDS
@@ -139,6 +149,8 @@ def dump_oracle(media: dict, att, field) -> dict:
         out[("table", name)] = Digest(rt.dynamic_boundary_table(
             model, rt.with_switch_on(field), att, grid.x[idx], grid.xi[idx], [0.0, 0.3, 0.55, 2.0],
             rt.QuadratureConfig(step=1e-2)))
+        out[("time-dependent table", name)] = Digest(rt.dynamic_boundary_table(
+            model, ramped, att, grid.x[idx], grid.xi[idx], [0.0, 0.3, 0.55], rt.QuadratureConfig(step=1e-2)))
         for x, theta in TRACE_STATES:
             path = rt.trace(model, rt.angle_phase_point(model, x, theta), rt.IntegratorConfig(step=5e-3))
             out[("trace", name, tuple(x), theta)] = (

@@ -18,11 +18,12 @@ the grid solvers.
 
 Implementation notes.  Every evaluation is one call of the batched ray
 engine :func:`raytransport.geodesic.march`, run backward from the
-evaluation states with the quadrature step as its interval: rays step with
-RK4 in two half-steps per interval (the half-step state feeds the interval
-rule), absorption accumulates as a running trapezoid sum on the same nodes,
-and the engine parks boundary exits and refines them in one batch, after
-which the same interval rule integrates the stub up to the exit.  This
+evaluation states with the quadrature step as its interval: rays take one
+RK4 step per interval, the interval rule reads the mid state off the cubic
+Hermite interpolant of the step (the Simpson node), absorption accumulates
+as a running trapezoid sum on the same nodes, and the engine parks boundary
+exits and refines them in one batch, after which the same interval rule
+integrates the stub up to the exit from an RK4 half-step of the stub.  This
 module keeps only that quadrature.  Single-state operations are the batch of
 one, and the residual of a user-supplied function is evaluated on the same
 stencil as the residual of the oracle, so every public entry point exercises

@@ -3,13 +3,33 @@ import pytest
 from numpy.testing import assert_allclose
 
 import raytransport as rt
+from raytransport import geodesic
 from raytransport.errors import DomainError, TraceLimitError
 from raytransport.geodesic import march, refine_exit, rk4_step, speed_defect
 from raytransport.refractive import acceleration
 
+# the engine's media: radial and non-radial in 2D, radial in 3D
+MEDIA = [("paper4", 2), ("affine:2,0.3,0.2", 2), ("paper4", 3)]
+
 
 def path_speed_defect(model, path):
     return max(speed_defect(model, x, v) for x, v in zip(path.xs, path.vs))
+
+
+def interior_states(model, count, seed, r_max):
+    """Metric-unit states at random points of the ball of radius r_max, random directions."""
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal((count, model.dim))
+    x = rng.uniform(0.0, r_max, (count, 1)) * d / np.linalg.norm(d, axis=1, keepdims=True)
+    v = rng.standard_normal((count, model.dim))
+    v /= (np.linalg.norm(v, axis=1) * model.n(x))[:, None]
+    return x, v
+
+
+@pytest.fixture(params=MEDIA, ids=lambda m: f"{m[0]}-{m[1]}d")
+def engine_model(request):
+    spec, dim = request.param
+    return rt.parse_model(spec, dim=dim)
 
 
 class TestStraightMedium:
@@ -174,18 +194,9 @@ def _layouts(a):
 class TestLayoutIndependence:
     """Every kernel of the march returns the same bits for any memory layout of its states."""
 
-    MEDIA = [("paper4", 2), ("affine:2,0.3,0.2", 2), ("paper4", 3)]
-
-    @pytest.fixture(params=MEDIA, ids=lambda m: f"{m[0]}-{m[1]}d")
-    def medium(self, request):
-        spec, dim = request.param
-        model = rt.parse_model(spec, dim=dim)
-        rng = np.random.default_rng(41)
-        d = rng.standard_normal((300, dim))
-        x = rng.uniform(0.0, 0.9, (300, 1)) * d / np.linalg.norm(d, axis=1, keepdims=True)
-        v = rng.standard_normal((300, dim))
-        v /= (np.linalg.norm(v, axis=1) * model.n(x))[:, None]
-        return model, x, v
+    @pytest.fixture
+    def medium(self, engine_model):
+        return (engine_model, *interior_states(engine_model, 300, 41, 0.9))
 
     @staticmethod
     def _each_layout(x, v, fn):
@@ -203,6 +214,9 @@ class TestLayoutIndependence:
         h = np.linspace(1e-3, 5e-2, x.shape[0])
         self._each_layout(x, v, lambda xl, vl: rk4_step(model, xl, vl, 1e-2))
         self._each_layout(x, v, lambda xl, vl: rk4_step(model, xl, vl, h))
+        self._each_layout(x, v, lambda xl, vl: rk4_step(model, xl, vl, h, acceleration(model, xl, vl)))
+        # a given first stage is the one rk4_step would compute
+        assert _bits(*rk4_step(model, x, v, h, acceleration(model, x, v))) == _bits(*rk4_step(model, x, v, h))
 
     def test_refine_exit(self, medium):
         model, x, v = medium
@@ -228,3 +242,105 @@ class TestLayoutIndependence:
             return (ex.rays, ex.interval, ex.x, ex.v, ex.s, ex.ds, ex.x_exit, ex.v_exit, *ex.carry, *seen)
 
         self._each_layout(x, v, run)
+
+
+class TestOneStepPerInterval:
+    """Each march interval is one RK4 step; its mid state is the Hermite interpolant."""
+
+    STEP = 1e-3
+
+    def test_midpoint_is_an_rk4_half_step(self, engine_model):
+        model = engine_model
+        x, v = interior_states(model, 40, 7, 0.9)
+        start_x, start_v = x.copy(), v.copy()  # each ray's current interval start
+        worst = []
+
+        def advance(rays, s, xm, vm, xe, ve, carry):
+            xh, vh = rk4_step(model, start_x[rays], start_v[rays], 0.5 * self.STEP)
+            worst.append(max(np.abs(xm - xh).max(), np.abs(vm - vh).max()))
+            start_x[rays], start_v[rays] = xe, ve
+            return carry
+
+        march(model, x, v, self.STEP, rt.IntegratorConfig(), advance=advance)
+        assert len(worst) > 100
+        assert max(worst) <= 1e-12
+
+    def test_four_accelerations_per_interval(self, engine_model, monkeypatch):
+        """K intervals of a batch that stays inside cost 4 K + 1 full-batch accelerations."""
+        model = engine_model
+        x, v = interior_states(model, 25, 8, 0.5)
+        rows = []
+
+        def counting(model, x, v):
+            rows.append(x.shape[0])
+            return acceleration(model, x, v)
+
+        monkeypatch.setattr(geodesic, "acceleration", counting)
+        intervals = 30
+        with pytest.raises(TraceLimitError):
+            march(model, x, v, self.STEP, rt.IntegratorConfig(max_steps=intervals))
+        assert rows == [x.shape[0]] * (4 * intervals + 1)
+
+
+class TestExitStates:
+    """Every exit of a batched backward march lies on the sphere, bracketed from inside."""
+
+    @staticmethod
+    def _check_exits(model, x, xi, step):
+        ex = march(model, x, -xi, step, rt.IntegratorConfig())
+        assert ex.rays.size
+        r_exit = np.sqrt(np.sum(ex.x_exit ** 2, axis=1))
+        assert np.all(r_exit >= 1.0) and np.all(r_exit <= 1.0 + 1e-12)
+        assert np.all(np.sum(ex.x ** 2, axis=1) < 1.0)
+        assert np.all(ex.ds > 0.0) and np.all(ex.ds <= step)
+        return ex
+
+    @pytest.mark.parametrize("spec, shape", [("paper4", (30, 30, 10)), ("affine:2,0.3,0.2", (10, 10, 8))])
+    def test_every_grid_node(self, spec, shape):
+        model = rt.parse_model(spec)
+        grid = rt.build_grid(model, *shape)
+        ex = self._check_exits(model, grid.x, grid.xi, 1e-3)
+        assert np.array_equal(np.sort(ex.rays), np.unique(ex.rays))
+
+    def test_ray_reentering_within_an_interval(self):
+        """A ray whose mid state is out of the ball and whose end state is back in
+        exits in that interval, below the half-step.
+
+        In n = 1 - 0.45 |x|^2 rays bend inward faster than the unit circle, so
+        rays started just inside and barely outward dip out and back in.  Out
+        means both the Hermite mid state and the RK4 half-step position.
+        """
+        model = rt.parse_model("radial:1,-0.45")
+        rng = np.random.default_rng(3)
+        tilt = rng.uniform(0.03, 0.1, 200)
+        x = np.stack([1.0 - rng.uniform(0.0, 1e-4, 200), np.zeros(200)], axis=1)
+        xi = -np.stack([np.sin(tilt), np.cos(tilt)], axis=1) / model.n(x)[:, None]
+        step = 0.1
+        ex = self._check_exits(model, x, xi, step)
+        xe, ve = rk4_step(model, x, -xi, step)
+        xm = 0.5 * (x + xe) + 0.125 * step * (-xi - ve)
+        xh = rk4_step(model, x, -xi, 0.5 * step)[0]
+        out = [np.sum(y ** 2, axis=1) >= 1.0 for y in (xm, xh, xe)]
+        dipped = np.isin(ex.rays, np.nonzero(out[0] & out[1] & ~out[2])[0])
+        assert dipped.sum() >= 10
+        assert np.all(ex.interval[dipped] == 1)
+        assert np.all(ex.ds[dipped] <= 0.5 * step)
+
+    def test_interpolated_mid_alone_parks_no_ray(self, unit_model, monkeypatch):
+        """A mid state out of the ball parks a ray only if its RK4 half-step position is out too.
+
+        The first interval's interpolated mid states are moved out of the
+        ball; the straight rays must march on and exit on the sphere later.
+        """
+        hermite, calls = geodesic._hermite_mid, []
+
+        def outside_once(*args):
+            calls.append(args)
+            mid = hermite(*args)
+            return mid + 2.0 if len(calls) == 1 else mid
+
+        monkeypatch.setattr(geodesic, "_hermite_mid", outside_once)
+        x, v = interior_states(unit_model, 20, 9, 0.5)
+        ex = self._check_exits(unit_model, x, -v, 1e-2)
+        assert len(calls) > 1
+        assert np.all(ex.interval > 1)
