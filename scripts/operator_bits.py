@@ -6,12 +6,15 @@ argument is a directory holding the ``raytransport`` package (for example a
 checkout's ``src``).  Each tree is imported in its own process, which hashes
 the ``indptr``/``indices``/``data`` of H, Delta_x, Delta_xi and Delta for
 three media on six grids, and on the small grids also the assembled system,
-every matrix handed to ``spilu``, the static and dynamic solutions, their
-residuals and the coercivity estimate.  It also hashes the characteristic
-oracle: ``interior_solution_grid`` for the three media on the small grids and
-for paper4 on (30, 30, 10), the switch-on ``dynamic_boundary_table`` (the
-recorded march), the time-dependent one (one march per time level), the
-``trace`` paths of three states and ``oracle_residuals`` at three points.  Exits 1 if any hash differs.
+the preconditioner's sweep order of the transport block, the static and
+dynamic solutions, their residuals, every matrix handed to ``spilu`` (an
+entry of its own per solve, so that a reordered factorization input is told
+apart from a changed solution) and the coercivity estimate.  It also hashes
+the characteristic oracle: ``interior_solution_grid`` for the three media on
+the small grids and for paper4 on (30, 30, 10), the switch-on
+``dynamic_boundary_table`` (the recorded march), the time-dependent one (one
+march per time level), the ``trace`` paths of three states and
+``oracle_residuals`` at three points.  Exits 1 if any hash differs.
 
 Every differing entry is printed with its max relative change: for each
 float array and sparse matrix of the entry, max |new - old| / max |old|,
@@ -109,8 +112,11 @@ def dump() -> dict:
                     spilu_inputs.clear()
                     sol, rep = sv.solve_static(system, tol=1e-10, preconditioner=kind)
                     out[("static", kind, name, shape, eps)] = (
-                        Digest(sol.values), rep.final_residual.hex(), rep.iterations, rep.method,
-                        tuple(spilu_inputs))
+                        Digest(sol.values), rep.final_residual.hex(), rep.iterations, rep.method)
+                    out[("spilu", "static", kind, name, shape, eps)] = tuple(spilu_inputs)
+            # the order the ILU factors the transport block in; a tree without one records None
+            order = getattr(sv, "sweep_order", None)
+            out[("sweep order", name, shape)] = Digest(order(system.transport)) if order else None
             est = sv.discrete_coercivity(system, probes=2, seed=0)
             out[("lambda_min", name, shape)] = (float(est.lambda_min).hex(), est.reliable)
             mask = rt.classify_boundary(grid, model)
@@ -120,7 +126,8 @@ def dump() -> dict:
                                                0.25, 1.0, table)
             out[("dynamic", name, shape)] = (
                 tuple(Digest(s.values) for s in states), tuple(r.final_residual.hex() for r in reports),
-                tuple(r.iterations for r in reports), tuple(spilu_inputs))
+                tuple(r.iterations for r in reports))
+            out[("spilu", "dynamic", name, shape)] = tuple(spilu_inputs)
     out.update(dump_oracle(media, att, field))
     return out
 

@@ -181,17 +181,19 @@ def refine_exit(model: RefractiveModel, x: np.ndarray, v: np.ndarray, hi, iters:
     (s_exit, x_exit, v_exit); each bisection iterate re-steps from (x, v) so
     the refined state is an RK4 state, not an interpolant.  The iterates need
     only the RK4 position; the final state is one full :func:`rk4_step`.
+    All of them start from (x, v), so they share one first stage.
     """
     lo = np.zeros(x.shape[0])
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (x.shape[0],)).copy()
+    a1 = acceleration(model, x, v)  # the first stage of every iterate
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        xm = _rk4_position(model, x, v, _per_row(mid))[0]
+        xm = _rk4_position(model, x, v, _per_row(mid), a1)[0]
         outside = _dot(xm, xm) >= 1.0
         hi = np.where(outside, mid, hi)
         lo = np.where(outside, lo, mid)
     s = hi  # first parameter at or beyond the sphere
-    xe, ve = rk4_step(model, x, v, s)
+    xe, ve = rk4_step(model, x, v, s, a1)
     return s, xe, ve
 
 

@@ -28,10 +28,14 @@ Jacobi fallback, of the interior block of the transport operator T (of
 T + I/dt for the implicit Euler step), not of the viscous block: T does not
 depend on eps, so an eps sweep factors it once and every solve of the sweep
 reuses it, and for small eps the viscous block is a small perturbation of
-it.  Both solves share one Krylov helper.  Reports name the preconditioner
-that was actually built and carry an independently recomputed relative
-residual: of the full assembled system for the stationary solve, of the
-step system for each implicit Euler step.
+it.  The block is factored in downwind order, strong component by strong
+component (a transport sweep): upwind H couples a node only to its upwind
+neighbours, so in that order T is block lower triangular and the factors
+fill in only inside the small components where characteristics close on
+themselves.  Both solves share one Krylov helper.  Reports name the
+preconditioner that was actually built and carry an independently
+recomputed relative residual: of the full assembled system for the
+stationary solve, of the step system for each implicit Euler step.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from typing import Mapping
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .errors import AssemblyError, NonConvergenceError, NumericalError
 from .phasegrid import (
@@ -207,10 +212,26 @@ class Preconditioner:
 NO_PRECONDITIONER = Preconditioner(None, "none")
 
 
+def sweep_order(block: sp.spmatrix) -> np.ndarray:
+    """The nodes of a transport block in downwind order, strong component by strong component.
+
+    Row i of an upwind operator couples node i only to its upwind
+    neighbours, so the block is lower triangular in an order that puts every
+    node after them, up to the strongly connected components of its graph
+    (where characteristics close on themselves).  SciPy labels the strong
+    components in topological order, dependencies first; a stable sort by
+    label keeps each component's nodes in their linear order.
+    """
+    _, labels = connected_components(block, directed=True, connection="strong")
+    return np.argsort(labels, kind="stable")
+
+
 def make_preconditioner(block: sp.csr_matrix, kind: str) -> Preconditioner:
     """A ``kind`` preconditioner built from ``block``, a transport-operator block.
 
-    A failed ILU factorization falls back to Jacobi.
+    The ILU factors the block permuted into :func:`sweep_order`, with no
+    further column ordering.  A failed ILU factorization falls back to
+    Jacobi.
     """
     if kind == "none":
         return NO_PRECONDITIONER
@@ -219,11 +240,15 @@ def make_preconditioner(block: sp.csr_matrix, kind: str) -> Preconditioner:
         d = np.where(np.abs(d) > 0.0, d, 1.0)
         return Preconditioner(spla.LinearOperator(block.shape, matvec=lambda v: v / d), kind)
     if kind == "ilu":
+        order = sweep_order(block)
+        back = np.argsort(order)
         try:
-            ilu = spla.spilu(block.tocsc(), drop_tol=1e-6, fill_factor=30)
-            return Preconditioner(spla.LinearOperator(block.shape, matvec=ilu.solve), kind)
+            ilu = spla.spilu(block[order][:, order].tocsc(), drop_tol=1e-6, fill_factor=30,
+                             permc_spec="NATURAL")
         except RuntimeError:
             return make_preconditioner(block, "jacobi")
+        return Preconditioner(
+            spla.LinearOperator(block.shape, matvec=lambda v: ilu.solve(v[order])[back]), kind)
     raise ValueError(f"unknown preconditioner {kind!r}")
 
 

@@ -288,9 +288,10 @@ def epsilon_sweep(
     The reference solution is the characteristic integral evaluated at every
     grid node; its restriction to the outflow ring is the Dirichlet data, so
     the relative error vanishes there by construction.  H + alpha I and the
-    Laplacian are built once, and the preconditioner of the transport block
-    is factored once for all eps.  Solver failures are recorded per eps (NaN
-    norms, method "failed") and the sweep continues.
+    Laplacian are built once, and the ILU of the transport block, in
+    downwind strong-component order, is factored once for all eps.  Solver
+    failures are recorded per eps (NaN norms, method "failed") and the sweep
+    continues.
     """
     eps = [float(e) for e in eps_list]
     if not eps or any(e <= 0.0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):

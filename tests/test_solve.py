@@ -5,8 +5,10 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
+from scipy.sparse.csgraph import connected_components
 
 import raytransport as rt
+from raytransport import solve
 from raytransport.errors import AssemblyError, NonConvergenceError
 
 
@@ -147,6 +149,56 @@ class TestSolveStatic:
 
 def _failing_spilu(*args, **kwargs):
     raise RuntimeError("Factor is exactly singular")
+
+
+SWEEP_MEDIA = [
+    ("paper4", (10, 10, 8)),
+    ("affine:2,0.3,0.2", (16, 24, 12)),
+    ("constant:1", (10, 10, 8)),
+    ("radial:2,-0.5,0.25", (10, 10, 8)),  # one strong component of all nodes
+]
+
+
+def _transport_block(spec, shape):
+    model = rt.parse_model(spec)
+    grid = rt.build_grid(model, *shape)
+    n = grid.n_interior
+    parts = solve.operator_parts(grid, model, rt.constant_attenuation(1.0), viscous=False)
+    return model, grid, parts.transport[:n, :n].tocsr()
+
+
+class TestSweepOrder:
+    @pytest.mark.parametrize("spec, shape", SWEEP_MEDIA)
+    def test_upwind_neighbours_come_first(self, spec, shape):
+        _, _, block = _transport_block(spec, shape)
+        order = solve.sweep_order(block)
+        n = block.shape[0]
+        assert np.array_equal(np.sort(order), np.arange(n))
+        position = np.argsort(order)
+        _, component = connected_components(block, directed=True, connection="strong")
+        coo = block.tocoo()  # row i couples node i to its upwind neighbours
+        later = position[coo.col] > position[coo.row]
+        assert not np.any(later & (component[coo.col] != component[coo.row]))
+
+    @pytest.mark.parametrize("spec, shape", SWEEP_MEDIA)
+    def test_preconditioner_inverts_the_block(self, spec, shape):
+        _, _, block = _transport_block(spec, shape)
+        precond = solve.make_preconditioner(block, "ilu")
+        assert precond.kind == "ilu"
+        v = np.random.default_rng(5).standard_normal(block.shape[0])
+        assert np.linalg.norm(precond.operator.matvec(block @ v) - v) <= 1e-5 * np.linalg.norm(v)
+
+    def test_single_component_medium_solves(self):
+        model, grid, block = _transport_block(*SWEEP_MEDIA[-1])
+        assert connected_components(block, directed=True, connection="strong")[0] == 1
+        mask = rt.classify_boundary(grid, model)
+        data = np.zeros(grid.size)
+        data[mask.outflow_idx] = 0.25 + 0.1 * np.sin(grid.theta[mask.outflow_idx])
+        system = rt.assemble(grid, model, rt.paper4_field(), rt.constant_attenuation(1.0), 1e-3, data)
+        sol, rep = rt.solve_static(system, tol=1e-10)
+        assert rep.converged and rep.method == "gmres+ilu"
+        direct = spla.spsolve(system.matrix.tocsc(), system.rhs)
+        assert np.linalg.norm(sol.values - direct) <= 1e-8 * np.linalg.norm(direct)
 
 
 class TestSolveDynamic:

@@ -125,13 +125,20 @@ class TestEpsilonSweep:
         spilu = spla.spilu
 
         def counting_spilu(*args, **kwargs):
-            calls.append(args[0].shape)
+            calls.append(args[0])
             return spilu(*args, **kwargs)
 
         monkeypatch.setattr(spla, "spilu", counting_spilu)
         sweep = rt.epsilon_sweep(model, rt.paper4_field(), rt.constant_attenuation(1.0), grid,
                                  [1e-3, 1e-6, 1e-9])
-        assert calls == [(grid.n_interior, grid.n_interior)]
+        n = grid.n_interior
+        assert [a.shape for a in calls] == [(n, n)]
+        # a symmetric permutation of the interior transport block
+        block = rt.assemble(grid, model, rt.paper4_field(), rt.constant_attenuation(1.0), 1e-3,
+                            np.zeros(grid.size)).transport
+        assert calls[0].nnz == block.nnz
+        assert np.array_equal(np.sort(calls[0].diagonal()), np.sort(block.diagonal()))
+        assert np.array_equal(np.sort(calls[0].data), np.sort(block.data))
         assert all(r.converged for r in sweep.reports)
         assert {r.method for r in sweep.reports} == {"gmres+ilu"}
 
