@@ -11,9 +11,10 @@ dynamic solutions, their residuals, every matrix handed to ``spilu`` (an
 entry of its own per solve, so that a reordered factorization input is told
 apart from a changed solution) and the coercivity estimate.  It also hashes
 the characteristic oracle: ``interior_solution_grid`` for the three media on
-the small grids and for paper4 on (30, 30, 10), the switch-on
-``dynamic_boundary_table`` (the recorded march), the time-dependent one (one
-march per time level), the ``trace`` paths of three states and
+the small grids and for paper4 on (30, 30, 10), three
+``dynamic_boundary_table`` runs (a switch-on field, a time-dependent one and
+one that is both, each at times on and off the quadrature step, every table
+one march with a column per time), the ``trace`` paths of three states and
 ``oracle_residuals`` at three points.  Exits 1 if any hash differs.
 
 Every differing entry is printed with its max relative change: for each
@@ -154,10 +155,14 @@ def dump_oracle(media: dict, att, field) -> dict:
         grid = rt.build_grid(model, 10, 10, 8)
         idx = rt.classify_boundary(grid, model).outflow_idx
         out[("table", name)] = Digest(rt.dynamic_boundary_table(
-            model, rt.with_switch_on(field), att, grid.x[idx], grid.xi[idx], [0.0, 0.3, 0.55, 2.0],
+            model, rt.with_switch_on(field), att, grid.x[idx], grid.xi[idx], [0.0, 0.3, 0.304, 0.55, 2.0],
             rt.QuadratureConfig(step=1e-2)))
         out[("time-dependent table", name)] = Digest(rt.dynamic_boundary_table(
-            model, ramped, att, grid.x[idx], grid.xi[idx], [0.0, 0.3, 0.55], rt.QuadratureConfig(step=1e-2)))
+            model, ramped, att, grid.x[idx], grid.xi[idx], [0.0, 0.3, 0.304, 0.55],
+            rt.QuadratureConfig(step=1e-2)))
+        out[("switch-on time-dependent table", name)] = Digest(rt.dynamic_boundary_table(
+            model, rt.with_switch_on(ramped), att, grid.x[idx], grid.xi[idx], [0.0, 0.3, 0.304, 0.55],
+            rt.QuadratureConfig(step=1e-2)))
         for x, theta in TRACE_STATES:
             path = rt.trace(model, rt.angle_phase_point(model, x, theta), rt.IntegratorConfig(step=5e-3))
             out[("trace", name, tuple(x), theta)] = (

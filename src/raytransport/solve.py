@@ -355,10 +355,10 @@ def solve_dynamic(
 ) -> tuple[list[GridFunction], list[SolveReport]]:
     """Implicit Euler march of the dynamic problem; returns all steps.
 
-    ``boundary_data`` is either a callable (step_index, t) -> values over the
-    outflow nodes (in outflow-index order) or an array of shape
-    (n_steps + 1, n_outflow) indexed by step.  Step 0 is the initial state
-    u = 0; steps 1..N are solved at t_n = n dt.
+    ``boundary_data`` is an array of shape (n_steps + 1, n_outflow): row n
+    holds the values over the outflow nodes (in outflow-index order) at step
+    n.  Step 0 is the initial state u = 0; steps 1..N are solved at
+    t_n = n dt.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
@@ -367,17 +367,11 @@ def solve_dynamic(
     times = time_levels(dt, t_final)
     mask = classify_boundary(grid, model)
 
-    if callable(boundary_data):
-        bd = boundary_data
-    else:
-        table = np.asarray(boundary_data, dtype=float)
-        if table.shape != (len(times), mask.outflow_idx.size):
-            raise AssemblyError(
-                f"boundary table shape {table.shape} != {(len(times), mask.outflow_idx.size)}"
-            )
-
-        def bd(step, t):
-            return table[step]
+    table = np.asarray(boundary_data, dtype=float)
+    if table.shape != (len(times), mask.outflow_idx.size):
+        raise AssemblyError(
+            f"boundary table shape {table.shape} != {(len(times), mask.outflow_idx.size)}"
+        )
 
     parts = operator_parts(grid, model, att, viscous=epsilon > 0.0)
     raw = interior_operator(parts, epsilon)
@@ -394,7 +388,7 @@ def solve_dynamic(
     for step, t_n in enumerate(times[1:], start=1):
         t0 = time.perf_counter()
         full = np.zeros(grid.size)
-        full[mask.outflow_idx] = np.asarray(bd(step, t_n), dtype=float)
+        full[mask.outflow_idx] = table[step]
         b_i = (
             np.asarray(moment(f, t_n, grid.x[:n], grid.xi[:n]), dtype=float)
             + u_int / dt

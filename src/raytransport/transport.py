@@ -23,11 +23,13 @@ RK4 step per interval, the interval rule reads the mid state off the cubic
 Hermite interpolant of the step (the Simpson node), absorption accumulates
 as a running trapezoid sum on the same nodes, and the engine parks boundary
 exits and refines them in one batch, after which the same interval rule
-integrates the stub up to the exit from an RK4 half-step of the stub.  This
-module keeps only that quadrature.  Single-state operations are the batch of
-one, and the residual of a user-supplied function is evaluated on the same
-stencil as the residual of the oracle, so every public entry point exercises
-the same arithmetic.
+integrates the stub up to the exit from an RK4 half-step of the stub.  Ray
+geometry does not depend on t, so many time levels are one march too: the
+running integral carries one column per time, while absorption and the ray
+states are shared by all columns.  This module keeps only that quadrature.
+Single-state operations are the batch of one, and the residual of a
+user-supplied function is evaluated on the same stencil as the residual of
+the oracle, so every public entry point exercises the same arithmetic.
 """
 
 from __future__ import annotations
@@ -95,9 +97,8 @@ class QuadratureConfig:
 
 @dataclass
 class MarchResult:
-    values: np.ndarray      # integral per ray
+    values: np.ndarray      # (n_rays, n_times) integral per ray and time
     tau_minus: np.ndarray   # entry parameter per ray (<= 0)
-    partials: np.ndarray | None = None  # (n_rows, n_rays) partial integrals at s = k*step
 
 
 def _march_backward(
@@ -110,25 +111,42 @@ def _march_backward(
     q: QuadratureConfig,
     cfg: IntegratorConfig,
     dynamic: bool,
-    record: bool = False,
 ) -> MarchResult:
-    """Integrate backward along the rays from (x0, xi0); ``t`` is one time or one per ray."""
+    """Integrate backward along the rays from (x0, xi0), one running integral per time.
+
+    ``t`` broadcasts to (n_rays, n_times): a scalar, a column of one time per
+    ray or a row of times shared by every ray.  Column j of the values is the
+    integral at time t[:, j]; absorption and the ray states do not depend on
+    t, so every column is carried by the same march.  With ``dynamic`` the
+    field is read at t - s, s >= 0 the backward parameter, elementwise per
+    column.  Without it the field is read once per state; a switch-on field
+    then weights each interval's increment, starting at s, by
+    clip((t - s) / step, 0, 1), which interpolates the partial integral over
+    the most recent stretch of ray of parameter length t linearly between
+    interval ends.
+    """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     xi0 = np.atleast_2d(np.asarray(xi0, dtype=float))
     n_rays = x0.shape[0]
     step = float(q.step)
     simpson = q.rule == "simpson"
-    t = np.asarray(t, dtype=float)
+    t = np.atleast_2d(np.asarray(t, dtype=float))
+    switched = f.switch_on and not dynamic
+
+    def t_at(rays):
+        return t[rays] if t.shape[0] > 1 else t
 
     def alpha_at(x, xi):
         return np.asarray(att.alpha(x, xi), dtype=float)
 
-    def source_at(rays, s_offset, x, xi):
-        tv = t[rays] if t.ndim else t
-        return np.asarray(moment(f, tv - s_offset if dynamic else tv, x, xi), dtype=float)
+    def source_at(rays, s, x, xi):
+        """The moment at each state as (n, n_times), or as (n, 1) if not dynamic."""
+        if dynamic:
+            return np.asarray(moment(f, t_at(rays) - s[:, None], x[:, None], xi[:, None]), dtype=float)
+        return np.asarray(moment(f, 0.0, x, xi), dtype=float)[:, None]
 
     def interval_rule(h, rays, s, xm, vm, xe, ve, carry):
-        """Integral, absorption, alpha and damped source after an interval of length h."""
+        """Integrals, absorption, alpha and damped source after an interval of length h."""
         I, A, a, g = carry
         # the march runs backward: the forward direction at each state is -v
         xim, xie = -vm, -ve
@@ -136,43 +154,35 @@ def _march_backward(
         ae = alpha_at(xe, xie)
         Am = A + 0.25 * h * (a + am)
         Ae = Am + 0.25 * h * (am + ae)
-        gm = source_at(rays, s + 0.5 * h, xm, xim) * np.exp(-Am)
-        ge = source_at(rays, s + h, xe, xie) * np.exp(-Ae)
+        gm = source_at(rays, s + 0.5 * h, xm, xim) * np.exp(-Am)[:, None]
+        ge = source_at(rays, s + h, xe, xie) * np.exp(-Ae)[:, None]
+        hc = h[:, None] if np.ndim(h) else h
         if simpson:
-            I = I + (h / 6.0) * (g + 4.0 * gm + ge)
+            dI = (hc / 6.0) * (g + 4.0 * gm + ge)
         else:
-            I = I + h * gm
-        return I, Ae, ae, ge
+            dI = hc * gm
+        if switched:
+            # every ray inside starts a whole interval at one s; the exit stubs do not
+            s0 = s[:, None] if np.ndim(h) else s[:1, None]
+            w = np.clip((t_at(rays) - s0) / step, 0.0, 1.0)
+            if not w.any():
+                return I, Ae, ae, ge
+            dI = dI * w
+        return I + dI, Ae, ae, ge
 
-    history: list[tuple] = []  # (rays inside, their integrals) after each interval
-
-    def advance(*state):
-        carry = interval_rule(step, *state)
-        if record:
-            history.append((state[0], carry[0]))
-        return carry
-
-    everyone = np.arange(n_rays)
     zeros = np.zeros(n_rays)
-    start = (zeros, zeros, alpha_at(x0, xi0), source_at(everyone, zeros, x0, xi0))
-    ex = march(model, x0, -xi0, step, cfg, carry=start, advance=advance)
+    start = (np.zeros((n_rays, t.shape[1])), zeros, alpha_at(x0, xi0),
+             source_at(np.arange(n_rays), zeros, x0, xi0))
+    ex = march(model, x0, -xi0, step, cfg, carry=start, advance=partial(interval_rule, step))
 
-    values = np.zeros(n_rays)
+    values = np.zeros(start[0].shape)
     tau_minus = np.zeros(n_rays)
     if ex.rays.size:
         xm, vm = rk4_step(model, ex.x, ex.v, 0.5 * ex.ds)
         stub = interval_rule(ex.ds, ex.rays, ex.s, xm, vm, ex.x_exit, ex.v_exit, ex.carry)
         values[ex.rays] = stub[0]
         tau_minus[ex.rays] = -(ex.s + ex.ds)
-    if not record:
-        return MarchResult(values=values, tau_minus=tau_minus)
-
-    table = np.zeros((1 + ex.interval.max(initial=0), n_rays))
-    for k, (rays, I) in enumerate(history, start=1):
-        table[k, rays] = I
-    for col, k in zip(ex.rays, ex.interval):
-        table[k:, col] = values[col]
-    return MarchResult(values=values, tau_minus=tau_minus, partials=table)
+    return MarchResult(values=values, tau_minus=tau_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +221,7 @@ def ray_transform_static(
     q = q or QuadratureConfig()
     cfg = cfg or _default_cfg(q)
     res = _march_backward(model, f, att, 0.0, p.x, p.xi, q, cfg, dynamic=False)
-    return float(res.values[0])
+    return float(res.values[0, 0])
 
 
 def ray_transform_dynamic(
@@ -228,7 +238,7 @@ def ray_transform_dynamic(
     q = q or QuadratureConfig()
     cfg = cfg or _default_cfg(q)
     res = _march_backward(model, f, att, float(t), p.x, p.xi, q, cfg, dynamic=True)
-    return float(res.values[0])
+    return float(res.values[0, 0])
 
 
 def interior_solution(
@@ -251,11 +261,11 @@ def interior_solution(
     q = q or QuadratureConfig()
     cfg = cfg or _default_cfg(q)
     res = _march_backward(model, f, att, float(t), p.x, p.xi, q, cfg, dynamic=True)
-    return float(res.values[0])
+    return float(res.values[0, 0])
 
 
 def _chunk_eval(model, f, att, t, x, xi, q, cfg, dynamic):
-    return _march_backward(model, f, att, t, x, xi, q, cfg, dynamic=dynamic).values
+    return _march_backward(model, f, att, t, x, xi, q, cfg, dynamic=dynamic).values[:, 0]
 
 
 def interior_solution_grid(
@@ -306,37 +316,20 @@ def dynamic_boundary_table(
 ) -> np.ndarray:
     """Dynamic transform values at the given boundary states for many times.
 
-    Returns an array of shape (len(times), n_states).  For fields that are
-    constant in time the table is computed from a single march: without a
-    switch-on the transform does not depend on t at all, and with one the
-    value at time t is the partial integral accumulated over the most recent
-    stretch of ray of parameter length t, read off the recorded march.
+    Returns an array of shape (len(times), n_states) from a single march,
+    each time a column of its carry.  A time-dependent field is read at
+    t + tau in each column.  Without time dependence a field without a
+    switch-on gives the same transform at every t, and with one the value at
+    time t is the integral over the most recent stretch of ray of parameter
+    length t, interpolated linearly between quadrature interval ends.
     """
     q = q or QuadratureConfig()
     cfg = cfg or _default_cfg(q)
     times = np.asarray(list(times), dtype=float)
     if np.any(times < 0.0):
         raise ValueError("times must be nonnegative")
-
-    if f.time_dependent:
-        table = np.zeros((times.size, np.atleast_2d(x).shape[0]))
-        for row, tv in zip(table, times):
-            row[:] = _march_backward(model, f, att, float(tv), x, xi, q, cfg, dynamic=True).values
-        return table
-
-    if not f.switch_on:
-        vals = _march_backward(model, f, att, 0.0, x, xi, q, cfg, dynamic=False).values
-        return np.tile(vals, (times.size, 1))
-
-    res = _march_backward(model, f, att, 0.0, x, xi, q, cfg, dynamic=False, record=True)
-    table = res.partials
-    n_rows = table.shape[0]
-    if n_rows == 1:
-        return np.tile(table[0], (times.size, 1))
-    pos = np.clip(times / q.step, 0.0, n_rows - 1.0)
-    k0 = np.minimum(pos.astype(int), n_rows - 2)
-    w = pos - k0
-    return (1.0 - w)[:, None] * table[k0] + w[:, None] * table[k0 + 1]
+    res = _march_backward(model, f, att, times, x, xi, q, cfg, dynamic=f.time_dependent)
+    return res.values.T
 
 
 # ---------------------------------------------------------------------------
@@ -447,5 +440,5 @@ def oracle_residuals(
     times = np.array([tt for tt, _ in stencil])
     xs = np.array([pp.x for _, pp in stencil])
     xis = np.array([pp.xi for _, pp in stencil])
-    vals = _march_backward(model, f, att, times, xs, xis, q, cfg, dynamic=True).values
+    vals = _march_backward(model, f, att, times[:, None], xs, xis, q, cfg, dynamic=True).values[:, 0]
     return _residual_combine(model, f, att, float(t), points, fd_step, vals.reshape(len(points), -1))

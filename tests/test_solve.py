@@ -255,6 +255,12 @@ class TestSolveDynamic:
             rt.solve_dynamic(grid, model, field, att, 1e-3, 0.5, 1.0, table,
                              tol=1e-30, max_iter=1, preconditioner="none")
 
+    def test_table_shape_checked(self, small_setup):
+        model, field, att, grid = small_setup
+        table = np.zeros((2, rt.classify_boundary(grid, model).outflow_idx.size))
+        with pytest.raises(AssemblyError, match="boundary table shape"):
+            rt.solve_dynamic(grid, model, field, att, 1e-3, 0.5, 1.0, table)
+
     def test_allow_unconverged_continues(self, small_setup):
         model, field, att, grid = small_setup
         mask = rt.classify_boundary(grid, model)
@@ -264,18 +270,6 @@ class TestSolveDynamic:
                                            allow_unconverged=True)
         assert len(states) == 3
         assert not all(r.converged for r in reports)
-
-    def test_callable_boundary(self, small_setup):
-        model, field, att, grid = small_setup
-        mask = rt.classify_boundary(grid, model)
-        calls = []
-
-        def bd(step, t):
-            calls.append((step, t))
-            return np.zeros(mask.outflow_idx.size)
-
-        rt.solve_dynamic(grid, model, field, att, 1e-3, 0.5, 1.0, bd)
-        assert calls == [(1, 0.5), (2, 1.0)]
 
 
 class TestDiscreteCoercivity:

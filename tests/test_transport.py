@@ -1,12 +1,16 @@
+import dataclasses
 import math
 import types
+from functools import partial
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import raytransport as rt
+from raytransport import transport
 from raytransport.errors import StencilError, TraceLimitError
+from raytransport.geodesic import march
 from raytransport.tensorfield import moment
 
 
@@ -295,26 +299,71 @@ def _time_component(t, x):
     return np.asarray(t, dtype=float) + np.zeros(np.asarray(x).shape[:-1])
 
 
+def _ramped(component, t, x):
+    """A field component scaled by 1 + t, so the field depends on time."""
+    return (1.0 + np.asarray(t, dtype=float)) * component(t, x)
+
+
 class TestDynamicBoundaryTable:
     def test_switch_on_table_matches_direct(self, unit_model, demo_field, unit_attenuation):
-        """The recorded-march table agrees with per-time marches.
+        """The switch-on table, each interval's increment weighted by the share
+        of it that lies within parameter length t, agrees with per-time marches.
 
         Tolerance is step-proportional: the switch cutoff lands inside a
         quadrature interval of the direct march, which smears the integrand
-        jump over one interval.
+        jump over one interval.  0.3004 is not a multiple of the step.
         """
         f = rt.with_switch_on(demo_field)
         q = rt.QuadratureConfig(step=1e-3)
         angles = np.array([0.0, 1.0, 2.5])
         x = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         xi = np.stack([np.cos(angles - 0.4), np.sin(angles - 0.4)], axis=-1)
-        times = [0.3, 0.9, 2.2]
+        times = [0.3, 0.3004, 0.9, 2.2]
         table = rt.dynamic_boundary_table(unit_model, f, unit_attenuation, x, xi, times, q)
         for r, t in enumerate(times):
             for c in range(x.shape[0]):
                 p = rt.PhaseSpacePoint(x[c], xi[c] / float(unit_model.n(x[c])))
                 direct = rt.ray_transform_dynamic(unit_model, f, unit_attenuation, t, p, q)
                 assert table[r, c] == pytest.approx(direct, abs=2 * q.step)
+
+    def test_switch_on_time_dependent_rows_are_direct(self, unit_model, demo_field, unit_attenuation):
+        """A field that is both time-dependent and switched on: every row is the
+        per-time transform bit for bit, also at a time off the step grid."""
+        f = rt.with_switch_on(dataclasses.replace(
+            demo_field, components={i: partial(_ramped, c) for i, c in demo_field.components.items()},
+            time_dependent=True))
+        q = rt.QuadratureConfig(step=1e-3)
+        angles = np.array([0.0, 1.0, 2.5])
+        x = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        xi = np.stack([np.cos(angles - 0.4), np.sin(angles - 0.4)], axis=-1)
+        times = [0.0, 0.3, 0.3004, 2.2]
+        table = rt.dynamic_boundary_table(unit_model, f, unit_attenuation, x, xi, times, q)
+        for r, t in enumerate(times):
+            for c in range(x.shape[0]):
+                p = rt.PhaseSpacePoint(x[c], xi[c])
+                assert table[r, c] == rt.ray_transform_dynamic(unit_model, f, unit_attenuation, t, p, q)
+
+    @pytest.mark.parametrize("kind", ["static", "switch_on", "time_dependent"])
+    def test_one_march_per_table(self, unit_model, demo_field, unit_attenuation, monkeypatch, kind):
+        f = {
+            "static": demo_field,
+            "switch_on": rt.with_switch_on(demo_field),
+            "time_dependent": rt.SymmetricTensorField(
+                dim=2, rank=0, components={(): _time_component}, time_dependent=True),
+        }[kind]
+        calls = []
+
+        def counting_march(*args, **kwargs):
+            calls.append(1)
+            return march(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "march", counting_march)
+        x = np.array([[1.0, 0.0], [0.0, 1.0]])
+        xi = np.array([[np.cos(0.5), np.sin(0.5)], [np.cos(1.2), np.sin(1.2)]])
+        table = rt.dynamic_boundary_table(unit_model, f, unit_attenuation, x, xi, [0.0, 0.5, 1.0],
+                                          rt.QuadratureConfig(step=1e-2))
+        assert table.shape == (3, 2)
+        assert len(calls) == 1
 
     def test_switch_on_table_saturates_to_static(self, unit_model, demo_field, unit_attenuation):
         """Past the travel time the partial integral equals the static transform."""
@@ -333,7 +382,7 @@ class TestDynamicBoundaryTable:
         assert table[0, 0] == table[1, 0] == table[2, 0]
 
     def test_time_dependent_field(self, unit_model):
-        """f(t, x) = t: one march per time level, each matching the closed form.
+        """f(t, x) = t: every time level matches the closed form and the per-time march.
 
         In the unit medium the backward ray from a boundary state at angle
         tilt to the normal is a chord of length L = 2 cos(tilt), so the row at
