@@ -21,8 +21,9 @@ Every differing entry is printed with its max relative change: for each
 float array and sparse matrix of the entry, max |new - old| / max |old|,
 and the largest of these (matrices are subtracted as matrices, so a moved
 sparsity pattern counts by the values it moves).  Differences in the
-entry's other fields (sparsity, scalars such as solver residuals,
-iteration counts, methods) are named next to it.
+entry's other fields are named next to it by their position in the entry:
+a moved sparsity pattern or integer array as such, and each scalar (solver
+residuals, iteration counts, methods) as old -> new.
 """
 
 import dataclasses
@@ -196,6 +197,26 @@ def _skeleton(entry):
     return entry
 
 
+def _show(value) -> str:
+    """A scalar field for printing; floats stored as hex are shown in decimal."""
+    if isinstance(value, str) and value.lstrip("-").startswith("0x"):
+        return repr(float.fromhex(value))
+    return repr(value)
+
+
+def field_changes(old, new, where="entry"):
+    """Each differing field of two entries other than float values, as a line of text."""
+    if isinstance(old, tuple) and isinstance(new, tuple) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from field_changes(a, b, f"{where}[{i}]")
+    elif isinstance(old, (Digest, MatrixDigest)) or isinstance(new, (Digest, MatrixDigest)):
+        if _skeleton(old) != _skeleton(new):
+            what = "sparsity" if isinstance(old, MatrixDigest) else "contents or shape"
+            yield f"{where} {what} differs"
+    elif old != new:
+        yield f"{where} {_show(old)} -> {_show(new)}"
+
+
 def max_relative_change(old, new) -> float:
     """max over the entry's float arrays and matrices of max |new - old| / max |old|.
 
@@ -239,7 +260,7 @@ def main(old_src: str, new_src: str) -> int:
         kinds[k[0]] = kinds.get(k[0], 0) + 1
     print(f"compared {len(old)} entries: " + ", ".join(f"{k} {n}" for k, n in kinds.items()))
     for k in differing:
-        note = "" if _skeleton(old[k]) == _skeleton(new[k]) else ", other fields differ"
+        note = "".join(f"; {c}" for c in field_changes(old[k], new[k]))
         print(f"differs: {k}  max relative change {max_relative_change(old[k], new[k]):.2e}{note}")
     print(f"{len(differing)} differing")
     return 1 if differing else 0

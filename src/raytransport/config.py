@@ -23,57 +23,57 @@ COMMANDS = (
     "coercivity",
 )
 
-# section -> key -> attribute, parser, default (None = required for commands using it)
+# section -> key -> attribute, parser; the defaults are ExperimentConfig's
 _SCHEMA = {
     "run": {
-        "command": ("command", "str", None),
-        "output_dir": ("output_dir", "str", "out"),
-        "seed": ("seed", "int", 0),
-        "workers": ("workers", "int", 1),
+        "command": ("command", "str"),
+        "output_dir": ("output_dir", "str"),
+        "seed": ("seed", "int"),
+        "workers": ("workers", "int"),
     },
     "model": {
-        "model": ("model_spec", "str", "paper4"),
-        "dim": ("dim", "int", 2),
+        "model": ("model_spec", "str"),
+        "dim": ("dim", "int"),
     },
     "field": {
-        "field": ("field_spec", "str", "paper4"),
-        "switch_on": ("switch_on", "bool", False),
+        "field": ("field_spec", "str"),
+        "switch_on": ("switch_on", "bool"),
     },
     "attenuation": {
-        "alpha": ("alpha_spec", "str", "1.0"),
+        "alpha": ("alpha_spec", "str"),
     },
     "grid": {
-        "i": ("grid_i", "int", 30),
-        "j": ("grid_j", "int", 30),
-        "k": ("grid_k", "int", 10),
+        "i": ("grid_i", "int"),
+        "j": ("grid_j", "int"),
+        "k": ("grid_k", "int"),
     },
     "quadrature": {
-        "rule": ("quad_rule", "str", "simpson"),
-        "step": ("quad_step", "float", 1e-3),
+        "rule": ("quad_rule", "str"),
+        "step": ("quad_step", "float"),
     },
     "integrator": {
-        "step": ("int_step", "float", 1e-3),
-        "max_steps": ("max_steps", "int", 20000),
-        "boundary_tol": ("boundary_tol", "float", 1e-10),
+        "step": ("int_step", "float"),
+        "max_steps": ("max_steps", "int"),
+        "boundary_tol": ("boundary_tol", "float"),
     },
     "solver": {
-        "epsilon": ("epsilons", "floats", (1e-3,)),
-        "tol": ("tol", "float", 1e-10),
-        "max_iter": ("max_iter", "optint", None),
-        "preconditioner": ("preconditioner", "str", "ilu"),
-        "method": ("method", "str", "gmres"),
+        "epsilon": ("epsilons", "floats"),
+        "tol": ("tol", "float"),
+        "max_iter": ("max_iter", "optint"),
+        "preconditioner": ("preconditioner", "str"),
+        "method": ("method", "str"),
     },
     "dynamic": {
-        "dt": ("dt", "float", 0.05),
-        "t_final": ("t_final", "float", 1.0),
+        "dt": ("dt", "float"),
+        "t_final": ("t_final", "float"),
     },
     "trace": {
-        "x": ("trace_x", "floats", (0.0, 0.0)),
-        "theta": ("trace_theta", "float", 0.0),
+        "x": ("trace_x", "floats"),
+        "theta": ("trace_theta", "float"),
     },
     "prop1": {
-        "n_theta": ("n_theta", "int", 64),
-        "n_phi": ("n_phi", "int", 64),
+        "n_theta": ("n_theta", "int"),
+        "n_phi": ("n_phi", "int"),
     },
 }
 
@@ -113,7 +113,7 @@ class ExperimentConfig:
         """Canonical INI serialization; re-parses to an equal configuration."""
         by_attr = {}
         for sec, keys in _SCHEMA.items():
-            for key, (attr, kind, _) in keys.items():
+            for key, (attr, kind) in keys.items():
                 by_attr[attr] = (sec, key, kind)
         lines: dict[str, list[str]] = {}
         for f in fields(self):
@@ -175,7 +175,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         for key, raw in parser.items(sec):
             if key not in _SCHEMA[sec]:
                 raise ConfigError(f"unknown key {sec}.{key}")
-            attr, kind, _ = _SCHEMA[sec][key]
+            attr, kind = _SCHEMA[sec][key]
             values[attr] = _parse_value(kind, raw, f"{sec}.{key}")
 
     if "command" not in values:

@@ -33,13 +33,8 @@ def write_rows_csv(path: str, header, rows) -> str:
 def write_gridfunction_csv(gf: GridFunction, path: str) -> str:
     """Rows in linear index order; i, j, k are the 1-based grid labels."""
     g = gf.grid
-    rows = []
-    idx = 0
-    for i in range(1, g.I + 1):
-        for j in range(1, g.J + 1):
-            for k in range(1, g.K + 1):
-                rows.append((i, j, k, g.r[idx], g.phi[idx], g.theta[idx], gf.values[idx]))
-                idx += 1
+    labels = (np.indices((g.I, g.J, g.K)).reshape(3, -1) + 1).tolist()
+    rows = zip(*labels, g.r.tolist(), g.phi.tolist(), g.theta.tolist(), gf.values.tolist())
     return write_rows_csv(path, ["i", "j", "k", "r", "phi", "theta", "value"], rows)
 
 

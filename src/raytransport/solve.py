@@ -14,7 +14,9 @@ The time-dependent problem is stepped with implicit Euler,
 
     (u^{n+1} - u^n) / dt + L_eps u^{n+1} = f(t_{n+1}) . xi^m,
 
-with boundary data read at t_{n+1} and u^0 = 0.
+with boundary data read at t_{n+1} and u^0 = 0.  Each step is the pinned
+stationary system with alpha + 1/dt in place of alpha on the interior rows
+and source f(t_{n+1}) . xi^m + u^n/dt, and is solved as one.
 
 The operator is assembled from parts that do not depend on eps: the
 transport operator T = H + alpha I and the Laplacian, each built once and
@@ -32,16 +34,16 @@ it.  The block is factored in downwind order, strong component by strong
 component (a transport sweep): upwind H couples a node only to its upwind
 neighbours, so in that order T is block lower triangular and the factors
 fill in only inside the small components where characteristics close on
-themselves.  Both solves share one Krylov helper.  Reports name the
-preconditioner that was actually built and carry an independently
-recomputed relative residual: of the full assembled system for the
-stationary solve, of the step system for each implicit Euler step.
+themselves.  GMRES has one call site, :func:`solve_static`.  Reports name
+the preconditioner that was actually built and carry an independently
+recomputed relative residual of the full pinned system, for an implicit
+Euler step the step system.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -252,36 +254,6 @@ def make_preconditioner(block: sp.csr_matrix, kind: str) -> Preconditioner:
     raise ValueError(f"unknown preconditioner {kind!r}")
 
 
-def _krylov(a, b, precond: Preconditioner, tol: float, cycles: int, restart: int, x0,
-            t0: float, residual=None, label: str = "solver"):
-    """Solve a x = b by restarted GMRES; returns x and its report.
-
-    ``residual(x)`` gives the reported relative residual, by default
-    |b - a x| / |b|; the report times from ``t0``.
-    """
-    count = {"n": 0}
-
-    def cb(_):
-        count["n"] += 1
-
-    x, _ = spla.gmres(a, b, x0=x0, rtol=tol, atol=0.0, restart=restart, maxiter=cycles,
-                      M=precond.operator, callback=cb, callback_type="pr_norm")
-    if not np.all(np.isfinite(x)):
-        raise NumericalError(f"{label} produced non-finite iterates")
-    if residual is None:
-        bnorm = float(np.linalg.norm(b))
-        res = float(np.linalg.norm(b - a @ x)) / (bnorm if bnorm > 0.0 else 1.0)
-    else:
-        res = residual(x)
-    return x, SolveReport(
-        iterations=count["n"],
-        final_residual=res,
-        converged=bool(res <= tol),
-        wall_time=time.perf_counter() - t0,
-        method=f"gmres+{precond.kind}",
-    )
-
-
 def time_levels(dt: float, t_final: float) -> list[float]:
     """The march times 0, dt, ..., N dt with N = floor(t_final / dt), forgiving round-off."""
     return [s * dt for s in range(int(np.floor(t_final / dt + 1e-9)) + 1)]
@@ -297,34 +269,28 @@ def solve_static(
     tol: float = 1e-10,
     max_iter: int | None = None,
     preconditioner: str | Preconditioner = "ilu",
-    restart: int = 60,
     x0: np.ndarray | None = None,
 ) -> tuple[GridFunction, SolveReport]:
     """Solve the assembled system to relative residual <= tol.
 
+    GMRES, restarted every 60 iterations, runs on the interior block until
+    the interior residual, which is the residual of the full system, falls
+    to tol * |rhs|: it stops on the quantity the report gates on.
     ``preconditioner`` is a kind, built here from ``system.transport``, or a
     preconditioner already built from the same transport block.
-    ``max_iter`` caps GMRES restart cycles (each of ``restart`` inner
-    iterations).  Non-convergence is reported, not raised: the best iterate
-    is returned with ``converged=False`` and the caller decides.
+    ``max_iter`` caps the restart cycles and ``x0`` is a full-length
+    starting guess.  Non-convergence is reported, not raised: the best
+    iterate is returned with ``converged=False`` and the caller decides.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     t0 = time.perf_counter()
     a = system.matrix
     n = system.grid.n_interior
-    a_ii = a[:n, :n]
     b_i = system.rhs[:n] - a[:n, n:] @ system.dirichlet_values[n:]
-
-    u = system.dirichlet_values.copy()
     bnorm = float(np.linalg.norm(system.rhs))
 
-    def full_residual(x):
-        v = u.copy()
-        v[:n] = x
-        return float(np.linalg.norm(system.rhs - a @ v)) / (bnorm if bnorm > 0.0 else 1.0)
-
-    # a zero right-hand side needs no preconditioner: the Krylov call returns 0 at once
+    # a zero right-hand side needs no preconditioner: GMRES returns 0 at once
     if np.linalg.norm(b_i) == 0.0:
         precond = NO_PRECONDITIONER
     elif isinstance(preconditioner, str):
@@ -332,11 +298,22 @@ def solve_static(
     else:
         precond = preconditioner
     cycles = max_iter if max_iter is not None else default_max_iter(system.size)
-    u[:n], report = _krylov(
-        a_ii, b_i, precond, tol, cycles, restart,
-        x0[:n] if x0 is not None else None, t0, residual=full_residual,
+    inner = []  # one preconditioned residual norm per inner iteration
+    x, _ = spla.gmres(a[:n, :n], b_i, x0=x0[:n] if x0 is not None else None, rtol=0.0,
+                      atol=tol * bnorm, restart=60, maxiter=cycles, M=precond.operator,
+                      callback=inner.append, callback_type="pr_norm")
+    if not np.all(np.isfinite(x)):
+        raise NumericalError("GMRES produced non-finite iterates")
+    u = system.dirichlet_values.copy()
+    u[:n] = x
+    res = float(np.linalg.norm(system.rhs - a @ u)) / (bnorm if bnorm > 0.0 else 1.0)
+    return GridFunction(system.grid, u), SolveReport(
+        iterations=len(inner),
+        final_residual=res,
+        converged=bool(res <= tol),
+        wall_time=time.perf_counter() - t0,
+        method=f"gmres+{precond.kind}",
     )
-    return GridFunction(system.grid, u), report
 
 
 def solve_dynamic(
@@ -358,51 +335,47 @@ def solve_dynamic(
     ``boundary_data`` is an array of shape (n_steps + 1, n_outflow): row n
     holds the values over the outflow nodes (in outflow-index order) at step
     n.  Step 0 is the initial state u = 0; steps 1..N are solved at
-    t_n = n dt.
+    t_n = n dt, each by :func:`solve_static` on the pinned stationary system
+    with T + I/dt in place of the transport operator T = H + alpha I and
+    source f(t_n) + u^{n-1}/dt, all from one preconditioner of T + I/dt.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     if t_final < dt:
         raise ValueError("t_final must be at least dt")
     times = time_levels(dt, t_final)
-    mask = classify_boundary(grid, model)
+    system = assemble(grid, model, f, att, epsilon, np.zeros(grid.size))
+    outflow = system.mask.outflow_idx
 
     table = np.asarray(boundary_data, dtype=float)
-    if table.shape != (len(times), mask.outflow_idx.size):
+    if table.shape != (len(times), outflow.size):
         raise AssemblyError(
-            f"boundary table shape {table.shape} != {(len(times), mask.outflow_idx.size)}"
+            f"boundary table shape {table.shape} != {(len(times), outflow.size)}"
         )
 
-    parts = operator_parts(grid, model, att, viscous=epsilon > 0.0)
-    raw = interior_operator(parts, epsilon)
     n = grid.n_interior
-    a_ib = raw[:n, n:]
-    shift = sp.diags(np.full(n, 1.0 / dt))
-    m_step = (raw[:n, :n] + shift).tocsr()
-    precond = make_preconditioner((parts.transport[:n, :n] + shift).tocsr(), preconditioner)
-    cycles = max_iter if max_iter is not None else default_max_iter(grid.size)
+    inv_dt = np.zeros(grid.size)
+    inv_dt[:n] = 1.0 / dt
+    shift = sp.diags(inv_dt, format="csr")
+    step_system = replace(system, matrix=system.matrix + shift,
+                          transport=system.transport + shift[:n, :n])
+    precond = make_preconditioner(step_system.transport, preconditioner)
 
     states = [GridFunction(grid, np.zeros(grid.size))]
     reports: list[SolveReport] = []
-    u_int = np.zeros(n)
     for step, t_n in enumerate(times[1:], start=1):
-        t0 = time.perf_counter()
-        full = np.zeros(grid.size)
-        full[mask.outflow_idx] = table[step]
-        b_i = (
-            np.asarray(moment(f, t_n, grid.x[:n], grid.xi[:n]), dtype=float)
-            + u_int / dt
-            - a_ib @ full[n:]
-        )
-        u_new, report = _krylov(m_step, b_i, precond, tol, cycles, 60, u_int, t0,
-                                label=f"step {step}")
+        u = states[-1].values
+        ub = np.zeros(grid.size)
+        ub[outflow] = table[step]
+        rhs = ub.copy()
+        rhs[:n] = np.asarray(moment(f, t_n, grid.x[:n], grid.xi[:n]), dtype=float) + u[:n] / dt
+        state, report = solve_static(replace(step_system, rhs=rhs, dirichlet_values=ub), tol,
+                                     max_iter, precond, x0=u)
         if not report.converged and not allow_unconverged:
             raise NonConvergenceError(
                 f"step {step} (t = {t_n:.6g}) stopped at relative residual {report.final_residual:.3e}"
             )
-        u_int = u_new
-        full[:n] = u_int
-        states.append(GridFunction(grid, full))
+        states.append(state)
         reports.append(report)
     return states, reports
 

@@ -317,15 +317,18 @@ def dynamic_boundary_table(
     """Dynamic transform values at the given boundary states for many times.
 
     Returns an array of shape (len(times), n_states) from a single march,
-    each time a column of its carry.  A time-dependent field is read at
-    t + tau in each column.  Without time dependence a field without a
-    switch-on gives the same transform at every t, and with one the value at
-    time t is the integral over the most recent stretch of ray of parameter
-    length t, interpolated linearly between quadrature interval ends.
+    each time a column of its carry, or from none when there are no times.
+    A time-dependent field is read at t + tau in each column.  Without time
+    dependence a field without a switch-on gives the same transform at
+    every t, and with one the value at time t is the integral over the most
+    recent stretch of ray of parameter length t, interpolated linearly
+    between quadrature interval ends.
     """
     q = q or QuadratureConfig()
     cfg = cfg or _default_cfg(q)
     times = np.asarray(list(times), dtype=float)
+    if not times.size:
+        return np.zeros((0, len(x)))
     if np.any(times < 0.0):
         raise ValueError("times must be nonnegative")
     res = _march_backward(model, f, att, times, x, xi, q, cfg, dynamic=f.time_dependent)
@@ -341,19 +344,16 @@ def _phase_point_2d(model, x, theta) -> PhaseSpacePoint:
     return PhaseSpacePoint(x=np.asarray(x, dtype=float), xi=d / float(model.n(np.asarray(x))))
 
 
-def _residual_stencil(model, f, t: float, points, fd_step: float, time_derivative: bool | None):
+def _residual_stencil(model, f, t: float, points, fd_step: float):
     """The (time, state) pairs at which the transport residual reads u.
 
     Per point, in order: the center, x1 +- fd_step, x2 +- fd_step and
-    theta +- fd_step at time t, then the center at t +- fd_step when the time
-    derivative is taken (by default when the field depends on time).  The
-    direction angle is held fixed under spatial shifts, with the tangent
-    re-normalized at the shifted base point.
+    theta +- fd_step at time t, then the center at t +- fd_step when the
+    field depends on time.  The direction angle is held fixed under spatial
+    shifts, with the tangent re-normalized at the shifted base point.
     """
     if model.dim != 2:
         raise ValueError("the transport residual is implemented for dim 2")
-    if time_derivative is None:
-        time_derivative = f.is_dynamic
     e1 = np.array([fd_step, 0.0])
     e2 = np.array([0.0, fd_step])
     stencil = []
@@ -366,7 +366,7 @@ def _residual_stencil(model, f, t: float, points, fd_step: float, time_derivativ
         th = float(np.arctan2(xi[1], xi[0]))
         offs = [(t, x, th), (t, x + e1, th), (t, x - e1, th), (t, x + e2, th), (t, x - e2, th),
                 (t, x, th + fd_step), (t, x, th - fd_step)]
-        if time_derivative:
+        if f.is_dynamic:
             offs += [(t + fd_step, x, th), (t - fd_step, x, th)]
         stencil += [(tt, _phase_point_2d(model, xx, a)) for tt, xx, a in offs]
     return stencil
@@ -399,7 +399,6 @@ def transport_residual(
     t: float,
     p: PhaseSpacePoint,
     fd_step: float,
-    time_derivative: bool | None = None,
 ) -> float:
     """(d_t u) + H u + alpha u - f . xi^m at a 2D phase state.
 
@@ -408,10 +407,10 @@ def transport_residual(
     (the tangent is re-normalized at the shifted base point) and the fiber
     derivative is a central difference in theta, weighted by the turning
     rate of the ray.  The time derivative is a central difference with the
-    same step; by default it is evaluated only when the field depends on
-    time (it vanishes identically otherwise).
+    same step, evaluated only when the field depends on time (it vanishes
+    identically otherwise).
     """
-    stencil = _residual_stencil(model, f, t, [p], fd_step, time_derivative)
+    stencil = _residual_stencil(model, f, t, [p], fd_step)
     vals = np.array([[float(u(tt, pp)) for tt, pp in stencil]])
     return float(_residual_combine(model, f, att, t, [p], fd_step, vals)[0])
 
@@ -436,7 +435,7 @@ def oracle_residuals(
         return np.zeros(0)
     q = q or QuadratureConfig()
     cfg = cfg or _default_cfg(q)
-    stencil = _residual_stencil(model, f, float(t), points, fd_step, None)
+    stencil = _residual_stencil(model, f, float(t), points, fd_step)
     times = np.array([tt for tt, _ in stencil])
     xs = np.array([pp.x for _, pp in stencil])
     xis = np.array([pp.xi for _, pp in stencil])

@@ -236,6 +236,35 @@ class TestSolveDynamic:
             u = spla.spsolve((system.matrix + shift).tocsc(), b)
             assert np.linalg.norm(states[step].values - u) <= 1e-8 * np.linalg.norm(u)
 
+    def test_reports_the_step_system_residual(self, small_setup):
+        """Each step reports the relative residual of its pinned step system."""
+        model, field, att, grid = small_setup
+        f = rt.with_switch_on(field)
+        mask = rt.classify_boundary(grid, model)
+        eps, dt = 1e-3, 0.25
+        table = np.random.default_rng(3).standard_normal((5, mask.outflow_idx.size))
+        states, reports = rt.solve_dynamic(grid, model, f, att, eps, dt, 1.0, table)
+        n = grid.n_interior
+        shift = sp.diags(np.r_[np.full(n, 1.0 / dt), np.zeros(grid.size - n)])
+        for step in range(1, 5):
+            data = np.zeros(grid.size)
+            data[mask.outflow_idx] = table[step]
+            system = rt.assemble(grid, model, f, att, eps, data, t=step * dt)
+            b = system.rhs.copy()
+            b[:n] += states[step - 1].values[:n] / dt
+            res = np.linalg.norm(b - (system.matrix + shift) @ states[step].values) / np.linalg.norm(b)
+            assert reports[step - 1].final_residual == pytest.approx(res, rel=1e-9)
+
+    def test_factors_once_per_march(self, small_setup, monkeypatch):
+        model, field, att, grid = small_setup
+        calls = []
+        spilu = spla.spilu
+        monkeypatch.setattr(spla, "spilu", lambda *a, **k: calls.append(1) or spilu(*a, **k))
+        table = np.ones((5, rt.classify_boundary(grid, model).outflow_idx.size))
+        _, reports = rt.solve_dynamic(grid, model, field, att, 1e-3, 0.25, 1.0, table)
+        assert {r.method for r in reports} == {"gmres+ilu"}
+        assert len(calls) == 1
+
     def test_zero_everything(self, small_setup):
         model, _, att, grid = small_setup
         f0 = rt.constant_scalar_field(0.0)

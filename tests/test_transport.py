@@ -415,7 +415,10 @@ class TestDynamicBoundaryTable:
         assert_allclose(table, 0.0)
 
     @pytest.mark.parametrize("kind", ["static", "switch_on", "time_dependent"])
-    def test_no_times_gives_empty_table(self, unit_model, demo_field, unit_attenuation, kind):
+    def test_no_times_gives_empty_table(self, unit_model, demo_field, unit_attenuation, kind,
+                                        monkeypatch):
+        marches = []
+        monkeypatch.setattr(transport, "march", lambda *a, **k: marches.append(1) or march(*a, **k))
         f = {
             "static": demo_field,
             "switch_on": rt.with_switch_on(demo_field),
@@ -429,6 +432,7 @@ class TestDynamicBoundaryTable:
         table = rt.dynamic_boundary_table(unit_model, f, unit_attenuation, x, xi, [], q)
         assert table.shape == (0, 3)
         assert table.dtype == float
+        assert not marches
 
 
 class TestThreeDimensional:
