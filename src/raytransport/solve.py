@@ -5,10 +5,10 @@ The stationary system discretizes
     -eps Delta u + H u + alpha u = f . xi^m
 
 on the phase grid, with the boundary ring pinned: the ring is the
-contiguous tail of the linear order, so its rows are replaced by stacking
-identity rows under the interior rows.  Outflow nodes carry the supplied
-data, inflow and glancing nodes carry 0.  eps = 0 is allowed and gives the
-pure upwind transport system.
+contiguous tail of the linear order and carries the Dirichlet data, so only
+the n interior rows are equations.  Outflow nodes carry the supplied data,
+inflow and glancing nodes carry 0.  eps = 0 is allowed and gives the pure
+upwind transport system.
 
 The time-dependent problem is stepped with implicit Euler,
 
@@ -18,26 +18,25 @@ with boundary data read at t_{n+1} and u^0 = 0.  Each step is the pinned
 stationary system with alpha + 1/dt in place of alpha on the interior rows
 and source f(t_{n+1}) . xi^m + u^n/dt, and is solved as one.
 
-The operator is assembled from parts that do not depend on eps: the
-transport operator T = H + alpha I and the Laplacian, each built once and
-combined per eps as T - eps Delta.
+The operator is assembled from eps-free parts, T = H + alpha I and the
+Laplacian, each built and cut once into its interior block [:n, :n] and
+ring coupling [:n, n:], and combined per eps as T - eps Delta.  The pinned
+matrix is built only when read.
 
-Solves are restarted GMRES on the interior block of the full viscous
-system.  Boundary unknowns are eliminated exactly: with n interior nodes,
-the interior block is the slice a[:n, :n] and the coupling to the ring is
-a[:n, n:].  The preconditioner is an incomplete LU factorization, with a
-Jacobi fallback, of the interior block of the transport operator T (of
-T + I/dt for the implicit Euler step), not of the viscous block: T does not
-depend on eps, so an eps sweep factors it once and every solve of the sweep
-reuses it, and for small eps the viscous block is a small perturbation of
-it.  The block is factored in downwind order, strong component by strong
-component (a transport sweep): upwind H couples a node only to its upwind
-neighbours, so in that order T is block lower triangular and the factors
-fill in only inside the small components where characteristics close on
-themselves.  GMRES has one call site, :func:`solve_static`.  Reports name
-the preconditioner that was actually built and carry an independently
-recomputed relative residual of the full pinned system, for an implicit
-Euler step the step system.
+Solves are restarted GMRES on the interior block, the ring values moved to
+the right-hand side through the coupling.  The preconditioner is an
+incomplete LU factorization, with a Jacobi fallback, of the interior block
+of T (of T + I/dt for the implicit Euler step), not of the viscous block: T
+does not depend on eps, so an eps sweep factors it once and every solve of
+the sweep reuses it, and for small eps the viscous block is a small
+perturbation of it.  The block is factored in downwind order, strong
+component by strong component (a transport sweep): upwind H couples a node
+only to its upwind neighbours, so in that order T is block lower triangular
+and the factors fill in only inside the small components where
+characteristics close on themselves.  GMRES has one call site,
+:func:`solve_static`.  Reports name the preconditioner that was actually
+built and carry an independently recomputed relative residual of the full
+pinned system, for an implicit Euler step the step system.
 """
 
 from __future__ import annotations
@@ -76,13 +75,14 @@ class SolveReport:
 
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
-    """Assembled discrete operator with Dirichlet rows replaced by identity.
+    """The assembled operator's interior block [:n, :n] and ring coupling [:n, n:].
 
-    ``transport`` is the interior block of the transport operator H + alpha I,
-    the matrix the preconditioner is built from.
+    ``transport`` is the interior block of H + alpha I, the matrix the
+    preconditioner is built from.  ``rhs`` holds the ring data on the ring.
     """
 
-    matrix: sp.csr_matrix
+    interior: sp.csr_matrix
+    coupling: sp.csr_matrix
     transport: sp.csr_matrix
     rhs: np.ndarray
     grid: PhaseGrid
@@ -91,12 +91,11 @@ class LinearSystem:
     epsilon: float
 
     @property
-    def size(self) -> int:
-        return self.rhs.shape[0]
-
-    @property
-    def interior_idx(self) -> np.ndarray:
-        return np.arange(self.grid.n_interior)
+    def matrix(self) -> sp.csr_matrix:
+        """The pinned matrix, interior rows over identity ring rows, for readers; no solve uses it."""
+        n, size = self.grid.n_interior, self.grid.size
+        return sp.vstack([sp.hstack([self.interior, self.coupling]), sp.eye(size - n, size, k=n)],
+                         format="csr")
 
 
 def symmetric_part(a: sp.spmatrix) -> sp.csr_matrix:
@@ -130,14 +129,12 @@ def _boundary_values(boundary_data, mask: BoundaryMask, size: int) -> np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class OperatorParts:
-    """The eps-free parts of -eps*Laplace + H + alpha*I, on all rows.
-
-    ``transport`` is H + alpha I; ``laplacian`` is None where only eps = 0 is
-    assembled.
-    """
+    """Interior blocks and ring couplings of H + alpha I and of the Laplacian (None if eps = 0 only)."""
 
     transport: sp.csr_matrix
-    laplacian: sp.csr_matrix | None
+    transport_coupling: sp.csr_matrix
+    laplacian: sp.csr_matrix | None = None
+    laplacian_coupling: sp.csr_matrix | None = None
 
 
 def operator_parts(
@@ -146,23 +143,24 @@ def operator_parts(
     att: Attenuation,
     viscous: bool = True,
 ) -> OperatorParts:
-    """Build H + alpha I and, if ``viscous``, the Laplacian."""
+    """Build H + alpha I and, if ``viscous``, the Laplacian, each cut into its two blocks."""
+    n = grid.n_interior
     alpha = np.asarray(att.alpha(grid.x, grid.xi), dtype=float)
-    return OperatorParts(
-        transport=h_matrix(grid, model) + sp.diags(alpha),
-        laplacian=laplace_matrix(grid, model) if viscous else None,
-    )
+    t = h_matrix(grid, model) + sp.diags(alpha)
+    if not viscous:
+        return OperatorParts(t[:n, :n], t[:n, n:])
+    lap = laplace_matrix(grid, model)
+    return OperatorParts(t[:n, :n], t[:n, n:], lap[:n, :n], lap[:n, n:])
 
 
-def interior_operator(parts: OperatorParts, epsilon: float) -> sp.csr_matrix:
-    """The raw operator -eps*Laplace + H + alpha*I on all rows (no pinning)."""
+def interior_operator(parts: OperatorParts, epsilon: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The interior block and ring coupling of -eps*Laplace + H + alpha*I."""
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
-    a = parts.transport - epsilon * parts.laplacian if epsilon > 0.0 else parts.transport.copy()
-    a = a.tocsr()
-    a.sum_duplicates()
-    a.sort_indices()
-    return a
+    if epsilon == 0.0:
+        return parts.transport, parts.transport_coupling
+    return (parts.transport - epsilon * parts.laplacian,
+            parts.transport_coupling - epsilon * parts.laplacian_coupling)
 
 
 def assemble(
@@ -187,16 +185,14 @@ def assemble(
     ub = _boundary_values(boundary_data, mask, grid.size)
 
     parts = parts or operator_parts(grid, model, att, viscous=epsilon > 0.0)
-    raw = interior_operator(parts, epsilon)
+    interior, coupling = interior_operator(parts, epsilon)
     n = grid.n_interior
-    a = sp.vstack([raw[:n], sp.eye(grid.size - n, grid.size, k=n)], format="csr")
-
     b = np.asarray(moment(f, t, grid.x, grid.xi), dtype=float)
     b[n:] = ub[n:]
-    if not np.all(np.isfinite(a.data)) or not np.all(np.isfinite(b)):
+    if not all(np.all(np.isfinite(v)) for v in (interior.data, coupling.data, b)):
         raise AssemblyError("assembled system contains non-finite entries")
-    return LinearSystem(matrix=a, transport=parts.transport[:n, :n], rhs=b, grid=grid, mask=mask,
-                        dirichlet_values=ub, epsilon=epsilon)
+    return LinearSystem(interior=interior, coupling=coupling, transport=parts.transport, rhs=b,
+                        grid=grid, mask=mask, dirichlet_values=ub, epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +269,11 @@ def solve_static(
 ) -> tuple[GridFunction, SolveReport]:
     """Solve the assembled system to relative residual <= tol.
 
-    GMRES, restarted every 60 iterations, runs on the interior block until
-    the interior residual, which is the residual of the full system, falls
-    to tol * |rhs|: it stops on the quantity the report gates on.
+    GMRES, restarted every 60 iterations, runs on ``system.interior``
+    against rhs[:n] - coupling @ u_b, u_b the ring data, until the interior
+    residual falls to tol * |rhs|.  The ring rows of the pinned system hold
+    exactly, so that is the residual of the full system, the quantity the
+    report gates on.
     ``preconditioner`` is a kind, built here from ``system.transport``, or a
     preconditioner already built from the same transport block.
     ``max_iter`` caps the restart cycles and ``x0`` is a full-length
@@ -285,9 +283,9 @@ def solve_static(
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     t0 = time.perf_counter()
-    a = system.matrix
     n = system.grid.n_interior
-    b_i = system.rhs[:n] - a[:n, n:] @ system.dirichlet_values[n:]
+    ring_term = system.coupling @ system.dirichlet_values[n:]
+    b_i = system.rhs[:n] - ring_term
     bnorm = float(np.linalg.norm(system.rhs))
 
     # a zero right-hand side needs no preconditioner: GMRES returns 0 at once
@@ -297,16 +295,18 @@ def solve_static(
         precond = make_preconditioner(system.transport, preconditioner)
     else:
         precond = preconditioner
-    cycles = max_iter if max_iter is not None else default_max_iter(system.size)
+    cycles = max_iter if max_iter is not None else default_max_iter(system.grid.size)
     inner = []  # one preconditioned residual norm per inner iteration
-    x, _ = spla.gmres(a[:n, :n], b_i, x0=x0[:n] if x0 is not None else None, rtol=0.0,
+    x, _ = spla.gmres(system.interior, b_i, x0=x0[:n] if x0 is not None else None, rtol=0.0,
                       atol=tol * bnorm, restart=60, maxiter=cycles, M=precond.operator,
                       callback=inner.append, callback_type="pr_norm")
     if not np.all(np.isfinite(x)):
         raise NumericalError("GMRES produced non-finite iterates")
     u = system.dirichlet_values.copy()
     u[:n] = x
-    res = float(np.linalg.norm(system.rhs - a @ u)) / (bnorm if bnorm > 0.0 else 1.0)
+    # bit for bit the pinned rows' sums, as each interior row has at most one ring neighbour
+    res = float(np.linalg.norm(system.rhs[:n] - (system.interior @ x + ring_term)))
+    res /= bnorm if bnorm > 0.0 else 1.0
     return GridFunction(system.grid, u), SolveReport(
         iterations=len(inner),
         final_residual=res,
@@ -354,11 +354,9 @@ def solve_dynamic(
         )
 
     n = grid.n_interior
-    inv_dt = np.zeros(grid.size)
-    inv_dt[:n] = 1.0 / dt
-    shift = sp.diags(inv_dt, format="csr")
-    step_system = replace(system, matrix=system.matrix + shift,
-                          transport=system.transport + shift[:n, :n])
+    shift = sp.diags(np.full(n, 1.0 / dt))
+    step_system = replace(system, interior=system.interior + shift,
+                          transport=system.transport + shift)
     precond = make_preconditioner(step_system.transport, preconditioner)
 
     states = [GridFunction(grid, np.zeros(grid.size))]
@@ -400,8 +398,7 @@ def discrete_coercivity(system: LinearSystem, probes: int = 4, seed: int = 0) ->
     iteration from a fresh random vector; a positive result certifies
     discrete coercivity of the assembled operator.
     """
-    n = system.grid.n_interior
-    s = symmetric_part(system.matrix[:n, :n])
+    s = symmetric_part(system.interior)
     n = s.shape[0]
     c = float(np.max(np.abs(s).sum(axis=1)))
     shifted = (sp.identity(n) * c - s).tocsr()

@@ -304,8 +304,7 @@ def epsilon_sweep(
     norm_mask = np.abs(u_ref_vals) > floor_cut
 
     parts = operator_parts(grid, model, att)
-    n = grid.n_interior
-    precond = make_preconditioner(parts.transport[:n, :n], preconditioner)
+    precond = make_preconditioner(parts.transport, preconditioner)
     l2s, linfs, reports, fields, sols = [], [], [], [], []
     for e in eps:
         try:

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.sparse.csgraph import connected_components
 
 import raytransport as rt
+from raytransport import phasegrid as pg
 from raytransport import solve
 from raytransport.errors import AssemblyError, NonConvergenceError
 
@@ -37,7 +38,7 @@ class TestAssemble:
         system = rt.assemble(grid, model, field, att, 1e-3, np.zeros(grid.size))
         c = 3.7
         au = system.matrix @ np.full(grid.size, c)
-        assert_allclose(au[system.interior_idx], 1.0 * c, atol=1e-12)
+        assert_allclose(au[:grid.n_interior], 1.0 * c, atol=1e-12)
 
     def test_dirichlet_rows_identity(self, small_setup):
         model, field, att, grid = small_setup
@@ -55,6 +56,26 @@ class TestAssemble:
         model, field, att, grid = small_setup
         with pytest.raises(AssemblyError):
             rt.assemble(grid, model, field, att, 1e-3, {0: 1.0})
+
+    @pytest.mark.parametrize("spec, shape", [("paper4", (4, 5, 6)), ("affine:2,0.3,0.2", (7, 9, 4))])
+    @pytest.mark.parametrize("eps", [1e-3, 0.0])
+    def test_blocks_are_slices_of_the_operator(self, spec, shape, eps):
+        """interior and coupling are, bit for bit, the interior rows of -eps Laplace + H + alpha I."""
+        model = rt.parse_model(spec)
+        grid = rt.build_grid(model, *shape)
+        att = rt.constant_attenuation(1.0)
+        full = pg.h_matrix(grid, model) + sp.diags(np.asarray(att.alpha(grid.x, grid.xi), dtype=float))
+        if eps > 0.0:
+            full = full - eps * pg.laplace_matrix(grid, model)
+        full = full.tocsr()
+        full.sum_duplicates()
+        full.sort_indices()
+        system = rt.assemble(grid, model, rt.paper4_field(), att, eps, np.zeros(grid.size))
+        n = grid.n_interior
+        _assert_bitwise(system.interior, full[:n, :n])
+        _assert_bitwise(system.coupling, full[:n, n:])
+        if eps == 0.0:
+            _assert_bitwise(system.interior, system.transport)
 
     def test_epsilon_zero_allowed(self, small_setup):
         model, field, att, grid = small_setup
@@ -119,8 +140,7 @@ class TestSolveStatic:
         # combined problem: both sources and both boundary data at once
         sys12 = rt.assemble(grid, model, field, att, 1e-3, phi1)
         b = sys12.rhs.copy()
-        interior = sys12.interior_idx
-        b[interior] += 0.4  # moment of the rank-0 field is its constant
+        b[:grid.n_interior] += 0.4  # moment of the rank-0 field is its constant
         merged = dataclasses.replace(sys12, rhs=b)
         u12, _ = rt.solve_static(merged, tol=1e-12)
         assert_allclose(u12.values, u1.values + u2.values, atol=1e-9)
@@ -147,6 +167,11 @@ class TestSolveStatic:
         assert rep.method == "gmres+jacobi"
 
 
+def _assert_bitwise(a, b):
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 def _failing_spilu(*args, **kwargs):
     raise RuntimeError("Factor is exactly singular")
 
@@ -162,9 +187,8 @@ SWEEP_MEDIA = [
 def _transport_block(spec, shape):
     model = rt.parse_model(spec)
     grid = rt.build_grid(model, *shape)
-    n = grid.n_interior
     parts = solve.operator_parts(grid, model, rt.constant_attenuation(1.0), viscous=False)
-    return model, grid, parts.transport[:n, :n].tocsr()
+    return model, grid, parts.transport
 
 
 class TestSweepOrder:
@@ -264,6 +288,21 @@ class TestSolveDynamic:
         _, reports = rt.solve_dynamic(grid, model, field, att, 1e-3, 0.25, 1.0, table)
         assert {r.method for r in reports} == {"gmres+ilu"}
         assert len(calls) == 1
+
+    def test_slicing_does_not_grow_with_steps(self, small_setup, monkeypatch):
+        """The march slices its matrices a fixed number of times, however many steps it takes."""
+        model, field, att, grid = small_setup
+        cls = type(rt.assemble(grid, model, field, att, 1e-3, np.zeros(grid.size)).matrix)
+        getitem = cls.__getitem__
+        calls = []
+        monkeypatch.setattr(cls, "__getitem__", lambda self, key: calls.append(1) or getitem(self, key))
+        counts = []
+        for steps in (4, 8):
+            calls.clear()
+            table = np.ones((steps + 1, rt.classify_boundary(grid, model).outflow_idx.size))
+            rt.solve_dynamic(grid, model, field, att, 1e-3, 1.0 / steps, 1.0, table)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_zero_everything(self, small_setup):
         model, _, att, grid = small_setup
