@@ -11,7 +11,9 @@ dynamic solutions, their residuals, every matrix handed to ``spilu`` (an
 entry of its own per solve, so that a reordered factorization input is told
 apart from a changed solution) and the coercivity estimate.  It also hashes
 the characteristic oracle: ``interior_solution_grid`` for the three media on
-the small grids and for paper4 on (30, 30, 10), three
+the small grids and for paper4 on (30, 30, 10), for a rank-0 and a rank-2
+field on (4, 5, 6) (even ranks, whose moments keep their sign under the
+march's reversed velocity), three
 ``dynamic_boundary_table`` runs (a switch-on field, a time-dependent one and
 one that is both, each at times on and off the quadrature step, every table
 one march with a column per time), the ``trace`` paths of three states and
@@ -39,6 +41,7 @@ GRIDS = [(3, 3, 3), (4, 5, 6), (7, 9, 4), (10, 10, 8), (30, 30, 10), (40, 40, 20
 SOLVE_MAX_NODES = 10 * 10 * 8
 SMALL_GRIDS = GRIDS[:4]
 DEMO_GRID = (30, 30, 10)
+EVEN_RANK_GRID = (4, 5, 6)
 TRACE_STATES = [([0.3, -0.2], 1.1), ([0.0, 0.0], 0.4), ([-0.6, 0.5], 2.9)]
 
 
@@ -139,6 +142,14 @@ def _ramped(component, t, x):
     return (1.0 + t) * component(t, x)
 
 
+def _rank2_diagonal(t, x):
+    return 1.0 / (1.0 + x[..., 0] ** 2)
+
+
+def _rank2_mixed(t, x):
+    return x[..., 0] - 0.5 * x[..., 1]
+
+
 def dump_oracle(media: dict, att, field) -> dict:
     import numpy as np
 
@@ -147,12 +158,21 @@ def dump_oracle(media: dict, att, field) -> dict:
     ramped = dataclasses.replace(
         field, components={i: partial(_ramped, c) for i, c in field.components.items()},
         time_dependent=True)
+    even_fields = {
+        "rank 0": rt.constant_scalar_field(0.7),
+        "rank 2": rt.SymmetricTensorField(
+            dim=2, rank=2, components={(0, 0): _rank2_diagonal, (0, 1): _rank2_mixed}),
+    }
     out = {}
     for name, model in media.items():
         shapes = SMALL_GRIDS + [DEMO_GRID] if name == "paper4" else SMALL_GRIDS
         for shape in shapes:
             grid = rt.build_grid(model, *shape)
             out[("oracle", name, shape)] = Digest(rt.interior_solution_grid(model, field, att, grid))
+        grid = rt.build_grid(model, *EVEN_RANK_GRID)
+        for rank, even in even_fields.items():
+            out[("oracle", rank, name, EVEN_RANK_GRID)] = Digest(
+                rt.interior_solution_grid(model, even, att, grid))
         grid = rt.build_grid(model, 10, 10, 8)
         idx = rt.classify_boundary(grid, model).outflow_idx
         out[("table", name)] = Digest(rt.dynamic_boundary_table(

@@ -253,12 +253,14 @@ def march(
     the ball, so a ray whose end state is inside but whose interpolated mid
     is not is parked only if its RK4 half-step position is outside too (the
     bracket is then step/2); otherwise it marches on.  The parameter s is
-    the running sum of whole intervals, so a ray exits at s + ds.
+    the running sum of whole intervals, one float shared by every ray inside,
+    so a ray exits at s + ds.
 
     ``carry`` holds per-ray arrays that travel with the rays.  After each
     interval, ``advance(rays, s, xm, vm, xe, ve, carry)`` gets the rays still
-    inside (indices into x0), their parameter at the interval start, their
-    mid and end states and their carry, and returns the new carry.
+    inside (indices into x0), their parameter at the interval start as one
+    float, their mid and end states and their carry, and returns the new
+    carry.
 
     x0 and v0 may have any memory layout; they are copied once into
     component-major arrays when the rays still inside are selected, and every
@@ -276,10 +278,11 @@ def march(
 
     alive = np.nonzero(inside)[0]
     # the one conversion: compressing x0.T yields C-contiguous (dim, N) rows
-    x, v, s = _keep(x0, inside), _keep(v0, inside), np.zeros(alive.size)
+    x, v, s = _keep(x0, inside), _keep(v0, inside), 0.0
     carry = tuple(_keep(np.asarray(c), inside) for c in carry)
     # (rays, interval, x, v, s, bisection bracket, *carry) per parked batch
-    parked = [(alive[:0], alive[:0], x[:0], v[:0], s[:0], s[:0], *(c[:0] for c in carry))]
+    none = np.zeros(0)
+    parked = [(alive[:0], alive[:0], x[:0], v[:0], none, none, *(c[:0] for c in carry))]
     a = acceleration(model, x, v)
     k = 0
     while alive.size:
@@ -298,9 +301,10 @@ def march(
                 xh = _rk4_position(model, _keep(x, graze), _keep(v, graze), half, _keep(a, graze))[0]
                 crossed[graze] = _dot(xh, xh) >= 1.0
             parked.append(tuple(_keep(b, crossed) for b in (
-                alive, np.full(alive.size, k), x, v, s, np.where(out_end, step, half), *carry)))
+                alive, np.full(alive.size, k), x, v, np.full(alive.size, s), np.where(out_end, step, half),
+                *carry)))
             keep = ~crossed
-            alive, s, v, a, xm, xe, ve = (_keep(b, keep) for b in (alive, s, v, a, xm, xe, ve))
+            alive, v, a, xm, xe, ve = (_keep(b, keep) for b in (alive, v, a, xm, xe, ve))
             carry = tuple(_keep(c, keep) for c in carry)
             if not alive.size:
                 break

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Mapping
 
@@ -29,7 +29,9 @@ class SymmetricTensorField:
 
     ``components`` maps sorted multi-indices (tuples of length ``rank``) to
     vectorized closures (t, x) -> value; missing indices are zero.  With
-    ``switch_on`` the field vanishes for t < 0.
+    ``switch_on`` the field vanishes for t < 0.  ``terms`` is derived: the
+    (component, multi-index) pairs of the moment's sum, one per unsorted
+    multi-index with a component, in the order :func:`moment` adds them.
     """
 
     dim: int
@@ -37,6 +39,7 @@ class SymmetricTensorField:
     components: Mapping[tuple[int, ...], ComponentFn]
     time_dependent: bool = False
     switch_on: bool = False
+    terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for idx in self.components:
@@ -46,6 +49,9 @@ class SymmetricTensorField:
                 raise ValueError(f"component keys must be sorted multi-indices, got {idx}")
             if any(i < 0 or i >= self.dim for i in idx):
                 raise ValueError(f"multi-index {idx} out of range for dim {self.dim}")
+        products = itertools.product(range(self.dim), repeat=self.rank)
+        terms = [(self.components.get(tuple(sorted(idx))), idx) for idx in products]
+        object.__setattr__(self, "terms", tuple((c, idx) for c, idx in terms if c is not None))
 
     @property
     def is_dynamic(self) -> bool:
@@ -57,21 +63,25 @@ def moment(f: SymmetricTensorField, t, x, xi) -> np.ndarray:
     """Contract f(t, x) with xi^m; vectorized over leading axes of x and xi.
 
     ``t`` may be a scalar or an array broadcastable to the leading shape.
+    The sum starts from its first term, so an exact zero may come out as -0.0;
+    the result is a new array even when a component returns its own.
     """
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1] != f.dim or x.shape[-1] != f.dim:
         raise ValueError(f"point/direction dimension does not match field dim {f.dim}")
-    lead = np.broadcast_shapes(x.shape[:-1], xi.shape[:-1])
-    out = np.zeros(lead)
-    for idx in itertools.product(range(f.dim), repeat=f.rank):
-        comp = f.components.get(tuple(sorted(idx)))
-        if comp is None:
-            continue
-        term = np.asarray(comp(t, x), dtype=float)
+    out = None
+    for comp, idx in f.terms:
+        # copy a rank-0 term: it is the result, which must not alias the component's array
+        term = np.array(comp(t, x), dtype=float, copy=None if idx else True)
         for i in idx:
             term = term * xi[..., i]
-        out = out + term
+        out = term if out is None else out + term
+    lead = x.shape[:-1] if x.shape == xi.shape else np.broadcast_shapes(x.shape[:-1], xi.shape[:-1])
+    if out is None:
+        out = np.zeros(lead)
+    elif out.shape != lead and np.broadcast_shapes(out.shape, lead) != out.shape:
+        out = np.zeros(lead) + out  # a term narrower than the leading shape
     if f.switch_on:
         out = np.where(np.asarray(t) >= 0.0, out, 0.0)
     return out if out.shape else float(out)

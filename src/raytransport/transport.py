@@ -23,10 +23,15 @@ RK4 step per interval, the interval rule reads the mid state off the cubic
 Hermite interpolant of the step (the Simpson node), absorption accumulates
 as a running trapezoid sum on the same nodes, and the engine parks boundary
 exits and refines them in one batch, after which the same interval rule
-integrates the stub up to the exit from an RK4 half-step of the stub.  Ray
-geometry does not depend on t, so many time levels are one march too: the
-running integral carries one column per time, while absorption and the ray
-states are shared by all columns.  This module keeps only that quadrature.
+integrates the stub up to the exit from an RK4 half-step of the stub.
+Absorption is constant and the rays inside have all marched the same whole
+intervals, so the march parameter, the running absorption and its damping
+factors, which carry the sign (-1)^m of the moment read at the reversed
+direction, are one float per interval; only the stubs hold them per ray.
+Ray geometry does not depend on t, so many time levels are one march too:
+the running integral carries one column per time, while absorption and the
+ray states are shared by all columns.  This module keeps only that
+quadrature.
 Single-state operations are the batch of one, and the residual of a
 user-supplied function is evaluated on the same stencil as the residual of
 the oracle, so every public entry point exercises the same arithmetic.
@@ -49,22 +54,21 @@ from .tensorfield import SymmetricTensorField, moment
 
 @dataclass(frozen=True)
 class Attenuation:
-    """Absorption coefficient alpha(x, xi) >= alpha0 > 0 on phase space."""
+    """A constant absorption coefficient alpha0 > 0 on phase space."""
 
-    alpha: Callable[[np.ndarray, np.ndarray], np.ndarray]
     alpha0: float
 
     def __post_init__(self):
         if not self.alpha0 > 0.0:
             raise ValueError("alpha0 must be positive")
 
-
-def _const_alpha(a: float, x, xi):
-    return np.full(np.asarray(x).shape[:-1], a)
+    def alpha(self, x, xi) -> np.ndarray:
+        """alpha0 at every state: an array of the leading shape of x."""
+        return np.full(np.asarray(x).shape[:-1], self.alpha0)
 
 
 def constant_attenuation(a: float) -> Attenuation:
-    return Attenuation(alpha=partial(_const_alpha, float(a)), alpha0=float(a))
+    return Attenuation(alpha0=float(a))
 
 
 def parse_attenuation(spec: str) -> Attenuation:
@@ -132,55 +136,54 @@ def _march_backward(
     simpson = q.rule == "simpson"
     t = np.atleast_2d(np.asarray(t, dtype=float))
     switched = f.switch_on and not dynamic
+    a = att.alpha0
+    # the march runs backward: the moment at the forward direction -v is (-1)^m times that at v
+    sign = -1.0 if f.rank % 2 else 1.0
+    absorbed = [0.0]  # the absorption after each whole interval, the same for every ray inside
 
     def t_at(rays):
         return t[rays] if t.shape[0] > 1 else t
 
-    def alpha_at(x, xi):
-        return np.asarray(att.alpha(x, xi), dtype=float)
-
     def source_at(rays, s, x, xi):
         """The moment at each state as (n, n_times), or as (n, 1) if not dynamic."""
         if dynamic:
-            return np.asarray(moment(f, t_at(rays) - s[:, None], x[:, None], xi[:, None]), dtype=float)
+            return np.asarray(moment(f, t_at(rays) - s, x[:, None], xi[:, None]), dtype=float)
         return np.asarray(moment(f, 0.0, x, xi), dtype=float)[:, None]
 
-    def interval_rule(h, rays, s, xm, vm, xe, ve, carry):
-        """Integrals, absorption, alpha and damped source after an interval of length h."""
-        I, A, a, g = carry
-        # the march runs backward: the forward direction at each state is -v
-        xim, xie = -vm, -ve
-        am = alpha_at(xm, xim)
-        ae = alpha_at(xe, xie)
-        Am = A + 0.25 * h * (a + am)
-        Ae = Am + 0.25 * h * (am + ae)
-        gm = source_at(rays, s + 0.5 * h, xm, xim) * np.exp(-Am)[:, None]
-        ge = source_at(rays, s + h, xe, xie) * np.exp(-Ae)[:, None]
-        hc = h[:, None] if np.ndim(h) else h
-        if simpson:
-            dI = (hc / 6.0) * (g + 4.0 * gm + ge)
-        else:
-            dI = hc * gm
-        if switched:
-            # every ray inside starts a whole interval at one s; the exit stubs do not
-            s0 = s[:, None] if np.ndim(h) else s[:1, None]
-            w = np.clip((t_at(rays) - s0) / step, 0.0, 1.0)
-            if not w.any():
-                return I, Ae, ae, ge
-            dI = dI * w
-        return I + dI, Ae, ae, ge
+    def interval_rule(h, rays, s, A, xm, vm, xe, ve, I, g):
+        """Absorption, integrals and damped source after an interval of length h.
 
-    zeros = np.zeros(n_rays)
-    start = (np.zeros((n_rays, t.shape[1])), zeros, alpha_at(x0, xi0),
-             source_at(np.arange(n_rays), zeros, x0, xi0))
-    ex = march(model, x0, -xi0, step, cfg, carry=start, advance=partial(interval_rule, step))
+        h, s and the absorption A at s are floats for a whole interval and
+        columns for the exit stubs.
+        """
+        Am = A + 0.25 * h * (a + a)
+        Ae = Am + 0.25 * h * (a + a)
+        gm = source_at(rays, s + 0.5 * h, xm, vm) * (sign * np.exp(-Am))
+        ge = source_at(rays, s + h, xe, ve) * (sign * np.exp(-Ae))
+        dI = (h / 6.0) * (g + 4.0 * gm + ge) if simpson else h * gm
+        if switched:
+            w = np.clip((t_at(rays) - s) / step, 0.0, 1.0)
+            if not w.any():
+                return Ae, I, ge
+            dI = dI * w
+        return Ae, I + dI, ge
+
+    def advance(rays, s, xm, vm, xe, ve, carry):
+        A, I, g = interval_rule(step, rays, s, absorbed[-1], xm, vm, xe, ve, *carry)
+        absorbed.append(A)
+        return I, g
+
+    start = (np.zeros((n_rays, t.shape[1])), source_at(np.arange(n_rays), 0.0, x0, xi0))
+    ex = march(model, x0, -xi0, step, cfg, carry=start, advance=advance)
 
     values = np.zeros(start[0].shape)
     tau_minus = np.zeros(n_rays)
     if ex.rays.size:
+        # a ray parked in interval k starts its stub from the absorption after k - 1 intervals
+        A = np.array(absorbed)[ex.interval - 1]
         xm, vm = rk4_step(model, ex.x, ex.v, 0.5 * ex.ds)
-        stub = interval_rule(ex.ds, ex.rays, ex.s, xm, vm, ex.x_exit, ex.v_exit, ex.carry)
-        values[ex.rays] = stub[0]
+        values[ex.rays] = interval_rule(ex.ds[:, None], ex.rays, ex.s[:, None], A[:, None], xm, vm,
+                                        ex.x_exit, ex.v_exit, *ex.carry)[1]
         tau_minus[ex.rays] = -(ex.s + ex.ds)
     return MarchResult(values=values, tau_minus=tau_minus)
 

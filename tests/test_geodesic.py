@@ -282,6 +282,29 @@ class TestOneStepPerInterval:
         assert rows == [x.shape[0]] * (4 * intervals + 1)
 
 
+class TestSharedParameter:
+    """Every ray inside has marched the same whole intervals: s is one float."""
+
+    STEP = 0.1  # a running sum of 0.1 drifts from k * 0.1, so the sum itself is checked
+
+    def test_advance_gets_a_float_and_exits_keep_the_running_sum(self, engine_model):
+        model = engine_model
+        x, v = interior_states(model, 60, 11, 0.95)
+        seen = []
+
+        def advance(rays, s, xm, vm, xe, ve, carry):
+            seen.append(s)
+            return carry
+
+        ex = march(model, x, v, self.STEP, rt.IntegratorConfig(), advance=advance)
+        assert seen and all(type(s) is float for s in seen)
+        sums = [0.0]
+        for _ in range(int(ex.interval.max())):
+            sums.append(sums[-1] + self.STEP)
+        assert seen == sums[:len(seen)]
+        assert ex.s.tobytes() == np.array(sums)[ex.interval - 1].tobytes()
+
+
 class TestExitStates:
     """Every exit of a batched backward march lies on the sphere, bracketed from inside."""
 

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +47,105 @@ class TestMoment:
         base = moment(f, 0.0, [0.1, 0.1], xi)
         scaled = moment(f, 0.0, [0.1, 0.1], lam * xi)
         assert scaled == pytest.approx(lam**rank * base, rel=1e-12, abs=1e-12)
+
+
+def reference_moment(f, t, x, xi):
+    """The moment as zeros of the leading shape plus one product per multi-index.
+
+    This is the loop ``moment`` replaced: it visits every unsorted
+    multi-index, looks its component up by the sorted one and adds the term
+    to a zero array.
+    """
+    x = np.asarray(x, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    out = np.zeros(np.broadcast_shapes(x.shape[:-1], xi.shape[:-1]))
+    for idx in itertools.product(range(f.dim), repeat=f.rank):
+        comp = f.components.get(tuple(sorted(idx)))
+        if comp is None:
+            continue
+        term = np.asarray(comp(t, x), dtype=float)
+        for i in idx:
+            term = term * xi[..., i]
+        out = out + term
+    if f.switch_on:
+        out = np.where(np.asarray(t) >= 0.0, out, 0.0)
+    return out if out.shape else float(out)
+
+
+def _product(t, x):
+    return x[..., 0] * x[..., 1]
+
+
+def _ramp(t, x):
+    return (1.0 + t) * x[..., 0]
+
+
+REFERENCE_FIELDS = {
+    "rank0 constant": rt.constant_scalar_field(2.5),
+    "rank0 bare float": SymmetricTensorField(dim=2, rank=0, components={(): lambda t, x: 1.5}),
+    "rank0 product": SymmetricTensorField(dim=2, rank=0, components={(): _product}),
+    "rank1 paper4": rt.paper4_field(),
+    "rank1 bare float": SymmetricTensorField(
+        dim=2, rank=1, components={(0,): lambda t, x: 0.5, (1,): _product}),
+    "rank1 time-dependent": SymmetricTensorField(
+        dim=2, rank=1, components={(1,): _ramp}, time_dependent=True),
+    "rank2": SymmetricTensorField(
+        dim=2, rank=2, components={(0, 0): _product, (0, 1): lambda t, x: -0.25, (1, 1): _ramp}),
+    "rank2 off-diagonal only": SymmetricTensorField(dim=2, rank=2, components={(0, 1): _product}),
+    "rank0 no components": SymmetricTensorField(dim=2, rank=0, components={}),
+}
+
+
+def _reference_cases():
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-0.7, 0.7, size=(7, 2))
+    xi = rng.uniform(-1.0, 1.0, size=(7, 2))
+    times = np.array([-0.5, 0.0, 1.25])
+    return {
+        "one state": (0.3, x[0], xi[0]),
+        "batch": (0.3, x, xi),
+        "one point, many directions": (0.3, x[0], xi),
+        "batch, negative time": (-0.2, x, xi),
+        "per-ray times": (np.linspace(-1.0, 1.0, 7), x, xi),
+        "time columns": (times[None, :] + np.arange(7.0)[:, None] * 0.1 - 0.3, x[:, None], xi[:, None]),
+        "shared time row": (times[None, :], x[:, None], xi[:, None]),
+    }
+
+
+class TestAgainstReferenceLoop:
+    """``moment`` against the loop it replaced, value for value.
+
+    ``moment`` starts its sum from the first term where the loop added every
+    term to zeros, so the one difference allowed is the sign of an exact
+    zero (0.0 + -0.0 is 0.0); ``assert_array_equal`` counts -0.0 equal to
+    0.0 and every other value must match bit for bit.
+    """
+
+    @pytest.mark.parametrize("switch_on", [False, True], ids=["plain", "switch_on"])
+    @pytest.mark.parametrize("case", list(_reference_cases()))
+    @pytest.mark.parametrize("name", list(REFERENCE_FIELDS))
+    def test_equals_reference(self, name, case, switch_on):
+        f = rt.with_switch_on(REFERENCE_FIELDS[name], switch_on)
+        t, x, xi = _reference_cases()[case]
+        got = moment(f, t, x, xi)
+        want = reference_moment(f, t, x, xi)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        np.testing.assert_array_equal(got, want)
+
+    def test_rank0_result_is_a_new_array(self):
+        stored = np.array([1.0, 2.0, 3.0])
+        f = SymmetricTensorField(dim=2, rank=0, components={(): lambda t, x: stored})
+        out = moment(f, 0.0, np.zeros((3, 2)), np.ones((3, 2)))
+        out[:] = -1.0
+        assert list(stored) == [1.0, 2.0, 3.0]
+
+    def test_terms_follow_replace(self, demo_field):
+        """The term list is derived again when a copy gets new components."""
+        g = dataclasses.replace(demo_field, components={(1,): _product})
+        assert g.terms == ((_product, (1,)),)
+        h = SymmetricTensorField(dim=2, rank=2, components={(0, 1): _product})
+        assert h.terms == ((_product, (0, 1)), (_product, (1, 0)))
 
 
 class TestSymmetry:

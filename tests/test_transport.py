@@ -89,7 +89,11 @@ def richardson_reference(model, f, att, x, xi, step):
     return (4.0 * fine - coarse) / 3.0
 
 
-TINY_ALPHA = rt.Attenuation(alpha=lambda x, xi: np.full(np.asarray(x).shape[:-1], 1e-300), alpha0=1e-300)
+TINY_ALPHA = rt.constant_attenuation(1e-300)
+
+
+def _constant(value, t, x):
+    return np.full(np.asarray(x).shape[:-1], value)
 
 
 class TestClosedForms:
@@ -105,7 +109,13 @@ class TestClosedForms:
         got = rt.ray_transform_static(unit_model, f, unit_attenuation, p)
         assert got == pytest.approx(want, rel=1e-10)
 
-    def test_random_chords_closed_form(self, unit_model):
+    @pytest.mark.parametrize("rank", [0, 1, 2], ids=["rank0", "rank1", "rank2"])
+    def test_random_chords_closed_form(self, unit_model, rank):
+        """c (1 - e^{-aL}) / a with c = f . xi^m, for a constant rank-m field.
+
+        The march reads the moment at its backward velocity -xi; an odd rank
+        fails if the sign (-1)^m is dropped, an even one if it is applied.
+        """
         rng = np.random.default_rng(31)
         for _ in range(5):
             beta = rng.uniform(0, 2 * np.pi)
@@ -114,11 +124,18 @@ class TestClosedForms:
             x = np.array([np.cos(beta), np.sin(beta)])
             xi = np.array([np.cos(psi), np.sin(psi)])
             L = 2.0 * float(np.dot(x, xi))
-            fvec = rng.uniform(-1, 1, size=2)
-            c = float(np.dot(fvec, xi))
+            fvals = rng.uniform(-1, 1, size=rank + 1)
+            if rank == 0:
+                f, c = rt.constant_scalar_field(fvals[0]), fvals[0]
+            elif rank == 1:
+                f, c = rt.constant_vector_field(fvals), float(np.dot(fvals, xi))
+            else:
+                comps = {idx: partial(_constant, v) for idx, v in zip([(0, 0), (0, 1), (1, 1)], fvals)}
+                f = rt.SymmetricTensorField(dim=2, rank=2, components=comps)
+                c = fvals[0] * xi[0] ** 2 + 2.0 * fvals[1] * xi[0] * xi[1] + fvals[2] * xi[1] ** 2
             att = rt.constant_attenuation(a)
             p = rt.PhaseSpacePoint(x, xi)
-            got = rt.ray_transform_static(unit_model, rt.constant_vector_field(fvec), att, p)
+            got = rt.ray_transform_static(unit_model, f, att, p)
             assert got == pytest.approx(c * (1.0 - math.exp(-a * L)) / a, rel=1e-8)
 
 
