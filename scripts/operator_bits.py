@@ -150,11 +150,18 @@ def _rank2_mixed(t, x):
     return x[..., 0] - 0.5 * x[..., 1]
 
 
+def _oracle_cfg(rt, step: float):
+    """The oracle's config for a march at ``step``; a tree with a QuadratureConfig takes that."""
+    make = getattr(rt, "QuadratureConfig", rt.IntegratorConfig)
+    return make(step=step)
+
+
 def dump_oracle(media: dict, att, field) -> dict:
     import numpy as np
 
     import raytransport as rt
 
+    coarse = _oracle_cfg(rt, 1e-2)
     ramped = dataclasses.replace(
         field, components={i: partial(_ramped, c) for i, c in field.components.items()},
         time_dependent=True)
@@ -177,20 +184,20 @@ def dump_oracle(media: dict, att, field) -> dict:
         idx = rt.classify_boundary(grid, model).outflow_idx
         out[("table", name)] = Digest(rt.dynamic_boundary_table(
             model, rt.with_switch_on(field), att, grid.x[idx], grid.xi[idx], [0.0, 0.3, 0.304, 0.55, 2.0],
-            rt.QuadratureConfig(step=1e-2)))
+            coarse))
         out[("time-dependent table", name)] = Digest(rt.dynamic_boundary_table(
             model, ramped, att, grid.x[idx], grid.xi[idx], [0.0, 0.3, 0.304, 0.55],
-            rt.QuadratureConfig(step=1e-2)))
+            coarse))
         out[("switch-on time-dependent table", name)] = Digest(rt.dynamic_boundary_table(
             model, rt.with_switch_on(ramped), att, grid.x[idx], grid.xi[idx], [0.0, 0.3, 0.304, 0.55],
-            rt.QuadratureConfig(step=1e-2)))
+            coarse))
         for x, theta in TRACE_STATES:
             path = rt.trace(model, rt.angle_phase_point(model, x, theta), rt.IntegratorConfig(step=5e-3))
             out[("trace", name, tuple(x), theta)] = (
                 Digest(path.taus), Digest(path.xs), Digest(path.vs), path.tau_minus.hex(), path.tau_plus.hex())
         points = [rt.angle_phase_point(model, x, theta) for x, theta in TRACE_STATES]
         out[("residuals", name)] = Digest(rt.oracle_residuals(
-            model, rt.with_switch_on(field), att, 0.4, points, 1e-3, rt.QuadratureConfig(step=1e-2)))
+            model, rt.with_switch_on(field), att, 0.4, points, 1e-3, coarse))
     return out
 
 

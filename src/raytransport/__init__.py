@@ -68,7 +68,6 @@ from .tensorfield import (
 )
 from .transport import (
     Attenuation,
-    QuadratureConfig,
     constant_attenuation,
     dynamic_boundary_table,
     interior_solution,

@@ -23,12 +23,7 @@ from .phasegrid import build_grid, classify_boundary
 from .refractive import coercivity_margin, parse_model
 from .solve import assemble, discrete_coercivity, solve_dynamic, solve_static, time_levels
 from .tensorfield import parse_field
-from .transport import (
-    QuadratureConfig,
-    dynamic_boundary_table,
-    interior_solution_grid,
-    parse_attenuation,
-)
+from .transport import dynamic_boundary_table, interior_solution_grid, parse_attenuation
 from .verify import (
     calibrate_identity_convention,
     check_fiber_identity,
@@ -45,9 +40,12 @@ def _setup(cfg: ExperimentConfig):
         att = parse_attenuation(cfg.alpha_spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    q = QuadratureConfig(rule=cfg.quad_rule, step=cfg.quad_step)
-    icfg = IntegratorConfig(step=cfg.int_step, max_steps=cfg.max_steps, boundary_tol=cfg.boundary_tol)
-    return model, att, q, icfg
+
+    def march_at(step):
+        return IntegratorConfig(step=step, max_steps=cfg.max_steps, boundary_tol=cfg.boundary_tol)
+
+    # the oracle marches at the quadrature step, the trace at the integrator step
+    return model, att, march_at(cfg.quad_step), march_at(cfg.int_step)
 
 
 def _field(cfg: ExperimentConfig):
@@ -72,11 +70,11 @@ def _check_converged(reports, allow: bool):
 
 
 def _cmd_trace(cfg, args) -> int:
-    model, _, _, icfg = _setup(cfg)
+    model, _, _, trace_cfg = _setup(cfg)
     if cfg.dim != 2:
         raise ConfigError("trace.x: the trace command is 2D")
     p = angle_phase_point(model, np.asarray(cfg.trace_x), cfg.trace_theta)
-    path = trace(model, p, icfg)
+    path = trace(model, p, trace_cfg)
     out = os.path.join(_outdir(cfg), "path.csv")
     exports.write_path_csv(path, out)
     print(
@@ -87,13 +85,13 @@ def _cmd_trace(cfg, args) -> int:
 
 
 def _cmd_transform_table(cfg, args) -> int:
-    model, att, q, icfg = _setup(cfg)
+    model, att, oracle_cfg, _ = _setup(cfg)
     f = _field(cfg)
     grid = build_grid(model, cfg.grid_i, cfg.grid_j, cfg.grid_k)
     mask = classify_boundary(grid, model)
     idx = mask.outflow_idx
     times = time_levels(cfg.dt, cfg.t_final) if f.is_dynamic else [0.0]
-    table = dynamic_boundary_table(model, f, att, grid.x[idx], grid.xi[idx], times, q, icfg)
+    table = dynamic_boundary_table(model, f, att, grid.x[idx], grid.xi[idx], times, oracle_cfg)
     rows = [
         (t, grid.phi[i], grid.theta[i], table[r, c])
         for r, t in enumerate(times)
@@ -106,10 +104,10 @@ def _cmd_transform_table(cfg, args) -> int:
 
 
 def _cmd_solve_static(cfg, args) -> int:
-    model, att, q, icfg = _setup(cfg)
+    model, att, oracle_cfg, _ = _setup(cfg)
     f = _field(cfg)
     grid = build_grid(model, cfg.grid_i, cfg.grid_j, cfg.grid_k)
-    u_ref = interior_solution_grid(model, f, att, grid, q=q, cfg=icfg, workers=args.workers)
+    u_ref = interior_solution_grid(model, f, att, grid, cfg=oracle_cfg, workers=args.workers)
     eps = cfg.epsilons[0]
     system = assemble(grid, model, f, att, eps, u_ref)
     sol, rep = solve_static(
@@ -128,13 +126,13 @@ def _cmd_solve_static(cfg, args) -> int:
 
 
 def _cmd_solve_dynamic(cfg, args) -> int:
-    model, att, q, icfg = _setup(cfg)
+    model, att, oracle_cfg, _ = _setup(cfg)
     f = _field(cfg)
     grid = build_grid(model, cfg.grid_i, cfg.grid_j, cfg.grid_k)
     mask = classify_boundary(grid, model)
     times = time_levels(cfg.dt, cfg.t_final)
     idx = mask.outflow_idx
-    table = dynamic_boundary_table(model, f, att, grid.x[idx], grid.xi[idx], times, q, icfg)
+    table = dynamic_boundary_table(model, f, att, grid.x[idx], grid.xi[idx], times, oracle_cfg)
     states, reports = solve_dynamic(
         grid, model, f, att, cfg.epsilons[0], cfg.dt, cfg.t_final, table,
         tol=cfg.tol, max_iter=cfg.max_iter, preconditioner=cfg.preconditioner,
@@ -151,11 +149,11 @@ def _cmd_solve_dynamic(cfg, args) -> int:
 
 
 def _cmd_sweep(cfg, args) -> int:
-    model, att, q, icfg = _setup(cfg)
+    model, att, oracle_cfg, _ = _setup(cfg)
     f = _field(cfg)
     grid = build_grid(model, cfg.grid_i, cfg.grid_j, cfg.grid_k)
     sweep = epsilon_sweep(
-        model, f, att, grid, cfg.epsilons, q=q, cfg=icfg, tol=cfg.tol,
+        model, f, att, grid, cfg.epsilons, cfg=oracle_cfg, tol=cfg.tol,
         max_iter=cfg.max_iter, preconditioner=cfg.preconditioner, workers=args.workers,
     )
     out = _outdir(cfg)
@@ -197,7 +195,7 @@ def _cmd_check_prop1(cfg, args) -> int:
 
 
 def _cmd_coercivity(cfg, args) -> int:
-    model, att, q, icfg = _setup(cfg)
+    model, att, _, _ = _setup(cfg)
     rep = coercivity_margin(model, att.alpha0)
     print(
         f"coercivity: sup_riemannian = {rep.sup_riemannian:.6g}, "

@@ -206,8 +206,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("run.workers", "must be at least 1")
     if min(cfg.grid_i, cfg.grid_j, cfg.grid_k) < 3:
         bad("grid.i/j/k", "grid sizes must be at least 3")
-    if cfg.quad_rule not in ("midpoint", "simpson"):
-        bad("quadrature.rule", "must be 'midpoint' or 'simpson'")
+    if cfg.quad_rule != "simpson":
+        bad("quadrature.rule", "must be 'simpson'")
     if cfg.preconditioner not in ("ilu", "jacobi", "none"):
         bad("solver.preconditioner", "must be 'ilu', 'jacobi' or 'none'")
     if cfg.method != "gmres":
@@ -222,6 +222,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for where, value in positives.items():
         if not value > 0.0:
             bad(where, "must be positive")
+    if cfg.max_steps < 1:
+        bad("integrator.max_steps", "must be at least 1")
+    if cfg.max_iter is not None and cfg.max_iter < 1:
+        bad("solver.max_iter", "must be at least 1")
     if not cfg.epsilons or any(e <= 0.0 for e in cfg.epsilons):
         bad("solver.epsilon", "must be a list of positive values")
     if cfg.command == "sweep" and any(a <= b for a, b in zip(cfg.epsilons, cfg.epsilons[1:])):

@@ -11,10 +11,11 @@ one RK4 step that reuses the previous interval's last acceleration as its
 first stage, and its mid state is the step's cubic Hermite interpolant.  A
 ray whose mid or end state leaves the ball is parked at the state that
 began the interval, and all parked rays are refined together at the end.
-The characteristic oracle integrates along it with the quadrature step as
-the interval; :func:`trace` is the batch of two rays (x, xi) and (x, -xi)
-with interval 2 * step, recording the mid and end state of every interval
-as path nodes.
+Every caller configures its march with one :class:`IntegratorConfig`.  The
+characteristic oracle integrates along it with the config's step as the
+interval; :func:`trace` is the batch of two rays (x, xi) and (x, -xi) with
+interval 2 * step, recording the mid and end state of every interval as
+path nodes.
 
 The engine keeps every ray state component-major from entry to exit:
 positions and velocities live in C-contiguous (dim, N) arrays and the
@@ -41,17 +42,26 @@ GLANCING_TOL = 1e-12
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """``step`` is the node spacing of :func:`trace`; ``max_steps`` caps the
-    intervals of every march and ``boundary_tol`` is the distance from the
-    sphere within which a start point counts as a boundary state."""
+    """The one config of every march.
+
+    ``step`` is the interval of the characteristic oracle's march and the
+    node spacing of :func:`trace`; ``max_steps`` caps the intervals of a
+    march, by default max(20000, 20 / step), enough for rays of metric
+    length 20; ``boundary_tol`` is the distance from the sphere within
+    which a start point counts as a boundary state.
+    """
 
     step: float = 1e-3
-    max_steps: int = 20000
+    max_steps: int | None = None
     boundary_tol: float = 1e-10
 
     def __post_init__(self):
         if not self.step > 0.0:
             raise ValueError("step must be positive")
+        if self.max_steps is None:
+            object.__setattr__(self, "max_steps", max(20000, int(20.0 / self.step)))
+        elif self.max_steps < 1:
+            raise ValueError("max_steps must be at least 1")
         if not self.boundary_tol > 0.0:
             raise ValueError("boundary_tol must be positive")
 
@@ -161,9 +171,9 @@ def _hermite_mid(y0: np.ndarray, y1: np.ndarray, d0: np.ndarray, d1: np.ndarray,
     """The cubic Hermite interpolant at the middle of an interval of length h.
 
     y0, y1 are the end values and d0, d1 their derivatives:
-    (y0 + y1) / 2 + (h / 8) (d0 - d1).  On a smooth solution its error at
-    the midpoint is h^4 / 384 times the fourth derivative; it keeps the
-    layout of its inputs.
+    (y0 + y1) / 2 + (h / 8) (d0 - d1).  On a smooth solution its error
+    there is h^4 / 384 times the fourth derivative; it keeps the layout of
+    its inputs.
     """
     mid = y0 + y1
     mid *= 0.5

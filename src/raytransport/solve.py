@@ -282,6 +282,8 @@ def solve_static(
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     t0 = time.perf_counter()
     n = system.grid.n_interior
     ring_term = system.coupling @ system.dirichlet_values[n:]

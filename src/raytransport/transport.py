@@ -18,9 +18,10 @@ the grid solvers.
 
 Implementation notes.  Every evaluation is one call of the batched ray
 engine :func:`raytransport.geodesic.march`, run backward from the
-evaluation states with the quadrature step as its interval: rays take one
-RK4 step per interval, the interval rule reads the mid state off the cubic
-Hermite interpolant of the step (the Simpson node), absorption accumulates
+evaluation states under one :class:`~raytransport.geodesic.IntegratorConfig`
+whose step is the interval and whose cap and boundary tolerance are the
+march's: rays take one RK4 step per interval, Simpson's rule reads the mid
+state off the cubic Hermite interpolant of the step, absorption accumulates
 as a running trapezoid sum on the same nodes, and the engine parks boundary
 exits and refines them in one batch, after which the same interval rule
 integrates the stub up to the exit from an RK4 half-step of the stub.
@@ -30,8 +31,7 @@ factors, which carry the sign (-1)^m of the moment read at the reversed
 direction, are one float per interval; only the stubs hold them per ray.
 Ray geometry does not depend on t, so many time levels are one march too:
 the running integral carries one column per time, while absorption and the
-ray states are shared by all columns.  This module keeps only that
-quadrature.
+ray states are shared by all columns.
 Single-state operations are the batch of one, and the residual of a
 user-supplied function is evaluated on the same stencil as the residual of
 the oracle, so every public entry point exercises the same arithmetic.
@@ -83,18 +83,6 @@ def parse_attenuation(spec: str) -> Attenuation:
         raise ValueError(f"bad attenuation spec {spec!r}") from None
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rule: str = "simpson"
-    step: float = 1e-3
-
-    def __post_init__(self):
-        if self.rule not in ("midpoint", "simpson"):
-            raise ValueError(f"rule must be 'midpoint' or 'simpson', got {self.rule!r}")
-        if not self.step > 0.0:
-            raise ValueError("step must be positive")
-
-
 # ---------------------------------------------------------------------------
 # the batched backward march
 # ---------------------------------------------------------------------------
@@ -112,11 +100,13 @@ def _march_backward(
     t,
     x0: np.ndarray,
     xi0: np.ndarray,
-    q: QuadratureConfig,
-    cfg: IntegratorConfig,
+    cfg: IntegratorConfig | None,
     dynamic: bool,
 ) -> MarchResult:
     """Integrate backward along the rays from (x0, xi0), one running integral per time.
+
+    Simpson's rule on intervals of length cfg.step (default
+    ``IntegratorConfig()``) integrates each ray.
 
     ``t`` broadcasts to (n_rays, n_times): a scalar, a column of one time per
     ray or a row of times shared by every ray.  Column j of the values is the
@@ -132,8 +122,8 @@ def _march_backward(
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     xi0 = np.atleast_2d(np.asarray(xi0, dtype=float))
     n_rays = x0.shape[0]
-    step = float(q.step)
-    simpson = q.rule == "simpson"
+    cfg = cfg or IntegratorConfig()
+    step = float(cfg.step)
     t = np.atleast_2d(np.asarray(t, dtype=float))
     switched = f.switch_on and not dynamic
     a = att.alpha0
@@ -160,7 +150,7 @@ def _march_backward(
         Ae = Am + 0.25 * h * (a + a)
         gm = source_at(rays, s + 0.5 * h, xm, vm) * (sign * np.exp(-Am))
         ge = source_at(rays, s + h, xe, ve) * (sign * np.exp(-Ae))
-        dI = (h / 6.0) * (g + 4.0 * gm + ge) if simpson else h * gm
+        dI = (h / 6.0) * (g + 4.0 * gm + ge)
         if switched:
             w = np.clip((t_at(rays) - s) / step, 0.0, 1.0)
             if not w.any():
@@ -205,9 +195,10 @@ def _require_outflow(p: PhaseSpacePoint):
         raise ValueError("not an outflow boundary state: <xi, nu> < 0")
 
 
-def _default_cfg(q: QuadratureConfig) -> IntegratorConfig:
-    # budget enough steps for rays of metric length 20 at the requested step
-    return IntegratorConfig(step=q.step, max_steps=max(20000, int(20.0 / q.step)))
+def _value_at(model, f, att, t, p, cfg, dynamic) -> float:
+    """The backward integral from the single state p at time t."""
+    res = _march_backward(model, f, att, t, p.x, p.xi, cfg, dynamic)
+    return float(res.values[0, 0])
 
 
 def ray_transform_static(
@@ -215,16 +206,12 @@ def ray_transform_static(
     f: SymmetricTensorField,
     att: Attenuation,
     p: PhaseSpacePoint,
-    q: QuadratureConfig | None = None,
     cfg: IntegratorConfig | None = None,
 ) -> float:
     """Attenuated transform of a time-independent field at an outflow state."""
     _require_static(f)
     _require_outflow(p)
-    q = q or QuadratureConfig()
-    cfg = cfg or _default_cfg(q)
-    res = _march_backward(model, f, att, 0.0, p.x, p.xi, q, cfg, dynamic=False)
-    return float(res.values[0, 0])
+    return _value_at(model, f, att, 0.0, p, cfg, dynamic=False)
 
 
 def ray_transform_dynamic(
@@ -233,15 +220,11 @@ def ray_transform_dynamic(
     att: Attenuation,
     t: float,
     p: PhaseSpacePoint,
-    q: QuadratureConfig | None = None,
     cfg: IntegratorConfig | None = None,
 ) -> float:
     """Dynamic transform: the field is read at time t + tau along the ray."""
     _require_outflow(p)
-    q = q or QuadratureConfig()
-    cfg = cfg or _default_cfg(q)
-    res = _march_backward(model, f, att, float(t), p.x, p.xi, q, cfg, dynamic=True)
-    return float(res.values[0, 0])
+    return _value_at(model, f, att, float(t), p, cfg, dynamic=True)
 
 
 def interior_solution(
@@ -250,7 +233,6 @@ def interior_solution(
     att: Attenuation,
     t: float,
     p: PhaseSpacePoint,
-    q: QuadratureConfig | None = None,
     cfg: IntegratorConfig | None = None,
 ) -> float:
     """The characteristic solution u(t, x, xi) at an interior phase state.
@@ -261,14 +243,11 @@ def interior_solution(
     r = float(np.linalg.norm(p.x))
     if r > 1.0:
         raise ValueError(f"point is not inside the ball: |x| = {r:.6g}")
-    q = q or QuadratureConfig()
-    cfg = cfg or _default_cfg(q)
-    res = _march_backward(model, f, att, float(t), p.x, p.xi, q, cfg, dynamic=True)
-    return float(res.values[0, 0])
+    return _value_at(model, f, att, float(t), p, cfg, dynamic=True)
 
 
-def _chunk_eval(model, f, att, t, x, xi, q, cfg, dynamic):
-    return _march_backward(model, f, att, t, x, xi, q, cfg, dynamic=dynamic).values[:, 0]
+def _chunk_eval(model, f, att, t, x, xi, cfg, dynamic):
+    return _march_backward(model, f, att, t, x, xi, cfg, dynamic=dynamic).values[:, 0]
 
 
 def interior_solution_grid(
@@ -276,9 +255,8 @@ def interior_solution_grid(
     f: SymmetricTensorField,
     att: Attenuation,
     grid,
-    q: QuadratureConfig | None = None,
-    t: float = 0.0,
     cfg: IntegratorConfig | None = None,
+    t: float = 0.0,
     workers: int = 1,
 ) -> np.ndarray:
     """Characteristic solution at every node of a phase grid.
@@ -288,18 +266,16 @@ def interior_solution_grid(
     processes and reassembled in chunk order, so the result does not depend
     on the worker count.
     """
-    q = q or QuadratureConfig()
-    cfg = cfg or _default_cfg(q)
     dynamic = f.is_dynamic
     x, xi = grid.x, grid.xi
     if workers <= 1:
-        return _chunk_eval(model, f, att, t, x, xi, q, cfg, dynamic)
+        return _chunk_eval(model, f, att, t, x, xi, cfg, dynamic)
     bounds = np.linspace(0, x.shape[0], workers + 1).astype(int)
     jobs = [(x[a:b], xi[a:b]) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(
             pool.map(
-                partial(_chunk_eval, model, f, att, t, q=q, cfg=cfg, dynamic=dynamic),
+                partial(_chunk_eval, model, f, att, t, cfg=cfg, dynamic=dynamic),
                 [j[0] for j in jobs],
                 [j[1] for j in jobs],
             )
@@ -314,7 +290,6 @@ def dynamic_boundary_table(
     x: np.ndarray,
     xi: np.ndarray,
     times: Sequence[float],
-    q: QuadratureConfig | None = None,
     cfg: IntegratorConfig | None = None,
 ) -> np.ndarray:
     """Dynamic transform values at the given boundary states for many times.
@@ -327,14 +302,12 @@ def dynamic_boundary_table(
     recent stretch of ray of parameter length t, interpolated linearly
     between quadrature interval ends.
     """
-    q = q or QuadratureConfig()
-    cfg = cfg or _default_cfg(q)
     times = np.asarray(list(times), dtype=float)
     if not times.size:
         return np.zeros((0, len(x)))
     if np.any(times < 0.0):
         raise ValueError("times must be nonnegative")
-    res = _march_backward(model, f, att, times, x, xi, q, cfg, dynamic=f.time_dependent)
+    res = _march_backward(model, f, att, times, x, xi, cfg, dynamic=f.time_dependent)
     return res.values.T
 
 
@@ -425,7 +398,6 @@ def oracle_residuals(
     t: float,
     points: Sequence[PhaseSpacePoint],
     fd_step: float,
-    q: QuadratureConfig | None = None,
     cfg: IntegratorConfig | None = None,
 ) -> np.ndarray:
     """transport_residual of the characteristic solution at many states.
@@ -436,11 +408,9 @@ def oracle_residuals(
     """
     if not len(points):
         return np.zeros(0)
-    q = q or QuadratureConfig()
-    cfg = cfg or _default_cfg(q)
     stencil = _residual_stencil(model, f, float(t), points, fd_step)
     times = np.array([tt for tt, _ in stencil])
     xs = np.array([pp.x for _, pp in stencil])
     xis = np.array([pp.xi for _, pp in stencil])
-    vals = _march_backward(model, f, att, times[:, None], xs, xis, q, cfg, dynamic=True).values[:, 0]
+    vals = _march_backward(model, f, att, times[:, None], xs, xis, cfg, dynamic=True).values[:, 0]
     return _residual_combine(model, f, att, float(t), points, fd_step, vals.reshape(len(points), -1))

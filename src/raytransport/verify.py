@@ -33,7 +33,7 @@ from .phasegrid import GridFunction, PhaseGrid, classify_boundary
 from .refractive import RefractiveModel, acceleration
 from .solve import SolveReport, assemble, make_preconditioner, operator_parts, solve_static
 from .tensorfield import SymmetricTensorField
-from .transport import Attenuation, QuadratureConfig, interior_solution_grid
+from .transport import Attenuation, interior_solution_grid
 
 CONVENTIONS = ("metric-gradient", "euclidean-gradient")
 
@@ -220,6 +220,12 @@ class ErrorNorms:
     linf: float
 
 
+def _default_floor(ref: np.ndarray) -> float:
+    """1e-12 * max|ref|, or 1.0 when the reference vanishes identically."""
+    m = float(np.max(np.abs(ref)))
+    return 1e-12 * m if m > 0.0 else 1.0
+
+
 def relative_error(
     u_num: GridFunction,
     u_ref: GridFunction,
@@ -236,8 +242,7 @@ def relative_error(
         raise ValueError("grid mismatch between numerical and reference fields")
     ref = u_ref.values
     if floor_cut is None:
-        m = float(np.max(np.abs(ref)))
-        floor_cut = 1e-12 * m if m > 0.0 else 1.0
+        floor_cut = _default_floor(ref)
     field = np.abs(u_num.values - ref) / np.maximum(np.abs(ref), floor_cut)
     norms = ErrorNorms(l2=float(np.sqrt(np.mean(field**2))), linf=float(np.max(field)))
     return GridFunction(u_num.grid, field), norms
@@ -247,7 +252,9 @@ def relative_error(
 class SweepResult:
     """Per-eps relative errors of the viscosity solves against the characteristic reference.
 
-    Norms are taken over the nodes where |u_ref| exceeds the floor cut.
+    Norms are taken over the nodes where |u_ref| exceeds the floor cut;
+    ``epsilons`` are strictly decreasing and positive, as
+    :func:`epsilon_sweep` requires.
     """
 
     epsilons: tuple[float, ...]
@@ -258,11 +265,6 @@ class SweepResult:
     solutions: list[GridFunction | None]
     u_ref: GridFunction
     floor_cut: float
-
-    def __post_init__(self):
-        eps = np.asarray(self.epsilons)
-        if eps.size and (np.any(np.diff(eps) >= 0.0) or np.any(eps <= 0.0)):
-            raise ValueError("epsilons must be strictly decreasing and positive")
 
     def rows(self):
         for k, eps in enumerate(self.epsilons):
@@ -276,7 +278,6 @@ def epsilon_sweep(
     att: Attenuation,
     grid: PhaseGrid,
     eps_list: Sequence[float],
-    q: QuadratureConfig | None = None,
     cfg: IntegratorConfig | None = None,
     tol: float = 1e-10,
     max_iter: int | None = None,
@@ -296,11 +297,9 @@ def epsilon_sweep(
     eps = [float(e) for e in eps_list]
     if not eps or any(e <= 0.0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
         raise ValueError("eps_list must be strictly decreasing and positive")
-    q = q or QuadratureConfig()
-    u_ref_vals = interior_solution_grid(model, f, att, grid, q=q, t=0.0, cfg=cfg, workers=workers)
+    u_ref_vals = interior_solution_grid(model, f, att, grid, cfg=cfg, workers=workers)
     u_ref = GridFunction(grid, u_ref_vals)
-    mref = float(np.max(np.abs(u_ref_vals)))
-    floor_cut = 1e-12 * mref if mref > 0.0 else 1.0
+    floor_cut = _default_floor(u_ref_vals)
     norm_mask = np.abs(u_ref_vals) > floor_cut
 
     parts = operator_parts(grid, model, att)

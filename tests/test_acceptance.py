@@ -102,9 +102,9 @@ def test_criterion_3_closed_form_transforms():
 def test_criterion_4_transport_residual(demo_model, demo_field, unit_attenuation):
     """Residual of the characteristic solution decays at second order in the stencil step."""
     pts = random_phase_points(demo_model, 50, seed=404, r_lo=0.1, r_hi=0.85)
-    q = rt.QuadratureConfig(step=1e-3)
-    r_coarse = rt.oracle_residuals(demo_model, demo_field, unit_attenuation, 0.0, pts, 0.02, q)
-    r_fine = rt.oracle_residuals(demo_model, demo_field, unit_attenuation, 0.0, pts, 0.01, q)
+    cfg = rt.IntegratorConfig(step=1e-3)
+    r_coarse = rt.oracle_residuals(demo_model, demo_field, unit_attenuation, 0.0, pts, 0.02, cfg)
+    r_fine = rt.oracle_residuals(demo_model, demo_field, unit_attenuation, 0.0, pts, 0.01, cfg)
     ratio = float(np.linalg.norm(r_coarse) / np.linalg.norm(r_fine))
     ok = 3.0 <= ratio <= 5.0
     report("criterion 4 (transport derivation)", ok,
@@ -191,9 +191,9 @@ def test_criterion_9_dynamic_stationary_limit():
     grid = rt.build_grid(model, 16, 16, 8)
     mask = rt.classify_boundary(grid, model)
     idx = mask.outflow_idx
-    q = rt.QuadratureConfig()
+    cfg = rt.IntegratorConfig()
 
-    u_ref = rt.interior_solution_grid(model, f_static, att, grid, q=q)
+    u_ref = rt.interior_solution_grid(model, f_static, att, grid, cfg=cfg)
     system = rt.assemble(grid, model, f_static, att, 1e-3, u_ref)
     u_static, rep_static = rt.solve_static(system, tol=1e-10)
     static_err = float(np.linalg.norm(u_static.values - u_ref))
@@ -201,7 +201,7 @@ def test_criterion_9_dynamic_stationary_limit():
     def final_step(dt, t_final=2.5):
         n = int(round(t_final / dt))
         times = [s * dt for s in range(n + 1)]
-        table = rt.dynamic_boundary_table(model, f_dyn, att, grid.x[idx], grid.xi[idx], times, q)
+        table = rt.dynamic_boundary_table(model, f_dyn, att, grid.x[idx], grid.xi[idx], times, cfg)
         states, _ = rt.solve_dynamic(grid, model, f_dyn, att, 1e-3, dt, t_final, table, tol=1e-10)
         return states[-1].values
 

@@ -66,7 +66,7 @@ class TestConfigParsing:
         assert parse_config_text(cfg.to_text()) == cfg
         cfg2 = ExperimentConfig(
             command="sweep", epsilons=(1e-2, 1e-5), grid_i=12, grid_j=14, grid_k=6,
-            switch_on=True, max_iter=250, output_dir="elsewhere", quad_rule="midpoint")
+            switch_on=True, max_iter=250, output_dir="elsewhere", quad_step=5e-4)
         assert parse_config_text(cfg2.to_text()) == cfg2
 
 
@@ -115,7 +115,8 @@ class TestCliCommands:
         cfg.write_text("[run]\ncommand = fly\n")
         assert run(["run", str(cfg)]) == 2
 
-    @pytest.mark.parametrize("key,value", [("method", "foo"), ("preconditioner", "lu")])
+    @pytest.mark.parametrize("key,value", [("method", "foo"), ("preconditioner", "lu"),
+                                           ("max_iter", "0"), ("max_iter", "-3")])
     def test_bad_solver_choice_exits_2(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "s.cfg"
         cfg.write_text(
@@ -123,6 +124,18 @@ class TestCliCommands:
             "[grid]\ni = 6\nj = 6\nk = 4\n[solver]\nepsilon = 1e-3\n%s = %s\n" % (tmp_path, key, value))
         assert run(["run", str(cfg)]) == 2
         assert f"solver.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("quadrature", "rule", "midpoint"), ("integrator", "max_steps", "0"), ("integrator", "max_steps", "-5"),
+    ], ids=["rule-midpoint", "max_steps-0", "max_steps--5"])
+    def test_bad_march_value_exits_2(self, tmp_path, capsys, section, key, value):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(
+            "[run]\ncommand = sweep\noutput_dir = %s/out\n[grid]\ni = 6\nj = 6\nk = 4\n"
+            "[solver]\nepsilon = 1e-3\n[%s]\n%s = %s\n" % (tmp_path, section, key, value))
+        assert run(["run", str(cfg)]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_env_var_overrides_output(self, tmp_path, monkeypatch):
@@ -222,17 +235,24 @@ class TestExports:
 
 
 class TestConfigObjects:
-    def test_quadrature_validation(self):
-        with pytest.raises(ValueError):
-            rt.QuadratureConfig(rule="gauss")
-        with pytest.raises(ValueError):
-            rt.QuadratureConfig(step=0.0)
-
     def test_integrator_validation(self):
         with pytest.raises(ValueError):
             rt.IntegratorConfig(step=-1.0)
         with pytest.raises(ValueError):
+            rt.IntegratorConfig(step=0.0)
+        with pytest.raises(ValueError):
             rt.IntegratorConfig(boundary_tol=0.0)
+
+    @pytest.mark.parametrize("max_steps", [0, -5])
+    def test_integrator_rejects_max_steps_below_1(self, max_steps):
+        with pytest.raises(ValueError, match="max_steps"):
+            rt.IntegratorConfig(max_steps=max_steps)
+
+    def test_integrator_default_budget(self):
+        """Rays of metric length 20 fit the default cap; a given cap is kept."""
+        assert rt.IntegratorConfig().max_steps == 20000
+        assert rt.IntegratorConfig(step=2.5e-4).max_steps == 80000
+        assert rt.IntegratorConfig(step=2.5e-4, max_steps=7).max_steps == 7
 
     def test_attenuation_validation(self):
         with pytest.raises(ValueError):

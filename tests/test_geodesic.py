@@ -166,12 +166,12 @@ class TestOneEngine:
 
         h = 5e-3
         cfg = rt.IntegratorConfig(step=h)
-        q = rt.QuadratureConfig(step=2.0 * h)
+        oracle_cfg = rt.IntegratorConfig(step=2.0 * h)
         starts = [([0.3, -0.2], 1.1), ([0.0, 0.0], 0.4), ([-0.6, 0.5], 2.9), ([0.0, 1.0], -1.2)]
         for x, theta in starts:
             p = rt.angle_phase_point(demo_model, x, theta)
             tau = [
-                _march_backward(demo_model, demo_field, unit_attenuation, 0.0, p.x, xi, q, cfg,
+                _march_backward(demo_model, demo_field, unit_attenuation, 0.0, p.x, xi, oracle_cfg,
                                 dynamic=False).tau_minus[0]
                 for xi in (p.xi, -p.xi)
             ]

@@ -120,6 +120,13 @@ class TestSolveStatic:
         if rep.converged:
             assert rep.final_residual <= 1e-10
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_rejects_max_iter_below_1(self, small_setup, max_iter):
+        model, field, att, grid = small_setup
+        system = rt.assemble(grid, model, field, att, 1e-3, np.zeros(grid.size))
+        with pytest.raises(ValueError, match="max_iter"):
+            rt.solve_static(system, max_iter=max_iter)
+
     def test_nonnegative_solutions(self, small_setup):
         """Nonnegative source and data give solutions above -(solver tolerance)."""
         model, _, att, grid = small_setup

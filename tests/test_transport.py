@@ -142,17 +142,9 @@ class TestClosedForms:
 class TestAgainstReferenceOracle:
     def test_demo_configuration(self, demo_model, demo_field, unit_attenuation):
         p = rt.unit_phase_point(demo_model, [np.cos(0.3), np.sin(0.3)], [np.cos(-0.4), np.sin(-0.4)])
-        got = rt.ray_transform_static(demo_model, demo_field, unit_attenuation, p, rt.QuadratureConfig(step=1e-3))
+        got = rt.ray_transform_static(demo_model, demo_field, unit_attenuation, p, rt.IntegratorConfig(step=1e-3))
         ref = richardson_reference(demo_model, demo_field, unit_attenuation, p.x, p.xi, 4e-3)
         assert got == pytest.approx(ref, rel=1e-6)
-
-    def test_midpoint_rule_agrees(self, demo_model, demo_field, unit_attenuation):
-        p = rt.unit_phase_point(demo_model, [np.cos(2.0), np.sin(2.0)], [np.cos(1.4), np.sin(1.4)])
-        simpson = rt.ray_transform_static(
-            demo_model, demo_field, unit_attenuation, p, rt.QuadratureConfig("simpson", 1e-3))
-        midpoint = rt.ray_transform_static(
-            demo_model, demo_field, unit_attenuation, p, rt.QuadratureConfig("midpoint", 1e-4))
-        assert simpson == pytest.approx(midpoint, rel=1e-7)
 
 
 class TestDynamicTransform:
@@ -172,10 +164,10 @@ class TestDynamicTransform:
 
     def test_switch_on_at_zero(self, unit_model, demo_field, unit_attenuation):
         f = rt.with_switch_on(demo_field)
-        q = rt.QuadratureConfig(step=1e-3)
+        cfg = rt.IntegratorConfig(step=1e-3)
         p = rt.unit_phase_point(unit_model, [1.0, 0.0], [1.0, 0.0])
-        val = rt.ray_transform_dynamic(unit_model, f, unit_attenuation, 0.0, p, q)
-        assert abs(val) <= 2.0 * q.step
+        val = rt.ray_transform_dynamic(unit_model, f, unit_attenuation, 0.0, p, cfg)
+        assert abs(val) <= 2.0 * cfg.step
 
     def test_static_rejects_switched_field(self, unit_model, demo_field, unit_attenuation):
         f = rt.with_switch_on(demo_field)
@@ -285,6 +277,19 @@ class TestGridOracle:
         b = rt.interior_solution_grid(demo_model, demo_field, unit_attenuation, grid, workers=2)
         assert np.array_equal(a, b)
 
+    def test_marches_at_the_config_step(self, demo_model, demo_field, unit_attenuation, monkeypatch):
+        steps = []
+
+        def recording_march(model, x0, v0, step, *args, **kwargs):
+            steps.append(step)
+            return march(model, x0, v0, step, *args, **kwargs)
+
+        monkeypatch.setattr(transport, "march", recording_march)
+        grid = rt.build_grid(demo_model, 4, 4, 3)
+        rt.interior_solution_grid(demo_model, demo_field, unit_attenuation, grid,
+                                  cfg=rt.IntegratorConfig(step=2e-2))
+        assert steps == [2e-2]
+
     def test_fourth_order_in_the_quadrature_step(self, demo_model, demo_field, unit_attenuation):
         """RK4 rays with Simpson quadrature: the observed order between steps h, h/2, h/4 is 4.
 
@@ -295,7 +300,7 @@ class TestGridOracle:
         nodes = np.sort(np.random.default_rng(0).choice(grid.size, 20, replace=False))
         sample = types.SimpleNamespace(x=grid.x[nodes], xi=grid.xi[nodes])
         u = [rt.interior_solution_grid(demo_model, demo_field, unit_attenuation, sample,
-                                       rt.QuadratureConfig(step=h)) for h in (1.6e-2, 8e-3, 4e-3)]
+                                       rt.IntegratorConfig(step=h)) for h in (1.6e-2, 8e-3, 4e-3)]
         coarse, fine = np.max(np.abs(u[0] - u[1])), np.max(np.abs(u[1] - u[2]))
         assert 3.5 <= np.log2(coarse / fine) <= 4.5
 
@@ -308,7 +313,7 @@ class TestGridOracle:
         nodes = np.sort(np.random.default_rng(1).choice(grid.size, 30, replace=False))
         sample = types.SimpleNamespace(x=grid.x[nodes], xi=grid.xi[nodes])
         committed, fine = (rt.interior_solution_grid(demo_model, demo_field, unit_attenuation, sample,
-                                                     rt.QuadratureConfig(step=h)) for h in (1e-3, 2.5e-4))
+                                                     rt.IntegratorConfig(step=h)) for h in (1e-3, 2.5e-4))
         assert np.max(np.abs(committed - fine)) <= 1e-12 * np.max(np.abs(fine))
 
 
@@ -331,17 +336,17 @@ class TestDynamicBoundaryTable:
         jump over one interval.  0.3004 is not a multiple of the step.
         """
         f = rt.with_switch_on(demo_field)
-        q = rt.QuadratureConfig(step=1e-3)
+        cfg = rt.IntegratorConfig(step=1e-3)
         angles = np.array([0.0, 1.0, 2.5])
         x = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         xi = np.stack([np.cos(angles - 0.4), np.sin(angles - 0.4)], axis=-1)
         times = [0.3, 0.3004, 0.9, 2.2]
-        table = rt.dynamic_boundary_table(unit_model, f, unit_attenuation, x, xi, times, q)
+        table = rt.dynamic_boundary_table(unit_model, f, unit_attenuation, x, xi, times, cfg)
         for r, t in enumerate(times):
             for c in range(x.shape[0]):
                 p = rt.PhaseSpacePoint(x[c], xi[c] / float(unit_model.n(x[c])))
-                direct = rt.ray_transform_dynamic(unit_model, f, unit_attenuation, t, p, q)
-                assert table[r, c] == pytest.approx(direct, abs=2 * q.step)
+                direct = rt.ray_transform_dynamic(unit_model, f, unit_attenuation, t, p, cfg)
+                assert table[r, c] == pytest.approx(direct, abs=2 * cfg.step)
 
     def test_switch_on_time_dependent_rows_are_direct(self, unit_model, demo_field, unit_attenuation):
         """A field that is both time-dependent and switched on: every row is the
@@ -349,16 +354,16 @@ class TestDynamicBoundaryTable:
         f = rt.with_switch_on(dataclasses.replace(
             demo_field, components={i: partial(_ramped, c) for i, c in demo_field.components.items()},
             time_dependent=True))
-        q = rt.QuadratureConfig(step=1e-3)
+        cfg = rt.IntegratorConfig(step=1e-3)
         angles = np.array([0.0, 1.0, 2.5])
         x = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         xi = np.stack([np.cos(angles - 0.4), np.sin(angles - 0.4)], axis=-1)
         times = [0.0, 0.3, 0.3004, 2.2]
-        table = rt.dynamic_boundary_table(unit_model, f, unit_attenuation, x, xi, times, q)
+        table = rt.dynamic_boundary_table(unit_model, f, unit_attenuation, x, xi, times, cfg)
         for r, t in enumerate(times):
             for c in range(x.shape[0]):
                 p = rt.PhaseSpacePoint(x[c], xi[c])
-                assert table[r, c] == rt.ray_transform_dynamic(unit_model, f, unit_attenuation, t, p, q)
+                assert table[r, c] == rt.ray_transform_dynamic(unit_model, f, unit_attenuation, t, p, cfg)
 
     @pytest.mark.parametrize("kind", ["static", "switch_on", "time_dependent"])
     def test_one_march_per_table(self, unit_model, demo_field, unit_attenuation, monkeypatch, kind):
@@ -378,7 +383,7 @@ class TestDynamicBoundaryTable:
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         xi = np.array([[np.cos(0.5), np.sin(0.5)], [np.cos(1.2), np.sin(1.2)]])
         table = rt.dynamic_boundary_table(unit_model, f, unit_attenuation, x, xi, [0.0, 0.5, 1.0],
-                                          rt.QuadratureConfig(step=1e-2))
+                                          rt.IntegratorConfig(step=1e-2))
         assert table.shape == (3, 2)
         assert len(calls) == 1
 
@@ -413,8 +418,8 @@ class TestDynamicBoundaryTable:
         x = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         xi = np.stack([np.cos(angles + tilts), np.sin(angles + tilts)], axis=-1)
         times = [0.0, 0.5, 1.25]
-        q = rt.QuadratureConfig(step=1e-3)
-        table = rt.dynamic_boundary_table(unit_model, f, att, x, xi, times, q)
+        cfg = rt.IntegratorConfig(step=1e-3)
+        table = rt.dynamic_boundary_table(unit_model, f, att, x, xi, times, cfg)
         length = 2.0 * np.cos(tilts)
         decay = np.exp(-a * length)
         for r, t in enumerate(times):
@@ -422,7 +427,7 @@ class TestDynamicBoundaryTable:
             assert_allclose(table[r], closed, rtol=1e-9)
             for c in range(x.shape[0]):
                 p = rt.PhaseSpacePoint(x[c], xi[c])
-                assert table[r, c] == rt.ray_transform_dynamic(unit_model, f, att, t, p, q)
+                assert table[r, c] == rt.ray_transform_dynamic(unit_model, f, att, t, p, cfg)
 
     def test_all_inflow_states(self, unit_model, demo_field, unit_attenuation):
         f = rt.with_switch_on(demo_field)
@@ -445,8 +450,8 @@ class TestDynamicBoundaryTable:
         angles = np.array([0.0, 1.0, 2.5])
         x = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         xi = np.stack([np.cos(angles - 0.4), np.sin(angles - 0.4)], axis=-1)
-        q = rt.QuadratureConfig(step=1e-2)
-        table = rt.dynamic_boundary_table(unit_model, f, unit_attenuation, x, xi, [], q)
+        cfg = rt.IntegratorConfig(step=1e-2)
+        table = rt.dynamic_boundary_table(unit_model, f, unit_attenuation, x, xi, [], cfg)
         assert table.shape == (0, 3)
         assert table.dtype == float
         assert not marches
@@ -488,23 +493,23 @@ class TestResidual:
         assert res == pytest.approx(1.0, abs=1e-12)
 
     def test_scalar_matches_batched(self, demo_model, demo_field, unit_attenuation):
-        q = rt.QuadratureConfig(step=2e-3)
+        cfg = rt.IntegratorConfig(step=2e-3)
         p = rt.angle_phase_point(demo_model, [0.3, -0.2], 1.1)
 
         def u(t, pp):
-            return rt.interior_solution(demo_model, demo_field, unit_attenuation, t, pp, q)
+            return rt.interior_solution(demo_model, demo_field, unit_attenuation, t, pp, cfg)
 
         scalar = rt.transport_residual(demo_model, demo_field, unit_attenuation, u, 0.0, p, 0.02)
-        batched = rt.oracle_residuals(demo_model, demo_field, unit_attenuation, 0.0, [p], 0.02, q)[0]
+        batched = rt.oracle_residuals(demo_model, demo_field, unit_attenuation, 0.0, [p], 0.02, cfg)[0]
         assert scalar == pytest.approx(batched, abs=1e-14)
 
     def test_oracle_residual_second_order(self, demo_model, demo_field, unit_attenuation):
         from conftest import random_phase_points
 
         pts = random_phase_points(demo_model, 10, seed=2)
-        q = rt.QuadratureConfig(step=1e-3)
-        r1 = rt.oracle_residuals(demo_model, demo_field, unit_attenuation, 0.0, pts, 0.02, q)
-        r2 = rt.oracle_residuals(demo_model, demo_field, unit_attenuation, 0.0, pts, 0.01, q)
+        cfg = rt.IntegratorConfig(step=1e-3)
+        r1 = rt.oracle_residuals(demo_model, demo_field, unit_attenuation, 0.0, pts, 0.02, cfg)
+        r2 = rt.oracle_residuals(demo_model, demo_field, unit_attenuation, 0.0, pts, 0.01, cfg)
         ratio = np.linalg.norm(r1) / np.linalg.norm(r2)
         assert 3.0 <= ratio <= 5.0
 

@@ -186,6 +186,3 @@ class TestEpsilonSweep:
             rt.epsilon_sweep(model, field, att, grid, [1e-6, 1e-3])
         with pytest.raises(ValueError):
             rt.epsilon_sweep(model, field, att, grid, [])
-        with pytest.raises(ValueError):
-            rt.SweepResult(epsilons=(1e-3, 1e-3), l2=(0, 0), linf=(0, 0), reports=[],
-                           error_fields=[], solutions=[], u_ref=None, floor_cut=1.0)
