@@ -16,8 +16,10 @@ field on (4, 5, 6) (even ranks, whose moments keep their sign under the
 march's reversed velocity), three
 ``dynamic_boundary_table`` runs (a switch-on field, a time-dependent one and
 one that is both, each at times on and off the quadrature step, every table
-one march with a column per time), the ``trace`` paths of three states and
-``oracle_residuals`` at three points.  Exits 1 if any hash differs.
+one march with a column per time), ``interior_solution_grid`` of the
+switch-on field at t = 0.3 on (10, 10, 8), the ``trace`` paths of three
+states and ``oracle_residuals`` of the switch-on field at three points.
+Exits 1 if any hash differs.
 
 Every differing entry is printed with its max relative change: for each
 float array and sparse matrix of the entry, max |new - old| / max |old|,
@@ -191,6 +193,8 @@ def dump_oracle(media: dict, att, field) -> dict:
         out[("switch-on time-dependent table", name)] = Digest(rt.dynamic_boundary_table(
             model, rt.with_switch_on(ramped), att, grid.x[idx], grid.xi[idx], [0.0, 0.3, 0.304, 0.55],
             coarse))
+        out[("switch-on oracle", name, (10, 10, 8))] = Digest(rt.interior_solution_grid(
+            model, rt.with_switch_on(field), att, grid, coarse, t=0.3))
         for x, theta in TRACE_STATES:
             path = rt.trace(model, rt.angle_phase_point(model, x, theta), rt.IntegratorConfig(step=5e-3))
             out[("trace", name, tuple(x), theta)] = (

@@ -53,7 +53,7 @@ _SCHEMA = {
     },
     "integrator": {
         "step": ("int_step", "float"),
-        "max_steps": ("max_steps", "int"),
+        "max_steps": ("max_steps", "optint"),
         "boundary_tol": ("boundary_tol", "float"),
     },
     "solver": {
@@ -95,7 +95,7 @@ class ExperimentConfig:
     quad_rule: str = "simpson"
     quad_step: float = 1e-3
     int_step: float = 1e-3
-    max_steps: int = 20000
+    max_steps: int | None = None  # None: the march's default, max(20000, 20 / step)
     boundary_tol: float = 1e-10
     epsilons: tuple[float, ...] = (1e-3,)
     tol: float = 1e-10
@@ -222,7 +222,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for where, value in positives.items():
         if not value > 0.0:
             bad(where, "must be positive")
-    if cfg.max_steps < 1:
+    if cfg.max_steps is not None and cfg.max_steps < 1:
         bad("integrator.max_steps", "must be at least 1")
     if cfg.max_iter is not None and cfg.max_iter < 1:
         bad("solver.max_iter", "must be at least 1")

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -102,31 +101,6 @@ def symmetric_part(a: sp.spmatrix) -> sp.csr_matrix:
     return (0.5 * (a + a.T)).tocsr()
 
 
-def _boundary_values(boundary_data, mask: BoundaryMask, size: int) -> np.ndarray:
-    """Normalize outflow data to a full-length vector (zeros elsewhere)."""
-    out = np.zeros(size)
-    if isinstance(boundary_data, Mapping):
-        missing = [int(i) for i in mask.outflow_idx if int(i) not in boundary_data]
-        if missing:
-            raise AssemblyError(
-                f"boundary data missing for {len(missing)} outflow nodes (first: {missing[:3]})"
-            )
-        for i in mask.outflow_idx:
-            out[i] = float(boundary_data[int(i)])
-        return out
-    data = np.asarray(boundary_data, dtype=float)
-    if data.shape == (size,):
-        out[mask.outflow_idx] = data[mask.outflow_idx]
-        return out
-    if data.shape == (mask.outflow_idx.size,):
-        out[mask.outflow_idx] = data
-        return out
-    raise AssemblyError(
-        f"boundary data shape {data.shape} matches neither the grid ({size},) "
-        f"nor the outflow set ({mask.outflow_idx.size},)"
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorParts:
     """Interior blocks and ring couplings of H + alpha I and of the Laplacian (None if eps = 0 only)."""
@@ -145,8 +119,7 @@ def operator_parts(
 ) -> OperatorParts:
     """Build H + alpha I and, if ``viscous``, the Laplacian, each cut into its two blocks."""
     n = grid.n_interior
-    alpha = np.asarray(att.alpha(grid.x, grid.xi), dtype=float)
-    t = h_matrix(grid, model) + sp.diags(alpha)
+    t = h_matrix(grid, model) + sp.diags(np.full(grid.size, att.alpha0))
     if not viscous:
         return OperatorParts(t[:n, :n], t[:n, n:])
     lap = laplace_matrix(grid, model)
@@ -175,14 +148,17 @@ def assemble(
 ) -> LinearSystem:
     """Assemble the stationary system with pinned boundary ring.
 
-    ``boundary_data`` covers the outflow nodes: a mapping from linear node
-    index to value, a full-grid array, or an array in outflow-index order.
+    ``boundary_data`` is a full-grid array, read only at the outflow nodes.
     ``parts`` are the operator's eps-free parts when already built (an eps
     sweep builds them once); they must come from the same grid, model and
     attenuation.
     """
+    data = np.asarray(boundary_data, dtype=float)
+    if data.shape != (grid.size,):
+        raise AssemblyError(f"boundary data shape {data.shape} != grid ({grid.size},)")
     mask = classify_boundary(grid, model)
-    ub = _boundary_values(boundary_data, mask, grid.size)
+    ub = np.zeros(grid.size)
+    ub[mask.outflow_idx] = data[mask.outflow_idx]
 
     parts = parts or operator_parts(grid, model, att, viscous=epsilon > 0.0)
     interior, coupling = interior_operator(parts, epsilon)

@@ -31,7 +31,12 @@ factors, which carry the sign (-1)^m of the moment read at the reversed
 direction, are one float per interval; only the stubs hold them per ray.
 Ray geometry does not depend on t, so many time levels are one march too:
 the running integral carries one column per time, while absorption and the
-ray states are shared by all columns.
+ray states are shared by all columns.  The field decides how it is read: a
+time-dependent one at t + tau per column, any other once per state, and a
+switch-on field, which vanishes before t = 0, without its cut-off but with
+each interval's increment weighted by the share of the interval that lies
+within parameter length t of the start, so its integral is interpolated
+linearly between interval ends at every entry point alike.
 Single-state operations are the batch of one, and the residual of a
 user-supplied function is evaluated on the same stencil as the residual of
 the oracle, so every public entry point exercises the same arithmetic.
@@ -40,7 +45,7 @@ the oracle, so every public entry point exercises the same arithmetic.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -61,10 +66,6 @@ class Attenuation:
     def __post_init__(self):
         if not self.alpha0 > 0.0:
             raise ValueError("alpha0 must be positive")
-
-    def alpha(self, x, xi) -> np.ndarray:
-        """alpha0 at every state: an array of the leading shape of x."""
-        return np.full(np.asarray(x).shape[:-1], self.alpha0)
 
 
 def constant_attenuation(a: float) -> Attenuation:
@@ -100,8 +101,7 @@ def _march_backward(
     t,
     x0: np.ndarray,
     xi0: np.ndarray,
-    cfg: IntegratorConfig | None,
-    dynamic: bool,
+    cfg: IntegratorConfig | None = None,
 ) -> MarchResult:
     """Integrate backward along the rays from (x0, xi0), one running integral per time.
 
@@ -111,13 +111,13 @@ def _march_backward(
     ``t`` broadcasts to (n_rays, n_times): a scalar, a column of one time per
     ray or a row of times shared by every ray.  Column j of the values is the
     integral at time t[:, j]; absorption and the ray states do not depend on
-    t, so every column is carried by the same march.  With ``dynamic`` the
-    field is read at t - s, s >= 0 the backward parameter, elementwise per
-    column.  Without it the field is read once per state; a switch-on field
-    then weights each interval's increment, starting at s, by
-    clip((t - s) / step, 0, 1), which interpolates the partial integral over
-    the most recent stretch of ray of parameter length t linearly between
-    interval ends.
+    t, so every column is carried by the same march.  A time-dependent field
+    is read at t - s, s >= 0 the backward parameter, elementwise per column;
+    any other field once per state.  A switch-on field is read without its
+    cut-off, and each interval's increment, the interval starting at s and of
+    length h, is weighted by clip((t - s) / h, 0, 1), the share of it inside
+    the most recent stretch of ray of parameter length t: the partial
+    integral is interpolated linearly between interval ends.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     xi0 = np.atleast_2d(np.asarray(xi0, dtype=float))
@@ -125,7 +125,8 @@ def _march_backward(
     cfg = cfg or IntegratorConfig()
     step = float(cfg.step)
     t = np.atleast_2d(np.asarray(t, dtype=float))
-    switched = f.switch_on and not dynamic
+    switched = f.switch_on
+    f = replace(f, switch_on=False) if switched else f  # the weights make the cut-off
     a = att.alpha0
     # the march runs backward: the moment at the forward direction -v is (-1)^m times that at v
     sign = -1.0 if f.rank % 2 else 1.0
@@ -135,8 +136,8 @@ def _march_backward(
         return t[rays] if t.shape[0] > 1 else t
 
     def source_at(rays, s, x, xi):
-        """The moment at each state as (n, n_times), or as (n, 1) if not dynamic."""
-        if dynamic:
+        """The moment at each state as (n, n_times), or as (n, 1) if not time-dependent."""
+        if f.time_dependent:
             return np.asarray(moment(f, t_at(rays) - s, x[:, None], xi[:, None]), dtype=float)
         return np.asarray(moment(f, 0.0, x, xi), dtype=float)[:, None]
 
@@ -152,7 +153,7 @@ def _march_backward(
         ge = source_at(rays, s + h, xe, ve) * (sign * np.exp(-Ae))
         dI = (h / 6.0) * (g + 4.0 * gm + ge)
         if switched:
-            w = np.clip((t_at(rays) - s) / step, 0.0, 1.0)
+            w = np.clip((t_at(rays) - s) / h, 0.0, 1.0)
             if not w.any():
                 return Ae, I, ge
             dI = dI * w
@@ -195,10 +196,9 @@ def _require_outflow(p: PhaseSpacePoint):
         raise ValueError("not an outflow boundary state: <xi, nu> < 0")
 
 
-def _value_at(model, f, att, t, p, cfg, dynamic) -> float:
-    """The backward integral from the single state p at time t."""
-    res = _march_backward(model, f, att, t, p.x, p.xi, cfg, dynamic)
-    return float(res.values[0, 0])
+def _values(model, f, att, t, x, xi, cfg) -> np.ndarray:
+    """The backward integral from each state (x, xi) at time t, one value per state."""
+    return _march_backward(model, f, att, t, x, xi, cfg).values[:, 0]
 
 
 def ray_transform_static(
@@ -211,7 +211,7 @@ def ray_transform_static(
     """Attenuated transform of a time-independent field at an outflow state."""
     _require_static(f)
     _require_outflow(p)
-    return _value_at(model, f, att, 0.0, p, cfg, dynamic=False)
+    return float(_values(model, f, att, 0.0, p.x, p.xi, cfg)[0])
 
 
 def ray_transform_dynamic(
@@ -224,7 +224,7 @@ def ray_transform_dynamic(
 ) -> float:
     """Dynamic transform: the field is read at time t + tau along the ray."""
     _require_outflow(p)
-    return _value_at(model, f, att, float(t), p, cfg, dynamic=True)
+    return float(_values(model, f, att, float(t), p.x, p.xi, cfg)[0])
 
 
 def interior_solution(
@@ -243,11 +243,7 @@ def interior_solution(
     r = float(np.linalg.norm(p.x))
     if r > 1.0:
         raise ValueError(f"point is not inside the ball: |x| = {r:.6g}")
-    return _value_at(model, f, att, float(t), p, cfg, dynamic=True)
-
-
-def _chunk_eval(model, f, att, t, x, xi, cfg, dynamic):
-    return _march_backward(model, f, att, t, x, xi, cfg, dynamic=dynamic).values[:, 0]
+    return float(_values(model, f, att, float(t), p.x, p.xi, cfg)[0])
 
 
 def interior_solution_grid(
@@ -266,16 +262,15 @@ def interior_solution_grid(
     processes and reassembled in chunk order, so the result does not depend
     on the worker count.
     """
-    dynamic = f.is_dynamic
     x, xi = grid.x, grid.xi
     if workers <= 1:
-        return _chunk_eval(model, f, att, t, x, xi, cfg, dynamic)
+        return _values(model, f, att, t, x, xi, cfg)
     bounds = np.linspace(0, x.shape[0], workers + 1).astype(int)
     jobs = [(x[a:b], xi[a:b]) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(
             pool.map(
-                partial(_chunk_eval, model, f, att, t, cfg=cfg, dynamic=dynamic),
+                partial(_values, model, f, att, t, cfg=cfg),
                 [j[0] for j in jobs],
                 [j[1] for j in jobs],
             )
@@ -296,19 +291,17 @@ def dynamic_boundary_table(
 
     Returns an array of shape (len(times), n_states) from a single march,
     each time a column of its carry, or from none when there are no times.
-    A time-dependent field is read at t + tau in each column.  Without time
-    dependence a field without a switch-on gives the same transform at
-    every t, and with one the value at time t is the integral over the most
-    recent stretch of ray of parameter length t, interpolated linearly
-    between quadrature interval ends.
+    A time-dependent field is read at t + tau in each column, and a switch-on
+    field integrates over the most recent stretch of ray of parameter length
+    t, as at every entry point; a field with neither gives the same
+    transform at every t.
     """
     times = np.asarray(list(times), dtype=float)
     if not times.size:
         return np.zeros((0, len(x)))
     if np.any(times < 0.0):
         raise ValueError("times must be nonnegative")
-    res = _march_backward(model, f, att, times, x, xi, cfg, dynamic=f.time_dependent)
-    return res.values.T
+    return _march_backward(model, f, att, times, x, xi, cfg).values.T
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +355,8 @@ def _residual_combine(model, f, att, t: float, points, fd_step: float, vals: np.
     du_dth = (vals[:, 5] - vals[:, 6]) / width
     h_u = xi[:, 0] * du_dx1 + xi[:, 1] * du_dx2 + turn_rate(model, x, xi) * du_dth
     dt_u = (vals[:, 7] - vals[:, 8]) / width if vals.shape[1] > 7 else 0.0
-    alpha = np.asarray(att.alpha(x, xi), dtype=float)
     src = np.asarray(moment(f, t, x, xi), dtype=float)
-    return dt_u + h_u + alpha * vals[:, 0] - src
+    return dt_u + h_u + att.alpha0 * vals[:, 0] - src
 
 
 def transport_residual(
@@ -412,5 +404,5 @@ def oracle_residuals(
     times = np.array([tt for tt, _ in stencil])
     xs = np.array([pp.x for _, pp in stencil])
     xis = np.array([pp.xi for _, pp in stencil])
-    vals = _march_backward(model, f, att, times[:, None], xs, xis, cfg, dynamic=True).values[:, 0]
+    vals = _values(model, f, att, times[:, None], xs, xis, cfg)
     return _residual_combine(model, f, att, float(t), points, fd_step, vals.reshape(len(points), -1))

@@ -171,8 +171,8 @@ class TestOneEngine:
         for x, theta in starts:
             p = rt.angle_phase_point(demo_model, x, theta)
             tau = [
-                _march_backward(demo_model, demo_field, unit_attenuation, 0.0, p.x, xi, oracle_cfg,
-                                dynamic=False).tau_minus[0]
+                _march_backward(demo_model, demo_field, unit_attenuation, 0.0, p.x, xi,
+                                oracle_cfg).tau_minus[0]
                 for xi in (p.xi, -p.xi)
             ]
             assert rt.tau_bounds(demo_model, p, cfg) == (tau[0], -tau[1])

@@ -43,7 +43,7 @@ class TestAssemble:
     def test_dirichlet_rows_identity(self, small_setup):
         model, field, att, grid = small_setup
         mask = rt.classify_boundary(grid, model)
-        data = {int(i): 0.5 for i in mask.outflow_idx}
+        data = np.full(grid.size, 0.5)
         system = rt.assemble(grid, model, field, att, 1e-3, data)
         ring = grid.boundary_indices
         for i in ring[::7]:
@@ -52,10 +52,12 @@ class TestAssemble:
         assert_allclose(system.rhs[mask.outflow_idx], 0.5)
         assert_allclose(system.rhs[mask.inflow_idx], 0.0)
 
-    def test_missing_boundary_data(self, small_setup):
+    def test_boundary_data_shape(self, small_setup):
+        """Boundary data is a full-grid array; an outflow-length one is rejected."""
         model, field, att, grid = small_setup
-        with pytest.raises(AssemblyError):
-            rt.assemble(grid, model, field, att, 1e-3, {0: 1.0})
+        outflow = rt.classify_boundary(grid, model).outflow_idx
+        with pytest.raises(AssemblyError, match="shape"):
+            rt.assemble(grid, model, field, att, 1e-3, np.zeros(outflow.size))
 
     @pytest.mark.parametrize("spec, shape", [("paper4", (4, 5, 6)), ("affine:2,0.3,0.2", (7, 9, 4))])
     @pytest.mark.parametrize("eps", [1e-3, 0.0])
@@ -64,7 +66,7 @@ class TestAssemble:
         model = rt.parse_model(spec)
         grid = rt.build_grid(model, *shape)
         att = rt.constant_attenuation(1.0)
-        full = pg.h_matrix(grid, model) + sp.diags(np.asarray(att.alpha(grid.x, grid.xi), dtype=float))
+        full = pg.h_matrix(grid, model) + sp.diags(np.full(grid.size, att.alpha0))
         if eps > 0.0:
             full = full - eps * pg.laplace_matrix(grid, model)
         full = full.tocsr()

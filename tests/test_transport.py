@@ -51,9 +51,6 @@ def reference_transform(model, f, att, x, xi, step):
     def mom(x1, x2, v1, v2):
         return float(moment(f, 0.0, np.array([x1, x2]), np.array([-v1, -v2])))
 
-    def alp(x1, x2, v1, v2):
-        return float(np.asarray(att.alpha(np.array([[x1, x2]]), np.array([[-v1, -v2]])))[0])
-
     total = 0.0
     absorbed = 0.0
     while True:
@@ -70,12 +67,12 @@ def reference_transform(model, f, att, x, xi, step):
                     lo = mid
             ds = hi
             xm, ym, vm, wm = rk(x1, x2, v1, v2, ds / 2)
-            a_mid = absorbed + ds / 2 * alp(xm, ym, vm, wm)
+            a_mid = absorbed + ds / 2 * att.alpha0
             total += ds * mom(xm, ym, vm, wm) * math.exp(-a_mid)
             return total
-        a_mid = absorbed + step / 2 * alp(xm, ym, vm, wm)
+        a_mid = absorbed + step / 2 * att.alpha0
         total += step * mom(xm, ym, vm, wm) * math.exp(-a_mid)
-        absorbed += step * alp(xm, ym, vm, wm)
+        absorbed += step * att.alpha0
         x1, x2, v1, v2 = xe, ye, ve, we
 
 
@@ -329,12 +326,9 @@ def _ramped(component, t, x):
 class TestDynamicBoundaryTable:
     def test_switch_on_table_matches_direct(self, unit_model, demo_field, unit_attenuation):
         """The switch-on table, each interval's increment weighted by the share
-        of it that lies within parameter length t, agrees with per-time marches.
-
-        Tolerance is step-proportional: the switch cutoff lands inside a
-        quadrature interval of the direct march, which smears the integrand
-        jump over one interval.  0.3004 is not a multiple of the step.
-        """
+        of it that lies within parameter length t, equals the per-time marches
+        bit for bit: every entry point applies the same weights.  0.3004 is not
+        a multiple of the step."""
         f = rt.with_switch_on(demo_field)
         cfg = rt.IntegratorConfig(step=1e-3)
         angles = np.array([0.0, 1.0, 2.5])
@@ -345,8 +339,40 @@ class TestDynamicBoundaryTable:
         for r, t in enumerate(times):
             for c in range(x.shape[0]):
                 p = rt.PhaseSpacePoint(x[c], xi[c] / float(unit_model.n(x[c])))
-                direct = rt.ray_transform_dynamic(unit_model, f, unit_attenuation, t, p, cfg)
-                assert table[r, c] == pytest.approx(direct, abs=2 * cfg.step)
+                assert table[r, c] == rt.ray_transform_dynamic(unit_model, f, unit_attenuation, t, p, cfg)
+
+    def test_switch_on_grid_matches_table(self, demo_model, demo_field, unit_attenuation):
+        """The grid oracle of a switched field at t = 0.3 is the table on the outflow ring."""
+        f = rt.with_switch_on(demo_field)
+        cfg = rt.IntegratorConfig(step=1e-2)
+        grid = rt.build_grid(demo_model, 10, 10, 8)
+        idx = rt.classify_boundary(grid, demo_model).outflow_idx
+        vals = rt.interior_solution_grid(demo_model, f, unit_attenuation, grid, cfg, t=0.3)
+        table = rt.dynamic_boundary_table(demo_model, f, unit_attenuation, grid.x[idx], grid.xi[idx],
+                                          [0.3], cfg)
+        assert np.array_equal(vals[idx], table[0])
+
+    def test_switch_on_closed_form(self, unit_model):
+        """A switched-on constant source in the unit medium: the value at time t
+        is (1 - exp(-a min(t, L))) / a, L = 2 cos(tilt) the chord length, to
+        the weights' second-order error, at every entry point."""
+        a = 0.7
+        att = rt.constant_attenuation(a)
+        f = rt.with_switch_on(rt.constant_scalar_field(1.0))
+        angles = np.array([0.0, 1.0, 2.5])
+        tilts = np.array([0.0, 0.4, -1.1])
+        x = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        xi = np.stack([np.cos(angles + tilts), np.sin(angles + tilts)], axis=-1)
+        length = 2.0 * np.cos(tilts)
+        times = [0.0, 0.3, 0.3004, 0.955, 1.7, 2.5]
+        cfg = rt.IntegratorConfig(step=1e-2)
+        table = rt.dynamic_boundary_table(unit_model, f, att, x, xi, times, cfg)
+        for r, t in enumerate(times):
+            closed = (1.0 - np.exp(-a * np.minimum(t, length))) / a
+            assert np.max(np.abs(table[r] - closed)) <= 1e-4
+            for c in range(x.shape[0]):
+                p = rt.PhaseSpacePoint(x[c], xi[c])
+                assert abs(rt.ray_transform_dynamic(unit_model, f, att, t, p, cfg) - closed[c]) <= 1e-4
 
     def test_switch_on_time_dependent_rows_are_direct(self, unit_model, demo_field, unit_attenuation):
         """A field that is both time-dependent and switched on: every row is the
@@ -388,14 +414,22 @@ class TestDynamicBoundaryTable:
         assert len(calls) == 1
 
     def test_switch_on_table_saturates_to_static(self, unit_model, demo_field, unit_attenuation):
-        """Past the travel time the partial integral equals the static transform."""
+        """Once t reaches the ray length L = 2 cos(tilt) the whole ray counts: a
+        row at t in [L, L + step) or past it is the static transform, the exit
+        stub weighted by the share of its own length."""
         f = rt.with_switch_on(demo_field)
-        x = np.array([[np.cos(1.0), np.sin(1.0)]])
-        xi = np.array([[np.cos(0.6), np.sin(0.6)]])
-        table = rt.dynamic_boundary_table(unit_model, f, unit_attenuation, x, xi, [2.5])
-        p = rt.PhaseSpacePoint(x[0], xi[0])
-        static = rt.ray_transform_static(unit_model, demo_field, unit_attenuation, p)
-        assert table[0, 0] == pytest.approx(static, rel=1e-10)
+        cfg = rt.IntegratorConfig(step=1e-2)
+        angles = np.array([0.0, 1.0, 2.5])
+        tilts = np.array([0.0, 0.4, -1.1])
+        x = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        xi = np.stack([np.cos(angles + tilts), np.sin(angles + tilts)], axis=-1)
+        for c, length in enumerate(2.0 * np.cos(tilts)):
+            times = [length + 0.25 * cfg.step, length + 0.75 * cfg.step, 2.5]
+            table = rt.dynamic_boundary_table(unit_model, f, unit_attenuation, x[c:c + 1], xi[c:c + 1],
+                                              times, cfg)
+            p = rt.PhaseSpacePoint(x[c], xi[c])
+            static = rt.ray_transform_static(unit_model, demo_field, unit_attenuation, p, cfg)
+            assert table[0, 0] == table[1, 0] == table[2, 0] == static
 
     def test_static_field_rows_constant(self, unit_model, demo_field, unit_attenuation):
         x = np.array([[1.0, 0.0]])
@@ -512,6 +546,17 @@ class TestResidual:
         r2 = rt.oracle_residuals(demo_model, demo_field, unit_attenuation, 0.0, pts, 0.01, cfg)
         ratio = np.linalg.norm(r1) / np.linalg.norm(r2)
         assert 3.0 <= ratio <= 5.0
+
+    @pytest.mark.parametrize("spec", ["paper4", "affine:2,0.3,0.2", "constant:1.0"])
+    def test_switch_on_residuals_small(self, spec, demo_field, unit_attenuation):
+        """The switched-on oracle solves the transport equation: its residual at
+        t = 0.4 is small, also where the stencil straddles the switch-on."""
+        model = rt.parse_model(spec)
+        f = rt.with_switch_on(demo_field)
+        points = [rt.angle_phase_point(model, x, theta)
+                  for x, theta in [([0.3, -0.2], 1.1), ([0.0, 0.0], 0.4), ([-0.6, 0.5], 2.9)]]
+        res = rt.oracle_residuals(model, f, unit_attenuation, 0.4, points, 1e-3, rt.IntegratorConfig(step=1e-2))
+        assert np.max(np.abs(res)) <= 1e-4
 
     def test_stencil_near_boundary(self, demo_model, demo_field, unit_attenuation):
         p = rt.angle_phase_point(demo_model, [0.995, 0.0], 2.0)
