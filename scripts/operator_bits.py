@@ -18,7 +18,9 @@ march's reversed velocity), three
 one that is both, each at times on and off the quadrature step, every table
 one march with a column per time), ``interior_solution_grid`` of the
 switch-on field at t = 0.3 on (10, 10, 8), the ``trace`` paths of three
-states and ``oracle_residuals`` of the switch-on field at three points.
+states, ``oracle_residuals`` of the switch-on field at those three states,
+and ``interior_solution`` at them and at two outflow states of the
+(10, 10, 8) ring, once static and once switched on at t = 0.3.
 Exits 1 if any hash differs.
 
 Every differing entry is printed with its max relative change: for each
@@ -121,9 +123,8 @@ def dump() -> dict:
                     out[("static", kind, name, shape, eps)] = (
                         Digest(sol.values), rep.final_residual.hex(), rep.iterations, rep.method)
                     out[("spilu", "static", kind, name, shape, eps)] = tuple(spilu_inputs)
-            # the order the ILU factors the transport block in; a tree without one records None
-            order = getattr(sv, "sweep_order", None)
-            out[("sweep order", name, shape)] = Digest(order(system.transport)) if order else None
+            # the order the ILU factors the transport block in
+            out[("sweep order", name, shape)] = Digest(sv.sweep_order(system.transport))
             est = sv.discrete_coercivity(system, probes=2, seed=0)
             out[("lambda_min", name, shape)] = (float(est.lambda_min).hex(), est.reliable)
             mask = rt.classify_boundary(grid, model)
@@ -152,18 +153,12 @@ def _rank2_mixed(t, x):
     return x[..., 0] - 0.5 * x[..., 1]
 
 
-def _oracle_cfg(rt, step: float):
-    """The oracle's config for a march at ``step``; a tree with a QuadratureConfig takes that."""
-    make = getattr(rt, "QuadratureConfig", rt.IntegratorConfig)
-    return make(step=step)
-
-
 def dump_oracle(media: dict, att, field) -> dict:
     import numpy as np
 
     import raytransport as rt
 
-    coarse = _oracle_cfg(rt, 1e-2)
+    coarse = rt.IntegratorConfig(step=1e-2)
     ramped = dataclasses.replace(
         field, components={i: partial(_ramped, c) for i, c in field.components.items()},
         time_dependent=True)
@@ -202,6 +197,10 @@ def dump_oracle(media: dict, att, field) -> dict:
         points = [rt.angle_phase_point(model, x, theta) for x, theta in TRACE_STATES]
         out[("residuals", name)] = Digest(rt.oracle_residuals(
             model, rt.with_switch_on(field), att, 0.4, points, 1e-3, coarse))
+        ring = [rt.PhaseSpacePoint(grid.x[i], grid.xi[i]) for i in (idx[0], idx[idx.size // 2])]
+        for kind, f, t in (("static", field, 0.0), ("switch-on", rt.with_switch_on(field), 0.3)):
+            out[("interior_solution", kind, name)] = tuple(
+                rt.interior_solution(model, f, att, t, p, coarse).hex() for p in points + ring)
     return out
 
 

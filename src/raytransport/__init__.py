@@ -22,7 +22,6 @@ from .geodesic import (
     PhaseSpacePoint,
     angle_phase_point,
     bouguer_invariant,
-    tau_bounds,
     trace,
     unit_phase_point,
 )
@@ -74,9 +73,6 @@ from .transport import (
     interior_solution_grid,
     oracle_residuals,
     parse_attenuation,
-    ray_transform_dynamic,
-    ray_transform_static,
-    transport_residual,
 )
 from .verify import (
     ErrorNorms,

@@ -230,6 +230,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("solver.epsilon", "must be a list of positive values")
     if cfg.command == "sweep" and any(a <= b for a, b in zip(cfg.epsilons, cfg.epsilons[1:])):
         bad("solver.epsilon", "sweep requires a strictly decreasing list")
+    if not cfg.t_final >= 0.0:
+        bad("dynamic.t_final", "must be nonnegative")
     if cfg.command == "solve-dynamic" and cfg.t_final < cfg.dt:
         bad("dynamic.t_final", "must be at least dt")
     if cfg.command == "check-prop1":

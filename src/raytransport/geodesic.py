@@ -384,12 +384,6 @@ def trace(model: RefractiveModel, p: PhaseSpacePoint, cfg: IntegratorConfig | No
     )
 
 
-def tau_bounds(model: RefractiveModel, p: PhaseSpacePoint, cfg: IntegratorConfig | None = None) -> tuple[float, float]:
-    """Entry and exit parameters (tau_minus <= 0 <= tau_plus) of the ray through p."""
-    path = trace(model, p, cfg)
-    return path.tau_minus, path.tau_plus
-
-
 def bouguer_invariant(model: RefractiveModel, x, v) -> float:
     """Angular momentum n^2(x) (x1 v2 - x2 v1) of a 2D ray state.
 

@@ -37,9 +37,10 @@ switch-on field, which vanishes before t = 0, without its cut-off but with
 each interval's increment weighted by the share of the interval that lies
 within parameter length t of the start, so its integral is interpolated
 linearly between interval ends at every entry point alike.
-Single-state operations are the batch of one, and the residual of a
-user-supplied function is evaluated on the same stencil as the residual of
-the oracle, so every public entry point exercises the same arithmetic.
+A transform value is :func:`interior_solution` at an outflow state, the
+batch of one, and :func:`oracle_residuals` differentiates the same march on
+a finite-difference stencil, so every public entry point exercises the same
+arithmetic.
 """
 
 from __future__ import annotations
@@ -47,12 +48,12 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import StencilError
-from .geodesic import GLANCING_TOL, IntegratorConfig, PhaseSpacePoint, march, rk4_step
+from .errors import DomainError, StencilError
+from .geodesic import IntegratorConfig, PhaseSpacePoint, march, rk4_step
 from .refractive import RefractiveModel, turn_rate
 from .tensorfield import SymmetricTensorField, moment
 
@@ -180,51 +181,12 @@ def _march_backward(
 
 
 # ---------------------------------------------------------------------------
-# public transform operations
+# public oracle operations
 # ---------------------------------------------------------------------------
-
-def _require_static(f: SymmetricTensorField):
-    if f.is_dynamic:
-        raise ValueError("field is time-dependent; use the dynamic transform")
-
-
-def _require_outflow(p: PhaseSpacePoint):
-    r = float(np.linalg.norm(p.x))
-    if abs(r - 1.0) > 1e-9:
-        raise ValueError(f"point is not on the boundary: |x| = {r:.6g}")
-    if float(np.dot(p.xi, p.x)) < -GLANCING_TOL:
-        raise ValueError("not an outflow boundary state: <xi, nu> < 0")
-
 
 def _values(model, f, att, t, x, xi, cfg) -> np.ndarray:
     """The backward integral from each state (x, xi) at time t, one value per state."""
     return _march_backward(model, f, att, t, x, xi, cfg).values[:, 0]
-
-
-def ray_transform_static(
-    model: RefractiveModel,
-    f: SymmetricTensorField,
-    att: Attenuation,
-    p: PhaseSpacePoint,
-    cfg: IntegratorConfig | None = None,
-) -> float:
-    """Attenuated transform of a time-independent field at an outflow state."""
-    _require_static(f)
-    _require_outflow(p)
-    return float(_values(model, f, att, 0.0, p.x, p.xi, cfg)[0])
-
-
-def ray_transform_dynamic(
-    model: RefractiveModel,
-    f: SymmetricTensorField,
-    att: Attenuation,
-    t: float,
-    p: PhaseSpacePoint,
-    cfg: IntegratorConfig | None = None,
-) -> float:
-    """Dynamic transform: the field is read at time t + tau along the ray."""
-    _require_outflow(p)
-    return float(_values(model, f, att, float(t), p.x, p.xi, cfg)[0])
 
 
 def interior_solution(
@@ -235,14 +197,18 @@ def interior_solution(
     p: PhaseSpacePoint,
     cfg: IntegratorConfig | None = None,
 ) -> float:
-    """The characteristic solution u(t, x, xi) at an interior phase state.
+    """The characteristic solution u(t, x, xi) at a phase state of the closed ball.
 
-    Vanishes as (x, xi) approaches an inflow boundary state and tends to the
-    dynamic transform at outflow states.
+    Vanishes as (x, xi) approaches an inflow boundary state; at an outflow
+    boundary state it is the transform, of a time-dependent or switch-on
+    field the one read at t + tau along the ray.  Points within
+    10 cfg.boundary_tol outside the sphere count as boundary points, as
+    in :func:`raytransport.geodesic.trace`.
     """
+    cfg = cfg or IntegratorConfig()
     r = float(np.linalg.norm(p.x))
-    if r > 1.0:
-        raise ValueError(f"point is not inside the ball: |x| = {r:.6g}")
+    if r > 1.0 + 10.0 * cfg.boundary_tol:
+        raise DomainError(f"point is not inside the ball: |x| = {r:.6g}")
     return float(_values(model, f, att, float(t), p.x, p.xi, cfg)[0])
 
 
@@ -305,7 +271,7 @@ def dynamic_boundary_table(
 
 
 # ---------------------------------------------------------------------------
-# pointwise transport residual
+# transport residual
 # ---------------------------------------------------------------------------
 
 def _phase_point_2d(model, x, theta) -> PhaseSpacePoint:
@@ -359,30 +325,6 @@ def _residual_combine(model, f, att, t: float, points, fd_step: float, vals: np.
     return dt_u + h_u + att.alpha0 * vals[:, 0] - src
 
 
-def transport_residual(
-    model: RefractiveModel,
-    f: SymmetricTensorField,
-    att: Attenuation,
-    u: Callable[[float, PhaseSpacePoint], float],
-    t: float,
-    p: PhaseSpacePoint,
-    fd_step: float,
-) -> float:
-    """(d_t u) + H u + alpha u - f . xi^m at a 2D phase state.
-
-    H u is assembled from central differences of u in the sphere-bundle
-    coordinates (x, theta): the x-derivatives hold the direction angle fixed
-    (the tangent is re-normalized at the shifted base point) and the fiber
-    derivative is a central difference in theta, weighted by the turning
-    rate of the ray.  The time derivative is a central difference with the
-    same step, evaluated only when the field depends on time (it vanishes
-    identically otherwise).
-    """
-    stencil = _residual_stencil(model, f, t, [p], fd_step)
-    vals = np.array([[float(u(tt, pp)) for tt, pp in stencil]])
-    return float(_residual_combine(model, f, att, t, [p], fd_step, vals)[0])
-
-
 def oracle_residuals(
     model: RefractiveModel,
     f: SymmetricTensorField,
@@ -392,11 +334,16 @@ def oracle_residuals(
     fd_step: float,
     cfg: IntegratorConfig | None = None,
 ) -> np.ndarray:
-    """transport_residual of the characteristic solution at many states.
+    """(d_t u) + H u + alpha u - f . xi^m of the characteristic solution at 2D phase states.
 
-    Equivalent to calling :func:`transport_residual` with
-    u = interior_solution at each state, but every stencil state of every
-    point is evaluated in one batched march.
+    H u is assembled from central differences of u in the sphere-bundle
+    coordinates (x, theta): the x-derivatives hold the direction angle fixed
+    (the tangent is re-normalized at the shifted base point) and the fiber
+    derivative is a central difference in theta, weighted by the turning
+    rate of the ray.  The time derivative is a central difference with the
+    same step, evaluated only when the field depends on time (it vanishes
+    identically otherwise).  Every stencil state of every point is
+    evaluated in one batched march.
     """
     if not len(points):
         return np.zeros(0)

@@ -90,8 +90,8 @@ def test_criterion_3_closed_form_transforms():
         L = 2.0 * float(np.dot(x, xi))
         fvec = rng.uniform(-1.0, 1.0, size=2)
         c = float(np.dot(fvec, xi))
-        got = rt.ray_transform_static(
-            model, rt.constant_vector_field(fvec), rt.constant_attenuation(a),
+        got = rt.interior_solution(
+            model, rt.constant_vector_field(fvec), rt.constant_attenuation(a), 0.0,
             rt.PhaseSpacePoint(x, xi))
         want = c * (1.0 - math.exp(-a * L)) / a
         worst = max(worst, abs(got - want) / abs(want))

@@ -126,14 +126,16 @@ class TestCliCommands:
         assert f"solver.{key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("section,key,value", [
-        ("quadrature", "rule", "midpoint"), ("integrator", "max_steps", "0"), ("integrator", "max_steps", "-5"),
-    ], ids=["rule-midpoint", "max_steps-0", "max_steps--5"])
-    def test_bad_march_value_exits_2(self, tmp_path, capsys, section, key, value):
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("sweep", "quadrature", "rule", "midpoint"), ("sweep", "integrator", "max_steps", "0"),
+        ("sweep", "integrator", "max_steps", "-5"), ("transform-table", "dynamic", "t_final", "-1"),
+    ], ids=["rule-midpoint", "max_steps-0", "max_steps--5", "t_final--1"])
+    def test_bad_march_value_exits_2(self, tmp_path, capsys, command, section, key, value):
         cfg = tmp_path / "s.cfg"
         cfg.write_text(
-            "[run]\ncommand = sweep\noutput_dir = %s/out\n[grid]\ni = 6\nj = 6\nk = 4\n"
-            "[solver]\nepsilon = 1e-3\n[%s]\n%s = %s\n" % (tmp_path, section, key, value))
+            "[run]\ncommand = %s\noutput_dir = %s/out\n[field]\nswitch_on = true\n"
+            "[grid]\ni = 6\nj = 6\nk = 4\n[solver]\nepsilon = 1e-3\n[%s]\n%s = %s\n"
+            % (command, tmp_path, section, key, value))
         assert run(["run", str(cfg)]) == 2
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

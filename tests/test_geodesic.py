@@ -42,7 +42,8 @@ class TestStraightMedium:
 
     def test_offset_chord_bounds(self, unit_model):
         p = rt.unit_phase_point(unit_model, [0.5, 0.0], [1.0, 0.0])
-        tm, tp = rt.tau_bounds(unit_model, p)
+        path = rt.trace(unit_model, p)
+        tm, tp = path.tau_minus, path.tau_plus
         assert tm == pytest.approx(-1.5, abs=1e-9)
         assert tp == pytest.approx(0.5, abs=1e-9)
 
@@ -58,7 +59,8 @@ class TestStraightMedium:
 
     def test_center_bounds_any_direction(self, unit_model):
         p = rt.angle_phase_point(unit_model, [0.0, 0.0], 1.1)
-        tm, tp = rt.tau_bounds(unit_model, p)
+        path = rt.trace(unit_model, p)
+        tm, tp = path.tau_minus, path.tau_plus
         assert (tm, tp) == (pytest.approx(-1.0, abs=1e-9), pytest.approx(1.0, abs=1e-9))
 
 
@@ -73,7 +75,8 @@ class TestDemoMedium:
 
     def test_center_start_is_symmetric(self, demo_model):
         p = rt.unit_phase_point(demo_model, [0.0, 0.0], [1.0 / 1.5, 0.0])
-        tm, tp = rt.tau_bounds(demo_model, p)
+        path = rt.trace(demo_model, p)
+        tm, tp = path.tau_minus, path.tau_plus
         assert abs(abs(tm) - tp) < 1e-8
 
     def test_bouguer_invariant_drift(self, demo_model):
@@ -175,7 +178,8 @@ class TestOneEngine:
                                 oracle_cfg).tau_minus[0]
                 for xi in (p.xi, -p.xi)
             ]
-            assert rt.tau_bounds(demo_model, p, cfg) == (tau[0], -tau[1])
+            path = rt.trace(demo_model, p, cfg)
+            assert (path.tau_minus, path.tau_plus) == (tau[0], -tau[1])
 
 
 def _bits(*arrays):

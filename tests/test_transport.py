@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 import raytransport as rt
 from raytransport import transport
-from raytransport.errors import StencilError, TraceLimitError
+from raytransport.errors import DomainError, StencilError, TraceLimitError
 from raytransport.geodesic import march
 from raytransport.tensorfield import moment
 
@@ -97,13 +97,13 @@ class TestClosedForms:
     def test_unit_chord_no_absorption(self, unit_model):
         f = rt.constant_vector_field([1.0, 0.0])
         p = rt.unit_phase_point(unit_model, [1.0, 0.0], [1.0, 0.0])
-        assert rt.ray_transform_static(unit_model, f, TINY_ALPHA, p) == pytest.approx(2.0, rel=1e-12)
+        assert rt.interior_solution(unit_model, f, TINY_ALPHA, 0.0, p) == pytest.approx(2.0, rel=1e-12)
 
     def test_attenuated_chord(self, unit_model, unit_attenuation):
         f = rt.constant_vector_field([1.0, 0.0])
         p = rt.unit_phase_point(unit_model, [1.0, 0.0], [1.0, 0.0])
         want = 1.0 - math.exp(-2.0)
-        got = rt.ray_transform_static(unit_model, f, unit_attenuation, p)
+        got = rt.interior_solution(unit_model, f, unit_attenuation, 0.0, p)
         assert got == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("rank", [0, 1, 2], ids=["rank0", "rank1", "rank2"])
@@ -132,14 +132,14 @@ class TestClosedForms:
                 c = fvals[0] * xi[0] ** 2 + 2.0 * fvals[1] * xi[0] * xi[1] + fvals[2] * xi[1] ** 2
             att = rt.constant_attenuation(a)
             p = rt.PhaseSpacePoint(x, xi)
-            got = rt.ray_transform_static(unit_model, f, att, p)
+            got = rt.interior_solution(unit_model, f, att, 0.0, p)
             assert got == pytest.approx(c * (1.0 - math.exp(-a * L)) / a, rel=1e-8)
 
 
 class TestAgainstReferenceOracle:
     def test_demo_configuration(self, demo_model, demo_field, unit_attenuation):
         p = rt.unit_phase_point(demo_model, [np.cos(0.3), np.sin(0.3)], [np.cos(-0.4), np.sin(-0.4)])
-        got = rt.ray_transform_static(demo_model, demo_field, unit_attenuation, p, rt.IntegratorConfig(step=1e-3))
+        got = rt.interior_solution(demo_model, demo_field, unit_attenuation, 0.0, p, rt.IntegratorConfig(step=1e-3))
         ref = richardson_reference(demo_model, demo_field, unit_attenuation, p.x, p.xi, 4e-3)
         assert got == pytest.approx(ref, rel=1e-6)
 
@@ -147,30 +147,24 @@ class TestAgainstReferenceOracle:
 class TestDynamicTransform:
     def test_equals_static_for_time_independent(self, demo_model, demo_field, unit_attenuation):
         p = rt.unit_phase_point(demo_model, [np.cos(0.9), np.sin(0.9)], [np.cos(0.5), np.sin(0.5)])
-        static = rt.ray_transform_static(demo_model, demo_field, unit_attenuation, p)
+        static = rt.interior_solution(demo_model, demo_field, unit_attenuation, 0.0, p)
         for t in (0.0, 1.3, 42.0):
-            dyn = rt.ray_transform_dynamic(demo_model, demo_field, unit_attenuation, t, p)
+            dyn = rt.interior_solution(demo_model, demo_field, unit_attenuation, t, p)
             assert abs(dyn - static) <= 1e-12
 
     def test_switch_on_beyond_travel_time(self, unit_model, demo_field, unit_attenuation):
         f = rt.with_switch_on(demo_field)
         p = rt.unit_phase_point(unit_model, [1.0, 0.0], [1.0, 0.0])
-        static = rt.ray_transform_static(unit_model, demo_field, unit_attenuation, p)
-        dyn = rt.ray_transform_dynamic(unit_model, f, unit_attenuation, 2.5, p)
+        static = rt.interior_solution(unit_model, demo_field, unit_attenuation, 0.0, p)
+        dyn = rt.interior_solution(unit_model, f, unit_attenuation, 2.5, p)
         assert dyn == pytest.approx(static, rel=1e-10)
 
     def test_switch_on_at_zero(self, unit_model, demo_field, unit_attenuation):
         f = rt.with_switch_on(demo_field)
         cfg = rt.IntegratorConfig(step=1e-3)
         p = rt.unit_phase_point(unit_model, [1.0, 0.0], [1.0, 0.0])
-        val = rt.ray_transform_dynamic(unit_model, f, unit_attenuation, 0.0, p, cfg)
+        val = rt.interior_solution(unit_model, f, unit_attenuation, 0.0, p, cfg)
         assert abs(val) <= 2.0 * cfg.step
-
-    def test_static_rejects_switched_field(self, unit_model, demo_field, unit_attenuation):
-        f = rt.with_switch_on(demo_field)
-        p = rt.unit_phase_point(unit_model, [1.0, 0.0], [1.0, 0.0])
-        with pytest.raises(ValueError):
-            rt.ray_transform_static(unit_model, f, unit_attenuation, p)
 
 
 class TestInteriorSolution:
@@ -196,7 +190,7 @@ class TestInteriorSolution:
         from raytransport.geodesic import rk4_step
 
         p = rt.unit_phase_point(demo_model, [np.cos(0.3), np.sin(0.3)], [np.cos(-0.2), np.sin(-0.2)])
-        transform = rt.ray_transform_static(demo_model, demo_field, unit_attenuation, p)
+        transform = rt.interior_solution(demo_model, demo_field, unit_attenuation, 0.0, p)
 
         def u_at_offset(s):
             xb, vb = rk4_step(demo_model, p.x[None, :], -p.xi[None, :], s)
@@ -222,8 +216,8 @@ class TestInteriorSolution:
     def test_attenuation_monotonicity(self, unit_model):
         f = rt.constant_vector_field([1.0, 0.0])
         p = rt.unit_phase_point(unit_model, [1.0, 0.0], [1.0, 0.0])
-        v1 = rt.ray_transform_static(unit_model, f, rt.constant_attenuation(1.0), p)
-        v2 = rt.ray_transform_static(unit_model, f, rt.constant_attenuation(2.0), p)
+        v1 = rt.interior_solution(unit_model, f, rt.constant_attenuation(1.0), 0.0, p)
+        v2 = rt.interior_solution(unit_model, f, rt.constant_attenuation(2.0), 0.0, p)
         assert v2 < v1
 
     def test_linearity_in_field(self, demo_model, unit_attenuation, demo_field):
@@ -236,7 +230,7 @@ class TestInteriorSolution:
             },
         )
         p = rt.unit_phase_point(demo_model, [np.cos(1.0), np.sin(1.0)], [np.cos(0.6), np.sin(0.6)])
-        vs = [rt.ray_transform_static(demo_model, h, unit_attenuation, p) for h in (demo_field, g, combined)]
+        vs = [rt.interior_solution(demo_model, h, unit_attenuation, 0.0, p) for h in (demo_field, g, combined)]
         assert vs[2] == pytest.approx(vs[0] + vs[1], abs=1e-12)
 
     def test_march_step_budget(self, demo_model, demo_field, unit_attenuation):
@@ -245,10 +239,12 @@ class TestInteriorSolution:
             rt.interior_solution(demo_model, demo_field, unit_attenuation, 0.0, p,
                                  cfg=rt.IntegratorConfig(step=1e-3, max_steps=10))
 
-    def test_outflow_precondition(self, demo_model, demo_field, unit_attenuation):
-        p = rt.unit_phase_point(demo_model, [1.0, 0.0], [-1.0, 0.0])
-        with pytest.raises(ValueError):
-            rt.ray_transform_static(demo_model, demo_field, unit_attenuation, p)
+    def test_rejects_states_beyond_the_boundary_tolerance(self, demo_model, demo_field, unit_attenuation):
+        cfg = rt.IntegratorConfig()
+        x = np.array([np.cos(0.3), np.sin(0.3)]) * (1.0 + 20.0 * cfg.boundary_tol)
+        p = rt.PhaseSpacePoint(x, np.array([np.cos(-0.2), np.sin(-0.2)]) / float(demo_model.n(x)))
+        with pytest.raises(DomainError):
+            rt.interior_solution(demo_model, demo_field, unit_attenuation, 0.0, p, cfg)
 
 
 class TestGridOracle:
@@ -339,7 +335,7 @@ class TestDynamicBoundaryTable:
         for r, t in enumerate(times):
             for c in range(x.shape[0]):
                 p = rt.PhaseSpacePoint(x[c], xi[c] / float(unit_model.n(x[c])))
-                assert table[r, c] == rt.ray_transform_dynamic(unit_model, f, unit_attenuation, t, p, cfg)
+                assert table[r, c] == rt.interior_solution(unit_model, f, unit_attenuation, t, p, cfg)
 
     def test_switch_on_grid_matches_table(self, demo_model, demo_field, unit_attenuation):
         """The grid oracle of a switched field at t = 0.3 is the table on the outflow ring."""
@@ -372,7 +368,7 @@ class TestDynamicBoundaryTable:
             assert np.max(np.abs(table[r] - closed)) <= 1e-4
             for c in range(x.shape[0]):
                 p = rt.PhaseSpacePoint(x[c], xi[c])
-                assert abs(rt.ray_transform_dynamic(unit_model, f, att, t, p, cfg) - closed[c]) <= 1e-4
+                assert abs(rt.interior_solution(unit_model, f, att, t, p, cfg) - closed[c]) <= 1e-4
 
     def test_switch_on_time_dependent_rows_are_direct(self, unit_model, demo_field, unit_attenuation):
         """A field that is both time-dependent and switched on: every row is the
@@ -389,7 +385,7 @@ class TestDynamicBoundaryTable:
         for r, t in enumerate(times):
             for c in range(x.shape[0]):
                 p = rt.PhaseSpacePoint(x[c], xi[c])
-                assert table[r, c] == rt.ray_transform_dynamic(unit_model, f, unit_attenuation, t, p, cfg)
+                assert table[r, c] == rt.interior_solution(unit_model, f, unit_attenuation, t, p, cfg)
 
     @pytest.mark.parametrize("kind", ["static", "switch_on", "time_dependent"])
     def test_one_march_per_table(self, unit_model, demo_field, unit_attenuation, monkeypatch, kind):
@@ -428,7 +424,7 @@ class TestDynamicBoundaryTable:
             table = rt.dynamic_boundary_table(unit_model, f, unit_attenuation, x[c:c + 1], xi[c:c + 1],
                                               times, cfg)
             p = rt.PhaseSpacePoint(x[c], xi[c])
-            static = rt.ray_transform_static(unit_model, demo_field, unit_attenuation, p, cfg)
+            static = rt.interior_solution(unit_model, demo_field, unit_attenuation, 0.0, p, cfg)
             assert table[0, 0] == table[1, 0] == table[2, 0] == static
 
     def test_static_field_rows_constant(self, unit_model, demo_field, unit_attenuation):
@@ -461,7 +457,7 @@ class TestDynamicBoundaryTable:
             assert_allclose(table[r], closed, rtol=1e-9)
             for c in range(x.shape[0]):
                 p = rt.PhaseSpacePoint(x[c], xi[c])
-                assert table[r, c] == rt.ray_transform_dynamic(unit_model, f, att, t, p, cfg)
+                assert table[r, c] == rt.interior_solution(unit_model, f, att, t, p, cfg)
 
     def test_all_inflow_states(self, unit_model, demo_field, unit_attenuation):
         f = rt.with_switch_on(demo_field)
@@ -500,7 +496,7 @@ class TestThreeDimensional:
             components={(2,): lambda t, x: np.full(np.asarray(x).shape[:-1], 1.0)})
         p = rt.unit_phase_point(model, [0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
         want = 1.0 - math.exp(-2.0)
-        got = rt.ray_transform_static(model, f, att, p)
+        got = rt.interior_solution(model, f, att, 0.0, p)
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_oblique_chord_interior(self):
@@ -512,30 +508,40 @@ class TestThreeDimensional:
         # entry at distance 1 behind the center; integrand is the constant d_y
         assert got == pytest.approx(d[1], abs=1e-9)
 
+    def test_transform_at_a_normalized_boundary_state(self):
+        """A normalized 3D boundary point may have |x| one rounding above 1; it
+        is still a boundary state, and the reader returns the transform there."""
+        model = rt.constant_model(1.0, dim=3)
+        x = np.array([0.9698243673082586, -0.03271874667890908, -0.24159921396994988])
+        assert np.linalg.norm(x) > 1.0
+        d = 0.6 * x + np.array([0.0, 0.0, 0.8])
+        p = rt.unit_phase_point(model, x, d)
+        fvec, a = np.array([0.3, -0.5, 0.8]), 0.9
+        got = rt.interior_solution(model, rt.constant_vector_field(fvec), rt.constant_attenuation(a), 0.0, p)
+        L = 2.0 * float(np.dot(p.x, p.xi))
+        want = float(np.dot(fvec, p.xi)) * (1.0 - math.exp(-a * L)) / a
+        assert got == pytest.approx(want, rel=1e-10)
+
+
+def residual_of(model, f, att, u, t, p, fd_step):
+    """The residual combination of a user-supplied u(t, p) read on the oracle's stencil."""
+    stencil = transport._residual_stencil(model, f, t, [p], fd_step)
+    vals = np.array([[float(u(tt, pp)) for tt, pp in stencil]])
+    return float(transport._residual_combine(model, f, att, t, [p], fd_step, vals)[0])
+
 
 class TestResidual:
     def test_zero_function_zero_field(self, demo_model, unit_attenuation):
         f0 = rt.constant_scalar_field(0.0)
         p = rt.angle_phase_point(demo_model, [0.2, 0.1], 0.5)
-        res = rt.transport_residual(demo_model, f0, unit_attenuation, lambda t, pp: 0.0, 0.0, p, 0.01)
+        res = residual_of(demo_model, f0, unit_attenuation, lambda t, pp: 0.0, 0.0, p, 0.01)
         assert res == 0.0
 
     def test_constant_function(self, demo_model, unit_attenuation):
         f0 = rt.constant_scalar_field(0.0)
         p = rt.angle_phase_point(demo_model, [0.2, 0.1], 0.5)
-        res = rt.transport_residual(demo_model, f0, unit_attenuation, lambda t, pp: 1.0, 0.0, p, 0.01)
+        res = residual_of(demo_model, f0, unit_attenuation, lambda t, pp: 1.0, 0.0, p, 0.01)
         assert res == pytest.approx(1.0, abs=1e-12)
-
-    def test_scalar_matches_batched(self, demo_model, demo_field, unit_attenuation):
-        cfg = rt.IntegratorConfig(step=2e-3)
-        p = rt.angle_phase_point(demo_model, [0.3, -0.2], 1.1)
-
-        def u(t, pp):
-            return rt.interior_solution(demo_model, demo_field, unit_attenuation, t, pp, cfg)
-
-        scalar = rt.transport_residual(demo_model, demo_field, unit_attenuation, u, 0.0, p, 0.02)
-        batched = rt.oracle_residuals(demo_model, demo_field, unit_attenuation, 0.0, [p], 0.02, cfg)[0]
-        assert scalar == pytest.approx(batched, abs=1e-14)
 
     def test_oracle_residual_second_order(self, demo_model, demo_field, unit_attenuation):
         from conftest import random_phase_points
@@ -561,4 +567,4 @@ class TestResidual:
     def test_stencil_near_boundary(self, demo_model, demo_field, unit_attenuation):
         p = rt.angle_phase_point(demo_model, [0.995, 0.0], 2.0)
         with pytest.raises(StencilError):
-            rt.transport_residual(demo_model, demo_field, unit_attenuation, lambda t, pp: 0.0, 0.0, p, 0.01)
+            rt.oracle_residuals(demo_model, demo_field, unit_attenuation, 0.0, [p], 0.01)
