@@ -23,6 +23,9 @@ COMMANDS = (
     "coercivity",
 )
 
+# the commands that build a phase grid, which is 2D
+GRID_COMMANDS = ("transform-table", "solve-static", "solve-dynamic", "sweep")
+
 # section -> key -> attribute, parser; the defaults are ExperimentConfig's
 _SCHEMA = {
     "run": {
@@ -234,6 +237,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("dynamic.t_final", "must be nonnegative")
     if cfg.command == "solve-dynamic" and cfg.t_final < cfg.dt:
         bad("dynamic.t_final", "must be at least dt")
+    if cfg.command in GRID_COMMANDS and cfg.dim != 2:
+        bad("model.dim", f"{cfg.command} runs on a phase grid, which requires dim = 2")
     if cfg.command == "check-prop1":
         if cfg.dim != 3:
             bad("model.dim", "check-prop1 requires dim = 3")

@@ -13,9 +13,9 @@ ray whose mid or end state leaves the ball is parked at the state that
 began the interval, and all parked rays are refined together at the end.
 Every caller configures its march with one :class:`IntegratorConfig`.  The
 characteristic oracle integrates along it with the config's step as the
-interval; :func:`trace` is the batch of two rays (x, xi) and (x, -xi) with
-interval 2 * step, recording the mid and end state of every interval as
-path nodes.
+interval; :func:`trace` marches the two rays (x, xi) and (x, -xi) of each
+of its states in one batch with interval 2 * step, recording the mid and end
+state of every interval as path nodes.
 
 The engine keeps every ray state component-major from entry to exit:
 positions and velocities live in C-contiguous (dim, N) arrays and the
@@ -333,55 +333,72 @@ def march(
     return Exits(rays, interval, xp, vp, sp, ds, x_exit, v_exit, tuple(carry_p))
 
 
-def trace(model: RefractiveModel, p: PhaseSpacePoint, cfg: IntegratorConfig | None = None) -> GeodesicPath:
-    """Integrate the geodesic through p both ways to the boundary.
+def trace(model: RefractiveModel, p, cfg: IntegratorConfig | None = None):
+    """Integrate the geodesic through each state p both ways to the boundary.
 
-    The path is one march of the two rays (x, xi) and (x, -xi); the second is
-    the backward half, with its parameter and velocities negated.  Nodes are
-    cfg.step apart up to the exits; every other node is the march's Hermite
-    mid state of an interval.  Starts on the boundary are allowed: an
-    outward tangent gives tau_plus = 0, an inward one tau_minus = 0, and a
-    glancing tangent returns the trivial single-node path (tau_minus =
+    ``p`` is one :class:`PhaseSpacePoint`, which gives its
+    :class:`GeodesicPath`, or a sequence of them, which gives a list with
+    one path per state.  All paths come from one march of the rays (x, xi)
+    and (x, -xi) of every state; the second is the backward half, with its
+    parameter and velocities negated.  Every ray's arithmetic is its own,
+    so a path is the same, bit for bit, traced alone or in a batch.  Nodes
+    are cfg.step apart up to the exits; every other node is the march's
+    Hermite mid state of an interval.  Starts on the boundary are allowed:
+    an outward tangent gives tau_plus = 0, an inward one tau_minus = 0, and
+    a glancing tangent returns the trivial single-node path (tau_minus =
     tau_plus = 0).
     """
     cfg = cfg or IntegratorConfig()
-    x0 = np.asarray(p.x, dtype=float)
-    xi0 = np.asarray(p.xi, dtype=float)
-    if np.linalg.norm(xi0) == 0.0:
-        raise ValueError("xi must be non-zero")
-    if speed_defect(model, x0, xi0) > 1e-8:
-        raise ValueError("xi is not metric-unit; normalize with unit_phase_point")
-    r0 = float(np.linalg.norm(x0))
-    if r0 > 1.0 + 10.0 * cfg.boundary_tol:
-        raise DomainError(f"start point outside the ball: |x| = {r0:.6g}")
+    points = [p] if isinstance(p, PhaseSpacePoint) else list(p)
+    for pt in points:
+        if np.linalg.norm(pt.xi) == 0.0:
+            raise ValueError("xi must be non-zero")
+        if speed_defect(model, pt.x, pt.xi) > 1e-8:
+            raise ValueError("xi is not metric-unit; normalize with unit_phase_point")
+        r0 = float(np.linalg.norm(pt.x))
+        if r0 > 1.0 + 10.0 * cfg.boundary_tol:
+            raise DomainError(f"start point outside the ball: |x| = {r0:.6g}")
 
+    if not points:
+        return []
     h = cfg.step
     interval = 2.0 * h
-    sign = np.array([1.0, -1.0])
-    taus, xs, vs = [np.zeros(1)], [x0[None, :]], [xi0[None, :]]
+    # ray 2 i is (x_i, xi_i) and ray 2 i + 1 its backward half (x_i, -xi_i)
+    sign = np.tile([1.0, -1.0], len(points))
+    x0 = np.array([pt.x for pt in points], dtype=float)
+    xi0 = np.array([pt.xi for pt in points], dtype=float)
+    rays, taus, xs, vs = [2 * np.arange(len(points))], [np.zeros(len(points))], [x0], [xi0]
 
-    def record(rays, s, xm, vm, xe, ve, carry):
+    def record(alive, s, xm, vm, xe, ve, carry):
         for tau, xn, vn in ((s + h, xm, vm), (s + interval, xe, ve)):
-            taus.append(sign[rays] * tau)
+            rays.append(alive)
+            taus.append(sign[alive] * tau)
             xs.append(xn)
-            vs.append(sign[rays, None] * vn)
+            vs.append(sign[alive, None] * vn)
         return carry
 
-    ex = march(model, np.stack([x0, x0]), sign[:, None] * xi0, interval, cfg, advance=record)
+    ex = march(model, np.repeat(x0, 2, axis=0), sign[:, None] * np.repeat(xi0, 2, axis=0),
+               interval, cfg, advance=record)
+    rays.append(ex.rays)
     taus.append(sign[ex.rays] * (ex.s + ex.ds))
     xs.append(ex.x_exit)
     vs.append(sign[ex.rays, None] * ex.v_exit)
-    taus = np.concatenate(taus)
-    order = np.argsort(taus, kind="stable")
-    taus = taus[order]
-    return GeodesicPath(
-        taus=taus,
-        xs=np.concatenate(xs)[order],
-        vs=np.concatenate(vs)[order],
-        tau_minus=float(taus[0]),
-        tau_plus=float(taus[-1]),
-        step=h,
-    )
+    # group the nodes by state, keeping their recorded order, then sort each group by parameter
+    owner = np.concatenate(rays) // 2
+    by_owner = np.argsort(owner, kind="stable")
+    taus, xs, vs = np.concatenate(taus), np.concatenate(xs), np.concatenate(vs)
+    paths = []
+    for nodes in np.split(by_owner, np.searchsorted(owner[by_owner], np.arange(1, len(points)))):
+        nodes = nodes[np.argsort(taus[nodes], kind="stable")]
+        paths.append(GeodesicPath(
+            taus=taus[nodes],
+            xs=xs[nodes],
+            vs=vs[nodes],
+            tau_minus=float(taus[nodes[0]]),
+            tau_plus=float(taus[nodes[-1]]),
+            step=h,
+        ))
+    return paths[0] if isinstance(p, PhaseSpacePoint) else paths
 
 
 def bouguer_invariant(model: RefractiveModel, x, v) -> float:

@@ -43,6 +43,7 @@ takes its angular neighbors from the same periodic column rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,6 +178,24 @@ def advection_coefficients(grid: PhaseGrid, model: RefractiveModel):
     rdot = np.einsum("ij,ij->i", grid.xi, rhat)
     phidot = np.einsum("ij,ij->i", grid.xi, phihat) / grid.r
     return rdot, phidot, turn_rate(model, grid.x, grid.xi)
+
+
+def rotation_orbits(grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes grouped by the rotations about the center that map the grid onto itself.
+
+    With g = gcd(J, K), turning node (i, j, k) by 2 pi q / g gives node
+    (i, j + q J / g, k + q K / g), both angle indices periodic.  Returns the
+    (size / g, g) member table, whose row holds one orbit: the
+    representative (i, j, k) with j < J / g in column 0 and its turn by
+    2 pi q / g in column q, rows in increasing representative index; and
+    the g turn angles.  Every node appears exactly once.
+    """
+    g = math.gcd(grid.J, grid.K)
+    q = np.arange(g)
+    i, j, k = (a.reshape(-1, 1) for a in np.meshgrid(
+        np.arange(grid.I), np.arange(grid.J // g), np.arange(grid.K), indexing="ij"))
+    members = (i * grid.J + j + q * (grid.J // g)) * grid.K + (k + q * (grid.K // g)) % grid.K
+    return members, 2.0 * np.pi * q / g
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,8 @@ class RefractiveModel:
     (..., dim); ``accel(x, v)`` returns the ray acceleration of the states
     (x, v), shape (..., dim).  ``floor`` is a certified lower bound of n on
     the ball, supplied by the model (not estimated from samples).
+    ``radial`` states that n depends on |x| only, so that every rotation
+    about the center is an isometry of the metric and maps rays to rays.
     """
 
     dim: int
@@ -50,6 +52,7 @@ class RefractiveModel:
     accel: Callable[[np.ndarray, np.ndarray], np.ndarray]
     floor: float
     name: str = ""
+    radial: bool = False
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -264,6 +267,7 @@ def radial_poly_model(coeffs, dim: int = 2, name: str = "") -> RefractiveModel:
         accel=partial(_radial_accel, coeffs, tuple(2.0 * k * c for k, c in enumerate(coeffs))[1:]),
         floor=floor,
         name=name or "radial:" + ",".join(repr(c) for c in coeffs),
+        radial=True,
     )
 
 

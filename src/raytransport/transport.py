@@ -41,6 +41,19 @@ A transform value is :func:`interior_solution` at an outflow state, the
 batch of one, and :func:`oracle_residuals` differentiates the same march on
 a finite-difference stencil, so every public entry point exercises the same
 arithmetic.
+
+In a radial medium every rotation about the center maps rays to rays, and
+turning a :class:`~raytransport.phasegrid.PhaseGrid` by 2 pi q / g,
+g = gcd(J, K), maps nodes to nodes
+(:func:`~raytransport.phasegrid.rotation_orbits`).  So
+:func:`interior_solution_grid` marches one ray per orbit of g nodes, and the
+running integral carries one column per turn as it carries one per time:
+after each interval, and at the exit stubs, the representatives' states are
+turned into every member's frame, built component-major as (2, g, n) rows
+of two products per component (no BLAS), and the source is read there.  Representatives
+keep the per-node march's bits and the other members differ from it by
+round-off.  A non-radial medium, or nodes that are not a PhaseGrid, is the
+orbit of size one and takes no rotation arithmetic.
 """
 
 from __future__ import annotations
@@ -54,6 +67,7 @@ import numpy as np
 
 from .errors import DomainError, StencilError
 from .geodesic import IntegratorConfig, PhaseSpacePoint, march, rk4_step
+from .phasegrid import PhaseGrid, rotation_orbits
 from .refractive import RefractiveModel, turn_rate
 from .tensorfield import SymmetricTensorField, moment
 
@@ -91,8 +105,25 @@ def parse_attenuation(spec: str) -> Attenuation:
 
 @dataclass
 class MarchResult:
-    values: np.ndarray      # (n_rays, n_times) integral per ray and time
+    values: np.ndarray      # (n_rays, n_turns, n_times) integral per ray, turn and time
     tau_minus: np.ndarray   # entry parameter per ray (<= 0)
+
+
+def _turned(x: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """2D states x (N, 2) turned about the center by 0 and by each further angle.
+
+    ``rot`` holds the rotation matrices [[cos, -sin], [sin, cos]] of the
+    angles after the first, shape (2, g - 1, 2); turn 0 is x itself.  A
+    turned component, x1 cos - x2 sin or x1 sin + x2 cos, is two products
+    summed in index order by einsum's own loop (no BLAS), so a state's bits
+    do not depend on its batch.  Returns the (N, g, 2) transpose view of a
+    C-contiguous (2, g, N) array: each component of each turn is one
+    contiguous row.
+    """
+    out = np.empty((2, rot.shape[1] + 1, x.shape[0]))
+    out[:, 0] = x.T
+    np.einsum("kqc,cn->kqn", rot, x.T, out=out[:, 1:])
+    return out.T
 
 
 def _march_backward(
@@ -103,8 +134,9 @@ def _march_backward(
     x0: np.ndarray,
     xi0: np.ndarray,
     cfg: IntegratorConfig | None = None,
+    turns=(0.0,),
 ) -> MarchResult:
-    """Integrate backward along the rays from (x0, xi0), one running integral per time.
+    """Integrate backward along the rays from (x0, xi0), one running integral per turn and time.
 
     Simpson's rule on intervals of length cfg.step (default
     ``IntegratorConfig()``) integrates each ray.
@@ -119,13 +151,23 @@ def _march_backward(
     length h, is weighted by clip((t - s) / h, 0, 1), the share of it inside
     the most recent stretch of ray of parameter length t: the partial
     integral is interpolated linearly between interval ends.
+
+    ``turns`` are angles of 2D rotations about the center, the first 0.  In a
+    radial medium the ray from a turned state is the turned ray, so only
+    the given states are marched: turn q of the values is the integral from
+    the states turned by turns[q], read off the marched states turned into
+    that frame after every interval and at the exit stubs.  Turn 0 is the
+    march itself, and a single turn is read with no rotation arithmetic.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     xi0 = np.atleast_2d(np.asarray(xi0, dtype=float))
     n_rays = x0.shape[0]
     cfg = cfg or IntegratorConfig()
     step = float(cfg.step)
-    t = np.atleast_2d(np.asarray(t, dtype=float))
+    t = np.atleast_2d(np.asarray(t, dtype=float))[:, None, :]  # (rays or 1, 1, n_times)
+    turns = np.asarray(turns, dtype=float)
+    cos, sin = np.cos(turns[1:]), np.sin(turns[1:])
+    rot = np.array([[cos, -sin], [sin, cos]]).transpose(0, 2, 1)  # (2, g - 1, 2)
     switched = f.switch_on
     f = replace(f, switch_on=False) if switched else f  # the weights make the cut-off
     a = att.alpha0
@@ -136,17 +178,21 @@ def _march_backward(
     def t_at(rays):
         return t[rays] if t.shape[0] > 1 else t
 
+    def turned(x):
+        return _turned(x, rot) if turns.size > 1 else x[:, None]
+
     def source_at(rays, s, x, xi):
-        """The moment at each state as (n, n_times), or as (n, 1) if not time-dependent."""
+        """The moment at each state in every turn as (n, n_turns, n_times), n_times 1 if not time-dependent."""
+        x, xi = turned(x), turned(xi)
         if f.time_dependent:
-            return np.asarray(moment(f, t_at(rays) - s, x[:, None], xi[:, None]), dtype=float)
-        return np.asarray(moment(f, 0.0, x, xi), dtype=float)[:, None]
+            return np.asarray(moment(f, t_at(rays) - s, x[:, :, None], xi[:, :, None]), dtype=float)
+        return np.asarray(moment(f, 0.0, x, xi), dtype=float)[..., None]
 
     def interval_rule(h, rays, s, A, xm, vm, xe, ve, I, g):
         """Absorption, integrals and damped source after an interval of length h.
 
         h, s and the absorption A at s are floats for a whole interval and
-        columns for the exit stubs.
+        (n, 1, 1) columns for the exit stubs.
         """
         Am = A + 0.25 * h * (a + a)
         Ae = Am + 0.25 * h * (a + a)
@@ -165,7 +211,8 @@ def _march_backward(
         absorbed.append(A)
         return I, g
 
-    start = (np.zeros((n_rays, t.shape[1])), source_at(np.arange(n_rays), 0.0, x0, xi0))
+    # the integrals are component-major like the ray states: (n_times, n_turns, n_rays) in memory
+    start = (np.zeros((t.shape[2], turns.size, n_rays)).T, source_at(np.arange(n_rays), 0.0, x0, xi0))
     ex = march(model, x0, -xi0, step, cfg, carry=start, advance=advance)
 
     values = np.zeros(start[0].shape)
@@ -174,7 +221,8 @@ def _march_backward(
         # a ray parked in interval k starts its stub from the absorption after k - 1 intervals
         A = np.array(absorbed)[ex.interval - 1]
         xm, vm = rk4_step(model, ex.x, ex.v, 0.5 * ex.ds)
-        values[ex.rays] = interval_rule(ex.ds[:, None], ex.rays, ex.s[:, None], A[:, None], xm, vm,
+        col = (slice(None), None, None)
+        values[ex.rays] = interval_rule(ex.ds[col], ex.rays, ex.s[col], A[col], xm, vm,
                                         ex.x_exit, ex.v_exit, *ex.carry)[1]
         tau_minus[ex.rays] = -(ex.s + ex.ds)
     return MarchResult(values=values, tau_minus=tau_minus)
@@ -186,7 +234,12 @@ def _march_backward(
 
 def _values(model, f, att, t, x, xi, cfg) -> np.ndarray:
     """The backward integral from each state (x, xi) at time t, one value per state."""
-    return _march_backward(model, f, att, t, x, xi, cfg).values[:, 0]
+    return _march_backward(model, f, att, t, x, xi, cfg).values[:, 0, 0]
+
+
+def _orbit_values(model, f, att, t, cfg, turns, x, xi) -> np.ndarray:
+    """The backward integral at time t from each state (x, xi) turned by each angle, (n, n_turns)."""
+    return _march_backward(model, f, att, t, x, xi, cfg, turns).values[:, :, 0]
 
 
 def interior_solution(
@@ -223,25 +276,35 @@ def interior_solution_grid(
 ) -> np.ndarray:
     """Characteristic solution at every node of a phase grid.
 
-    Inflow and glancing boundary nodes get exactly 0.  With ``workers > 1``
-    the node range is split into contiguous chunks evaluated in separate
-    processes and reassembled in chunk order, so the result does not depend
-    on the worker count.
+    Inflow and glancing boundary nodes get exactly 0.  In a radial medium
+    a :class:`~raytransport.phasegrid.PhaseGrid` is marched one ray per
+    rotation orbit (:func:`~raytransport.phasegrid.rotation_orbits`): the
+    representative's march, turned into each member's frame, reads the
+    source at the member's own states, one running integral per member.
+    Representatives get the per-node march's bits; the other members
+    differ from it by round-off, within 1e-12 of max |u|.  Any other grid
+    (a non-radial medium, or nodes given as plain ``x`` and ``xi``) is
+    marched one ray per node.  With ``workers > 1`` the marched rays are
+    split into contiguous chunks evaluated in separate processes and
+    reassembled in chunk order, so the result does not depend on the
+    worker count.
     """
-    x, xi = grid.x, grid.xi
+    if isinstance(grid, PhaseGrid) and model.radial:
+        members, turns = rotation_orbits(grid)
+    else:
+        members, turns = np.arange(grid.x.shape[0])[:, None], np.zeros(1)
+    x, xi = grid.x[members[:, 0]], grid.xi[members[:, 0]]
+    run = partial(_orbit_values, model, f, att, t, cfg, turns)
     if workers <= 1:
-        return _values(model, f, att, t, x, xi, cfg)
-    bounds = np.linspace(0, x.shape[0], workers + 1).astype(int)
-    jobs = [(x[a:b], xi[a:b]) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(
-            pool.map(
-                partial(_values, model, f, att, t, cfg=cfg),
-                [j[0] for j in jobs],
-                [j[1] for j in jobs],
-            )
-        )
-    return np.concatenate(parts)
+        vals = run(x, xi)
+    else:
+        bounds = np.linspace(0, x.shape[0], workers + 1).astype(int)
+        jobs = [(x[a:b], xi[a:b]) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            vals = np.concatenate(list(pool.map(run, [j[0] for j in jobs], [j[1] for j in jobs])))
+    u = np.empty(members.size)
+    u[members] = vals
+    return u
 
 
 def dynamic_boundary_table(
@@ -267,7 +330,7 @@ def dynamic_boundary_table(
         return np.zeros((0, len(x)))
     if np.any(times < 0.0):
         raise ValueError("times must be nonnegative")
-    return _march_backward(model, f, att, times, x, xi, cfg).values.T
+    return _march_backward(model, f, att, times, x, xi, cfg).values[:, 0].T
 
 
 # ---------------------------------------------------------------------------

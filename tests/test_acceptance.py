@@ -45,14 +45,15 @@ def test_criterion_1_euclidean_chords():
     """n = 1: traced rays are straight chords to 1e-10."""
     model = rt.constant_model(1.0)
     rng = np.random.default_rng(101)
-    worst = 0.0
+    points = []
     for _ in range(100):
         r = 0.9 * math.sqrt(rng.random())
         ang = rng.uniform(0.0, 2.0 * np.pi)
         x = np.array([r * np.cos(ang), r * np.sin(ang)])
-        p = rt.angle_phase_point(model, x, rng.uniform(0.0, 2.0 * np.pi))
-        path = rt.trace(model, p, rt.IntegratorConfig(step=1e-3))
-        chord = x[None, :] + path.taus[:, None] * p.xi[None, :]
+        points.append(rt.angle_phase_point(model, x, rng.uniform(0.0, 2.0 * np.pi)))
+    worst = 0.0
+    for p, path in zip(points, rt.trace(model, points, rt.IntegratorConfig(step=1e-3))):
+        chord = p.x[None, :] + path.taus[:, None] * p.xi[None, :]
         worst = max(worst, float(np.abs(path.xs - chord).max()))
     report("criterion 1 (euclidean degeneration)", worst < 1e-10,
            f"sup node deviation over 100 chords = {worst:.3e} < 1e-10")
@@ -61,13 +62,14 @@ def test_criterion_1_euclidean_chords():
 def test_criterion_2_bouguer_drift(demo_model):
     """Rotational invariant n^2 (x1 v2 - x2 v1) drifts < 1e-6 per unit parameter."""
     rng = np.random.default_rng(202)
-    worst = 0.0
+    points = []
     for _ in range(20):
         r = 0.8 * math.sqrt(rng.random())
         ang = rng.uniform(0.0, 2.0 * np.pi)
         x = np.array([r * np.cos(ang), r * np.sin(ang)])
-        p = rt.angle_phase_point(demo_model, x, rng.uniform(0.0, 2.0 * np.pi))
-        path = rt.trace(demo_model, p, rt.IntegratorConfig(step=1e-3))
+        points.append(rt.angle_phase_point(demo_model, x, rng.uniform(0.0, 2.0 * np.pi)))
+    worst = 0.0
+    for path in rt.trace(demo_model, points, rt.IntegratorConfig(step=1e-3)):
         J = np.array([rt.bouguer_invariant(demo_model, xx, vv) for xx, vv in zip(path.xs, path.vs)])
         span = path.tau_plus - path.tau_minus
         drift = (J.max() - J.min()) / max(np.abs(J).max(), 1e-12) / span

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,9 @@ def write_system_dump(system, prefix):
         prefix + "_matrix.csv", ["row", "col", "value"], zip(coo.row, coo.col, coo.data))
     rhs_path = write_rows_csv(prefix + "_b.csv", ["row", "value"], enumerate(system.rhs))
     return mat_path, rhs_path
+
+DEMO_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs",
+                           "paper4_sweep.cfg")
 
 MINIMAL = """
 [run]
@@ -138,6 +143,20 @@ class TestCliCommands:
             % (command, tmp_path, section, key, value))
         assert run(["run", str(cfg)]) == 2
         assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "solve-static", "solve-dynamic", "transform-table"])
+    def test_grid_command_in_3d_exits_2(self, tmp_path, capsys, command):
+        """Phase grids are 2D: the config is rejected, naming model.dim, before any output."""
+        with open(DEMO_CONFIG) as fh:
+            text = fh.read()
+        text = text.replace("command = sweep", f"command = {command}")
+        text = text.replace("dim = 2", "dim = 3").replace("field = paper4", "field = constant-scalar:1.0")
+        text = text.replace("output_dir = out/paper4_sweep", f"output_dir = {tmp_path}/out")
+        cfg = tmp_path / "d3.cfg"
+        cfg.write_text(text)
+        assert run(["run", str(cfg)]) == 2
+        assert "model.dim" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_env_var_overrides_output(self, tmp_path, monkeypatch):

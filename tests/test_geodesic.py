@@ -142,6 +142,27 @@ class TestPathInvariants:
         assert len(path) == 1
 
 
+class TestBatchTrace:
+    def test_batch_is_the_single_traces(self, engine_model):
+        """One call traces many states in one march; each path is the single
+        trace's bit for bit, boundary starts (outward, inward, glancing) included."""
+        x, v = interior_states(engine_model, 6, 7, 0.9)
+        points = [rt.PhaseSpacePoint(a, b) for a, b in zip(x, v)]
+        e1, e2 = np.eye(engine_model.dim)[:2]
+        points += [rt.unit_phase_point(engine_model, e1, d) for d in (e1 + e2, -e1 + e2, e2)]
+        cfg = rt.IntegratorConfig(step=5e-3)
+        paths = rt.trace(engine_model, points, cfg)
+        assert len(paths) == len(points)
+        for p, path in zip(points, paths):
+            single = rt.trace(engine_model, p, cfg)
+            assert isinstance(single, rt.GeodesicPath)
+            for name in ("taus", "xs", "vs"):
+                assert np.array_equal(getattr(path, name), getattr(single, name))
+            assert (path.tau_minus, path.tau_plus) == (single.tau_minus, single.tau_plus)
+        assert paths[-1].tau_minus == paths[-1].tau_plus == 0.0
+        assert rt.trace(engine_model, [], cfg) == []
+
+
 class TestErrors:
     def test_zero_direction(self, unit_model):
         with pytest.raises(ValueError):

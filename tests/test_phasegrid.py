@@ -110,9 +110,10 @@ class TestAdvectionCoefficients:
         """thetadot agrees with d/dtau of the traced direction angle."""
         grid = rt.build_grid(demo_model, 8, 8, 8)
         _, _, thetadot = rt.advection_coefficients(grid, demo_model)
-        for i in (grid.index(3, 2, 5), grid.index(5, 6, 1)):
-            p = rt.PhaseSpacePoint(grid.x[i], grid.xi[i])
-            path = rt.trace(demo_model, p, rt.IntegratorConfig(step=1e-4, max_steps=120000))
+        nodes = (grid.index(3, 2, 5), grid.index(5, 6, 1))
+        paths = rt.trace(demo_model, [rt.PhaseSpacePoint(grid.x[i], grid.xi[i]) for i in nodes],
+                         rt.IntegratorConfig(step=1e-4, max_steps=120000))
+        for i, path in zip(nodes, paths):
             mid = np.searchsorted(path.taus, 0.0)
             ang = np.unwrap(np.arctan2(path.vs[:, 1], path.vs[:, 0]))
             fd = (ang[mid + 1] - ang[mid - 1]) / (path.taus[mid + 1] - path.taus[mid - 1])
@@ -161,9 +162,10 @@ class TestUpwindDerivative:
 
         u = rt.GridFunction(grid, u_fn(grid.x, grid.theta))
         hu = apply_H(grid, demo_model, u).values
-        for i in (grid.index(10, 5, 3), grid.index(15, 20, 9)):
-            p = rt.PhaseSpacePoint(grid.x[i], grid.xi[i])
-            path = rt.trace(demo_model, p, rt.IntegratorConfig(step=1e-4, max_steps=120000))
+        nodes = (grid.index(10, 5, 3), grid.index(15, 20, 9))
+        paths = rt.trace(demo_model, [rt.PhaseSpacePoint(grid.x[i], grid.xi[i]) for i in nodes],
+                         rt.IntegratorConfig(step=1e-4, max_steps=120000))
+        for i, path in zip(nodes, paths):
             mid = np.searchsorted(path.taus, 0.0)
             ang = np.unwrap(np.arctan2(path.vs[:, 1], path.vs[:, 0]))
             uv = u_fn(path.xs, ang)

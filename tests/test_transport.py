@@ -11,6 +11,7 @@ import raytransport as rt
 from raytransport import transport
 from raytransport.errors import DomainError, StencilError, TraceLimitError
 from raytransport.geodesic import march
+from raytransport.phasegrid import rotation_orbits
 from raytransport.tensorfield import moment
 
 
@@ -249,13 +250,21 @@ class TestInteriorSolution:
 
 class TestGridOracle:
     def test_matches_single_point_op(self, demo_model, demo_field, unit_attenuation):
-        grid = rt.build_grid(demo_model, 6, 6, 4)
-        vals = rt.interior_solution_grid(demo_model, demo_field, unit_attenuation, grid)
-        for i in (grid.index(2, 3, 1), grid.index(4, 0, 2)):
-            single = rt.interior_solution(
-                demo_model, demo_field, unit_attenuation, 0.0,
-                rt.PhaseSpacePoint(grid.x[i], grid.xi[i]))
-            assert vals[i] == single
+        """Grid values are the single-state reader's: bit for bit at orbit
+        representatives and in a non-radial medium, and within 1e-12 of max |u|
+        at the turned members of a radial one ((2, 3, 1) is one on (6, 6, 4))."""
+        for model in (demo_model, rt.parse_model("affine:2,0.3,0.2")):
+            grid = rt.build_grid(model, 6, 6, 4)
+            vals = rt.interior_solution_grid(model, demo_field, unit_attenuation, grid)
+            reps = rotation_orbits(grid)[0][:, 0]
+            for i in (grid.index(2, 3, 1), grid.index(4, 0, 2)):
+                single = rt.interior_solution(
+                    model, demo_field, unit_attenuation, 0.0,
+                    rt.PhaseSpacePoint(grid.x[i], grid.xi[i]))
+                if model.radial and i not in reps:
+                    assert abs(vals[i] - single) <= 1e-12 * np.max(np.abs(vals))
+                else:
+                    assert vals[i] == single
 
     def test_inflow_nodes_zero(self, demo_model, demo_field, unit_attenuation):
         grid = rt.build_grid(demo_model, 6, 6, 4)
@@ -310,6 +319,95 @@ class TestGridOracle:
         assert np.max(np.abs(committed - fine)) <= 1e-12 * np.max(np.abs(fine))
 
 
+def _rank2_diagonal(t, x):
+    return 1.0 + x[..., 0] * x[..., 1]
+
+
+def _rank2_mixed(t, x):
+    return x[..., 0] - 0.5 * x[..., 1]
+
+
+def _marched_rays(monkeypatch):
+    """Record the number of rays of each march."""
+    rays = []
+
+    def recording_march(model, x0, *args, **kwargs):
+        rays.append(len(x0))
+        return march(model, x0, *args, **kwargs)
+
+    monkeypatch.setattr(transport, "march", recording_march)
+    return rays
+
+
+class TestOrbitOracle:
+    """The grid oracle of a radial medium marches one ray per rotation orbit."""
+
+    @pytest.mark.parametrize("shape", [(30, 30, 10), (40, 40, 20), (6, 6, 4), (7, 9, 4)])
+    def test_member_table_is_a_permutation(self, demo_model, shape):
+        grid = rt.build_grid(demo_model, *shape)
+        members, turns = rotation_orbits(grid)
+        g = math.gcd(shape[1], shape[2])
+        assert members.shape == (grid.size // g, g)
+        assert np.array_equal(np.sort(members.ravel()), np.arange(grid.size))
+        assert np.array_equal(turns, 2.0 * np.pi * np.arange(g) / g)
+        # column q is the representative turned by turns[q]: both angles advance by it
+        for angle in (grid.phi, grid.theta):
+            shift = np.angle(np.exp(1j * (angle[members] - angle[members[:, :1]] - turns)))
+            assert np.max(np.abs(shift)) < 1e-12
+
+    def test_coprime_sizes_march_every_node(self, demo_model, demo_field, unit_attenuation, monkeypatch):
+        """With gcd(J, K) = 1 every orbit is one node: the per-node march, bit for bit."""
+        cfg = rt.IntegratorConfig(step=1e-2)
+        grid = rt.build_grid(demo_model, 7, 9, 4)
+        rays = _marched_rays(monkeypatch)
+        u = rt.interior_solution_grid(demo_model, demo_field, unit_attenuation, grid, cfg)
+        assert rays == [grid.size]
+        assert np.array_equal(u, transport._values(demo_model, demo_field, unit_attenuation, 0.0,
+                                                   grid.x, grid.xi, cfg))
+
+    @pytest.mark.parametrize("kind", ["rank 0", "rank 1", "rank 2", "switch-on", "time-dependent"])
+    def test_members_within_round_off_of_the_per_node_march(self, demo_model, demo_field,
+                                                            unit_attenuation, kind, monkeypatch):
+        """Representatives are the per-node march bit for bit; every node is within
+        1e-12 of max |u| of it, for fields of every rank, read at their own t."""
+        f, t = {
+            "rank 0": (rt.constant_scalar_field(0.7), 0.0),
+            "rank 1": (demo_field, 0.0),
+            "rank 2": (rt.SymmetricTensorField(
+                dim=2, rank=2, components={(0, 0): _rank2_diagonal, (0, 1): _rank2_mixed}), 0.0),
+            "switch-on": (rt.with_switch_on(demo_field), 0.3),
+            "time-dependent": (dataclasses.replace(
+                demo_field, components={i: partial(_ramped, c) for i, c in demo_field.components.items()},
+                time_dependent=True), 0.4),
+        }[kind]
+        cfg = rt.IntegratorConfig(step=1e-2)
+        grid = rt.build_grid(demo_model, 8, 10, 10)
+        reps = rotation_orbits(grid)[0][:, 0]
+        rays = _marched_rays(monkeypatch)
+        u = rt.interior_solution_grid(demo_model, f, unit_attenuation, grid, cfg, t=t)
+        ref = transport._values(demo_model, f, unit_attenuation, t, grid.x, grid.xi, cfg)
+        assert rays == [grid.size // 10, grid.size]
+        assert np.array_equal(u[reps], ref[reps])
+        assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_worker_counts_agree_bitwise(self, demo_model, demo_field, unit_attenuation):
+        cfg = rt.IntegratorConfig(step=1e-2)
+        grid = rt.build_grid(demo_model, 8, 10, 10)
+        runs = [rt.interior_solution_grid(demo_model, demo_field, unit_attenuation, grid, cfg, workers=w)
+                for w in (1, 2, 3)]
+        assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
+
+    def test_non_radial_medium_marches_every_node(self, demo_field, unit_attenuation, monkeypatch):
+        model = rt.parse_model("affine:2,0.3,0.2")
+        cfg = rt.IntegratorConfig(step=1e-2)
+        grid = rt.build_grid(model, 8, 10, 10)
+        rays = _marched_rays(monkeypatch)
+        u = rt.interior_solution_grid(model, demo_field, unit_attenuation, grid, cfg)
+        assert rays == [grid.size]
+        assert np.array_equal(u, transport._values(model, demo_field, unit_attenuation, 0.0,
+                                                   grid.x, grid.xi, cfg))
+
+
 def _time_component(t, x):
     return np.asarray(t, dtype=float) + np.zeros(np.asarray(x).shape[:-1])
 
@@ -338,15 +436,20 @@ class TestDynamicBoundaryTable:
                 assert table[r, c] == rt.interior_solution(unit_model, f, unit_attenuation, t, p, cfg)
 
     def test_switch_on_grid_matches_table(self, demo_model, demo_field, unit_attenuation):
-        """The grid oracle of a switched field at t = 0.3 is the table on the outflow ring."""
+        """The grid oracle of a switched field at t = 0.3 is the table on the outflow ring:
+        bit for bit at orbit representatives and in a non-radial medium, and within
+        1e-12 of max |u| at the turned members of a radial one."""
         f = rt.with_switch_on(demo_field)
         cfg = rt.IntegratorConfig(step=1e-2)
-        grid = rt.build_grid(demo_model, 10, 10, 8)
-        idx = rt.classify_boundary(grid, demo_model).outflow_idx
-        vals = rt.interior_solution_grid(demo_model, f, unit_attenuation, grid, cfg, t=0.3)
-        table = rt.dynamic_boundary_table(demo_model, f, unit_attenuation, grid.x[idx], grid.xi[idx],
-                                          [0.3], cfg)
-        assert np.array_equal(vals[idx], table[0])
+        for model in (demo_model, rt.parse_model("affine:2,0.3,0.2")):
+            grid = rt.build_grid(model, 10, 10, 8)
+            idx = rt.classify_boundary(grid, model).outflow_idx
+            vals = rt.interior_solution_grid(model, f, unit_attenuation, grid, cfg, t=0.3)
+            table = rt.dynamic_boundary_table(model, f, unit_attenuation, grid.x[idx], grid.xi[idx],
+                                              [0.3], cfg)
+            exact = np.isin(idx, rotation_orbits(grid)[0][:, 0]) if model.radial else np.ones(idx.size, bool)
+            assert np.array_equal(vals[idx][exact], table[0][exact])
+            assert np.max(np.abs(vals[idx] - table[0])) <= 1e-12 * np.max(np.abs(vals))
 
     def test_switch_on_closed_form(self, unit_model):
         """A switched-on constant source in the unit medium: the value at time t
