@@ -20,7 +20,10 @@ one march with a column per time), ``interior_solution_grid`` of the
 switch-on field at t = 0.3 on (10, 10, 8), the ``trace`` paths of three
 states, ``oracle_residuals`` of the switch-on field at those three states,
 and ``interior_solution`` at them and at two outflow states of the
-(10, 10, 8) ring, once static and once switched on at t = 0.3.
+(10, 10, 8) ring, once static and once switched on at t = 0.3.  Last, the
+demo sweep: ``epsilon_sweep`` of paper4 on (30, 30, 10) at eps 1e-3, 1e-6
+and 1e-9 with the oracle at step 8e-3, whose entry holds the l2 and linf
+arrays, the iteration counts and the criterion-6 gap l2(1e-6) - l2(1e-9).
 Exits 1 if any hash differs.
 
 Every differing entry is printed with its max relative change: for each
@@ -47,6 +50,8 @@ SMALL_GRIDS = GRIDS[:4]
 DEMO_GRID = (30, 30, 10)
 EVEN_RANK_GRID = (4, 5, 6)
 TRACE_STATES = [([0.3, -0.2], 1.1), ([0.0, 0.0], 0.4), ([-0.6, 0.5], 2.9)]
+SWEEP_EPS = (1e-3, 1e-6, 1e-9)
+SWEEP_STEP = 8e-3
 
 
 class Digest:
@@ -137,6 +142,7 @@ def dump() -> dict:
                 tuple(r.iterations for r in reports))
             out[("spilu", "dynamic", name, shape)] = tuple(spilu_inputs)
     out.update(dump_oracle(media, att, field))
+    out.update(dump_sweep(media["paper4"], att, field))
     return out
 
 
@@ -202,6 +208,19 @@ def dump_oracle(media: dict, att, field) -> dict:
             out[("interior_solution", kind, name)] = tuple(
                 rt.interior_solution(model, f, att, t, p, coarse).hex() for p in points + ring)
     return out
+
+
+def dump_sweep(model, att, field) -> dict:
+    import numpy as np
+
+    import raytransport as rt
+
+    sweep = rt.epsilon_sweep(model, field, att, rt.build_grid(model, *DEMO_GRID), SWEEP_EPS,
+                             rt.IntegratorConfig(step=SWEEP_STEP), tol=1e-10)
+    gap = sweep.l2[1] - sweep.l2[2]
+    return {("demo sweep", DEMO_GRID, SWEEP_STEP): (
+        Digest(np.array(sweep.l2)), Digest(np.array(sweep.linf)),
+        tuple(r.iterations for r in sweep.reports), gap.hex())}
 
 
 def _floats(entry):

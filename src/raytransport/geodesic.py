@@ -222,12 +222,12 @@ class Exits:
 
     ``rays`` indexes the march's input rows.  ``x, v`` and ``carry`` are the
     state and the caller's data at the start of the crossing interval, which
-    is interval number ``interval`` (from 1) and begins at parameter ``s``;
-    the sphere is reached at parameter ``s + ds`` in state (x_exit, v_exit).
+    begins at parameter ``s``, the running sum of the whole intervals before
+    it; the sphere is reached at parameter ``s + ds`` in state
+    (x_exit, v_exit).
     """
 
     rays: np.ndarray
-    interval: np.ndarray
     x: np.ndarray
     v: np.ndarray
     s: np.ndarray
@@ -264,7 +264,8 @@ def march(
     is not is parked only if its RK4 half-step position is outside too (the
     bracket is then step/2); otherwise it marches on.  The parameter s is
     the running sum of whole intervals, one float shared by every ray inside,
-    so a ray exits at s + ds.
+    so a ray exits at s + ds, and its exit keeps the s of the interval it
+    left in: whatever depends on the parameter alone is a function of s.
 
     ``carry`` holds per-ray arrays that travel with the rays.  After each
     interval, ``advance(rays, s, xm, vm, xe, ve, carry)`` gets the rays still
@@ -290,9 +291,9 @@ def march(
     # the one conversion: compressing x0.T yields C-contiguous (dim, N) rows
     x, v, s = _keep(x0, inside), _keep(v0, inside), 0.0
     carry = tuple(_keep(np.asarray(c), inside) for c in carry)
-    # (rays, interval, x, v, s, bisection bracket, *carry) per parked batch
+    # (rays, x, v, s, bisection bracket, *carry) per parked batch
     none = np.zeros(0)
-    parked = [(alive[:0], alive[:0], x[:0], v[:0], none, none, *(c[:0] for c in carry))]
+    parked = [(alive[:0], x[:0], v[:0], none, none, *(c[:0] for c in carry))]
     a = acceleration(model, x, v)
     k = 0
     while alive.size:
@@ -311,7 +312,7 @@ def march(
                 xh = _rk4_position(model, _keep(x, graze), _keep(v, graze), half, _keep(a, graze))[0]
                 crossed[graze] = _dot(xh, xh) >= 1.0
             parked.append(tuple(_keep(b, crossed) for b in (
-                alive, np.full(alive.size, k), x, v, np.full(alive.size, s), np.where(out_end, step, half),
+                alive, x, v, np.full(alive.size, s), np.where(out_end, step, half),
                 *carry)))
             keep = ~crossed
             alive, v, a, xm, xe, ve = (_keep(b, keep) for b in (alive, v, a, xm, xe, ve))
@@ -324,13 +325,13 @@ def march(
         x, v, a, s = xe, ve, ae, s + step
 
     # join the parked batches along the ray axis, keeping the layout
-    rays, interval, xp, vp, sp, hi, *carry_p = (
+    rays, xp, vp, sp, hi, *carry_p = (
         np.concatenate([a.T for a in col], axis=-1).T for col in zip(*parked))
     if rays.size:
         ds, x_exit, v_exit = refine_exit(model, xp, vp, hi)
     else:
         ds, x_exit, v_exit = hi, xp, vp
-    return Exits(rays, interval, xp, vp, sp, ds, x_exit, v_exit, tuple(carry_p))
+    return Exits(rays, xp, vp, sp, ds, x_exit, v_exit, tuple(carry_p))
 
 
 def trace(model: RefractiveModel, p, cfg: IntegratorConfig | None = None):

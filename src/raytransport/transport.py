@@ -21,22 +21,23 @@ engine :func:`raytransport.geodesic.march`, run backward from the
 evaluation states under one :class:`~raytransport.geodesic.IntegratorConfig`
 whose step is the interval and whose cap and boundary tolerance are the
 march's: rays take one RK4 step per interval, Simpson's rule reads the mid
-state off the cubic Hermite interpolant of the step, absorption accumulates
-as a running trapezoid sum on the same nodes, and the engine parks boundary
-exits and refines them in one batch, after which the same interval rule
-integrates the stub up to the exit from an RK4 half-step of the stub.
-Absorption is constant and the rays inside have all marched the same whole
-intervals, so the march parameter, the running absorption and its damping
-factors, which carry the sign (-1)^m of the moment read at the reversed
-direction, are one float per interval; only the stubs hold them per ray.
-Ray geometry does not depend on t, so many time levels are one march too:
-the running integral carries one column per time, while absorption and the
-ray states are shared by all columns.  The field decides how it is read: a
-time-dependent one at t + tau per column, any other once per state, and a
-switch-on field, which vanishes before t = 0, without its cut-off but with
-each interval's increment weighted by the share of the interval that lies
-within parameter length t of the start, so its integral is interpolated
-linearly between interval ends at every entry point alike.
+state off the cubic Hermite interpolant of the step, and the engine parks
+boundary exits and refines them in one batch, after which the same interval
+rule integrates the stub up to the exit from an RK4 half-step of the stub.
+Absorption is constant, so the source at backward parameter s is damped by
+exp(-alpha0 s) in closed form.  The rays inside have all marched the same
+whole intervals, so the parameter and the damping factors, which carry the
+sign (-1)^m of the moment read at the reversed direction, are one float per
+interval; only the stubs hold them per ray.  Ray geometry does not depend
+on t, so many time levels are one march too: the running integral carries
+one column per time of a row shared by every ray, while the damping and the
+ray states are shared by all columns; a time must be finite.  The field
+decides how it is read: a time-dependent one at t + tau per column, any
+other once per state, and a switch-on field, which vanishes before t = 0,
+without its cut-off but with each interval's increment weighted by the
+share of the interval that lies within parameter length t of the start, so
+its integral is interpolated linearly between interval ends at every entry
+point alike.
 A transform value is :func:`interior_solution` at an outflow state, the
 batch of one, and :func:`oracle_residuals` differentiates the same march on
 a finite-difference stencil, so every public entry point exercises the same
@@ -52,8 +53,8 @@ after each interval, and at the exit stubs, the representatives' states are
 turned into every member's frame, built component-major as (2, g, n) rows
 of two products per component (no BLAS), and the source is read there.  Representatives
 keep the per-node march's bits and the other members differ from it by
-round-off.  A non-radial medium, or nodes that are not a PhaseGrid, is the
-orbit of size one and takes no rotation arithmetic.
+round-off.  A non-radial medium is the orbit of size one and takes no
+rotation arithmetic.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, StencilError
-from .geodesic import IntegratorConfig, PhaseSpacePoint, march, rk4_step
+from .geodesic import IntegratorConfig, PhaseSpacePoint, angle_phase_point, march, rk4_step
 from .phasegrid import PhaseGrid, rotation_orbits
 from .refractive import RefractiveModel, turn_rate
 from .tensorfield import SymmetricTensorField, moment
@@ -103,12 +104,6 @@ def parse_attenuation(spec: str) -> Attenuation:
 # the batched backward march
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MarchResult:
-    values: np.ndarray      # (n_rays, n_turns, n_times) integral per ray, turn and time
-    tau_minus: np.ndarray   # entry parameter per ray (<= 0)
-
-
 def _turned(x: np.ndarray, rot: np.ndarray) -> np.ndarray:
     """2D states x (N, 2) turned about the center by 0 and by each further angle.
 
@@ -135,22 +130,24 @@ def _march_backward(
     xi0: np.ndarray,
     cfg: IntegratorConfig | None = None,
     turns=(0.0,),
-) -> MarchResult:
+) -> np.ndarray:
     """Integrate backward along the rays from (x0, xi0), one running integral per turn and time.
 
     Simpson's rule on intervals of length cfg.step (default
-    ``IntegratorConfig()``) integrates each ray.
+    ``IntegratorConfig()``) integrates each ray, the source at backward
+    parameter s damped by exp(-alpha0 s).  Returns the integrals as an
+    (n_rays, n_turns, n_times) array; a ray that starts on the sphere
+    without heading inward gets 0.
 
-    ``t`` broadcasts to (n_rays, n_times): a scalar, a column of one time per
-    ray or a row of times shared by every ray.  Column j of the values is the
-    integral at time t[:, j]; absorption and the ray states do not depend on
-    t, so every column is carried by the same march.  A time-dependent field
-    is read at t - s, s >= 0 the backward parameter, elementwise per column;
-    any other field once per state.  A switch-on field is read without its
-    cut-off, and each interval's increment, the interval starting at s and of
-    length h, is weighted by clip((t - s) / h, 0, 1), the share of it inside
-    the most recent stretch of ray of parameter length t: the partial
-    integral is interpolated linearly between interval ends.
+    ``t`` is a time or a row of finite times shared by every ray; column j
+    of the values is the integral at time t[j].  The damping and the ray
+    states do not depend on t, so every column is carried by the same march.
+    A time-dependent field is read at t - s, any other field once per
+    state.  A switch-on field is read without its cut-off, and each
+    interval's increment, the interval starting at s and of length h, is
+    weighted by clip((t - s) / h, 0, 1), the share of it inside the most
+    recent stretch of ray of parameter length t: the partial integral is
+    interpolated linearly between interval ends.
 
     ``turns`` are angles of 2D rotations about the center, the first 0.  In a
     radial medium the ray from a turned state is the turned ray, so only
@@ -161,10 +158,11 @@ def _march_backward(
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     xi0 = np.atleast_2d(np.asarray(xi0, dtype=float))
-    n_rays = x0.shape[0]
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all(np.isfinite(t)):
+        raise ValueError("times must be finite")
     cfg = cfg or IntegratorConfig()
     step = float(cfg.step)
-    t = np.atleast_2d(np.asarray(t, dtype=float))[:, None, :]  # (rays or 1, 1, n_times)
     turns = np.asarray(turns, dtype=float)
     cos, sin = np.cos(turns[1:]), np.sin(turns[1:])
     rot = np.array([[cos, -sin], [sin, cos]]).transpose(0, 2, 1)  # (2, g - 1, 2)
@@ -173,73 +171,56 @@ def _march_backward(
     a = att.alpha0
     # the march runs backward: the moment at the forward direction -v is (-1)^m times that at v
     sign = -1.0 if f.rank % 2 else 1.0
-    absorbed = [0.0]  # the absorption after each whole interval, the same for every ray inside
-
-    def t_at(rays):
-        return t[rays] if t.shape[0] > 1 else t
 
     def turned(x):
         return _turned(x, rot) if turns.size > 1 else x[:, None]
 
-    def source_at(rays, s, x, xi):
+    def source_at(s, x, xi):
         """The moment at each state in every turn as (n, n_turns, n_times), n_times 1 if not time-dependent."""
         x, xi = turned(x), turned(xi)
         if f.time_dependent:
-            return np.asarray(moment(f, t_at(rays) - s, x[:, :, None], xi[:, :, None]), dtype=float)
+            return np.asarray(moment(f, t - s, x[:, :, None], xi[:, :, None]), dtype=float)
         return np.asarray(moment(f, 0.0, x, xi), dtype=float)[..., None]
 
-    def interval_rule(h, rays, s, A, xm, vm, xe, ve, I, g):
-        """Absorption, integrals and damped source after an interval of length h.
+    def interval_rule(h, s, xm, vm, xe, ve, I, g):
+        """The integrals and the damped source at the end of an interval of length h from s.
 
-        h, s and the absorption A at s are floats for a whole interval and
-        (n, 1, 1) columns for the exit stubs.
+        h and s are floats for a whole interval and (n, 1, 1) columns for
+        the exit stubs.
         """
-        Am = A + 0.25 * h * (a + a)
-        Ae = Am + 0.25 * h * (a + a)
-        gm = source_at(rays, s + 0.5 * h, xm, vm) * (sign * np.exp(-Am))
-        ge = source_at(rays, s + h, xe, ve) * (sign * np.exp(-Ae))
+        sm, se = s + 0.5 * h, s + h
+        gm = source_at(sm, xm, vm) * (sign * np.exp(-a * sm))
+        ge = source_at(se, xe, ve) * (sign * np.exp(-a * se))
         dI = (h / 6.0) * (g + 4.0 * gm + ge)
         if switched:
-            w = np.clip((t_at(rays) - s) / h, 0.0, 1.0)
+            w = np.clip((t - s) / h, 0.0, 1.0)
             if not w.any():
-                return Ae, I, ge
+                return I, ge
             dI = dI * w
-        return Ae, I + dI, ge
+        return I + dI, ge
 
     def advance(rays, s, xm, vm, xe, ve, carry):
-        A, I, g = interval_rule(step, rays, s, absorbed[-1], xm, vm, xe, ve, *carry)
-        absorbed.append(A)
-        return I, g
+        return interval_rule(step, s, xm, vm, xe, ve, *carry)
 
     # the integrals are component-major like the ray states: (n_times, n_turns, n_rays) in memory
-    start = (np.zeros((t.shape[2], turns.size, n_rays)).T, source_at(np.arange(n_rays), 0.0, x0, xi0))
+    start = (np.zeros((t.size, turns.size, x0.shape[0])).T, source_at(0.0, x0, xi0))
     ex = march(model, x0, -xi0, step, cfg, carry=start, advance=advance)
 
     values = np.zeros(start[0].shape)
-    tau_minus = np.zeros(n_rays)
     if ex.rays.size:
-        # a ray parked in interval k starts its stub from the absorption after k - 1 intervals
-        A = np.array(absorbed)[ex.interval - 1]
         xm, vm = rk4_step(model, ex.x, ex.v, 0.5 * ex.ds)
         col = (slice(None), None, None)
-        values[ex.rays] = interval_rule(ex.ds[col], ex.rays, ex.s[col], A[col], xm, vm,
-                                        ex.x_exit, ex.v_exit, *ex.carry)[1]
-        tau_minus[ex.rays] = -(ex.s + ex.ds)
-    return MarchResult(values=values, tau_minus=tau_minus)
+        values[ex.rays] = interval_rule(ex.ds[col], ex.s[col], xm, vm, ex.x_exit, ex.v_exit, *ex.carry)[0]
+    return values
 
 
 # ---------------------------------------------------------------------------
 # public oracle operations
 # ---------------------------------------------------------------------------
 
-def _values(model, f, att, t, x, xi, cfg) -> np.ndarray:
-    """The backward integral from each state (x, xi) at time t, one value per state."""
-    return _march_backward(model, f, att, t, x, xi, cfg).values[:, 0, 0]
-
-
-def _orbit_values(model, f, att, t, cfg, turns, x, xi) -> np.ndarray:
+def _values(model, f, att, t, x, xi, cfg=None, turns=(0.0,)) -> np.ndarray:
     """The backward integral at time t from each state (x, xi) turned by each angle, (n, n_turns)."""
-    return _march_backward(model, f, att, t, x, xi, cfg, turns).values[:, :, 0]
+    return _march_backward(model, f, att, t, x, xi, cfg, turns)[:, :, 0]
 
 
 def interior_solution(
@@ -262,14 +243,14 @@ def interior_solution(
     r = float(np.linalg.norm(p.x))
     if r > 1.0 + 10.0 * cfg.boundary_tol:
         raise DomainError(f"point is not inside the ball: |x| = {r:.6g}")
-    return float(_values(model, f, att, float(t), p.x, p.xi, cfg)[0])
+    return float(_values(model, f, att, float(t), p.x, p.xi, cfg)[0, 0])
 
 
 def interior_solution_grid(
     model: RefractiveModel,
     f: SymmetricTensorField,
     att: Attenuation,
-    grid,
+    grid: PhaseGrid,
     cfg: IntegratorConfig | None = None,
     t: float = 0.0,
     workers: int = 1,
@@ -282,19 +263,18 @@ def interior_solution_grid(
     representative's march, turned into each member's frame, reads the
     source at the member's own states, one running integral per member.
     Representatives get the per-node march's bits; the other members
-    differ from it by round-off, within 1e-12 of max |u|.  Any other grid
-    (a non-radial medium, or nodes given as plain ``x`` and ``xi``) is
-    marched one ray per node.  With ``workers > 1`` the marched rays are
-    split into contiguous chunks evaluated in separate processes and
-    reassembled in chunk order, so the result does not depend on the
-    worker count.
+    differ from it by round-off, within 1e-12 of max |u|.  The grid of a
+    non-radial medium is marched one ray per node.  With ``workers > 1``
+    the marched rays are split into contiguous chunks evaluated in
+    separate processes and reassembled in chunk order, so the result does
+    not depend on the worker count.
     """
-    if isinstance(grid, PhaseGrid) and model.radial:
+    if model.radial:
         members, turns = rotation_orbits(grid)
     else:
-        members, turns = np.arange(grid.x.shape[0])[:, None], np.zeros(1)
+        members, turns = np.arange(grid.size)[:, None], np.zeros(1)
     x, xi = grid.x[members[:, 0]], grid.xi[members[:, 0]]
-    run = partial(_orbit_values, model, f, att, t, cfg, turns)
+    run = partial(_values, model, f, att, t, cfg=cfg, turns=turns)
     if workers <= 1:
         vals = run(x, xi)
     else:
@@ -330,24 +310,19 @@ def dynamic_boundary_table(
         return np.zeros((0, len(x)))
     if np.any(times < 0.0):
         raise ValueError("times must be nonnegative")
-    return _march_backward(model, f, att, times, x, xi, cfg).values[:, 0].T
+    return _march_backward(model, f, att, times, x, xi, cfg)[:, 0].T
 
 
 # ---------------------------------------------------------------------------
 # transport residual
 # ---------------------------------------------------------------------------
 
-def _phase_point_2d(model, x, theta) -> PhaseSpacePoint:
-    d = np.array([np.cos(theta), np.sin(theta)])
-    return PhaseSpacePoint(x=np.asarray(x, dtype=float), xi=d / float(model.n(np.asarray(x))))
-
-
 def _residual_stencil(model, f, t: float, points, fd_step: float):
-    """The (time, state) pairs at which the transport residual reads u.
+    """The times and the states at which the transport residual reads u.
 
-    Per point, in order: the center, x1 +- fd_step, x2 +- fd_step and
-    theta +- fd_step at time t, then the center at t +- fd_step when the
-    field depends on time.  The direction angle is held fixed under spatial
+    The times are t, then t +- fd_step when the field depends on time.  The
+    states are, per point in order: the center, x1 +- fd_step, x2 +- fd_step
+    and theta +- fd_step.  The direction angle is held fixed under spatial
     shifts, with the tangent re-normalized at the shifted base point.
     """
     if model.dim != 2:
@@ -362,30 +337,33 @@ def _residual_stencil(model, f, t: float, points, fd_step: float):
         if r + fd_step >= 1.0 - 1e-12:
             raise StencilError(f"stencil of width {fd_step} does not fit at |x| = {r:.6g}")
         th = float(np.arctan2(xi[1], xi[0]))
-        offs = [(t, x, th), (t, x + e1, th), (t, x - e1, th), (t, x + e2, th), (t, x - e2, th),
-                (t, x, th + fd_step), (t, x, th - fd_step)]
-        if f.is_dynamic:
-            offs += [(t + fd_step, x, th), (t - fd_step, x, th)]
-        stencil += [(tt, _phase_point_2d(model, xx, a)) for tt, xx, a in offs]
-    return stencil
+        offs = [(x, th), (x + e1, th), (x - e1, th), (x + e2, th), (x - e2, th),
+                (x, th + fd_step), (x, th - fd_step)]
+        stencil += [angle_phase_point(model, xx, a) for xx, a in offs]
+    times = [t, t + fd_step, t - fd_step] if f.is_dynamic else [t]
+    return np.array(times), stencil
 
 
 def _residual_combine(model, f, att, t: float, points, fd_step: float, vals: np.ndarray) -> np.ndarray:
     """(d_t u) + H u + alpha u - f . xi^m from u on the stencil, one row per point.
 
-    H u combines central differences in x and in the direction angle, the
-    latter weighted by the turning rate of the ray.
+    ``vals`` is (n_points, n_states, n_times) in the order of
+    :func:`_residual_stencil`.  H u combines central differences in x and
+    in the direction angle, the latter weighted by the turning rate of the
+    ray; d_t u is the central difference at the center, when there are
+    three times.
     """
     x = np.array([p.x for p in points], dtype=float)
     xi = np.array([p.xi for p in points], dtype=float)
     width = 2.0 * fd_step
-    du_dx1 = (vals[:, 1] - vals[:, 2]) / width
-    du_dx2 = (vals[:, 3] - vals[:, 4]) / width
-    du_dth = (vals[:, 5] - vals[:, 6]) / width
+    u = vals[:, :, 0]
+    du_dx1 = (u[:, 1] - u[:, 2]) / width
+    du_dx2 = (u[:, 3] - u[:, 4]) / width
+    du_dth = (u[:, 5] - u[:, 6]) / width
     h_u = xi[:, 0] * du_dx1 + xi[:, 1] * du_dx2 + turn_rate(model, x, xi) * du_dth
-    dt_u = (vals[:, 7] - vals[:, 8]) / width if vals.shape[1] > 7 else 0.0
+    dt_u = (vals[:, 0, 1] - vals[:, 0, 2]) / width if vals.shape[2] > 1 else 0.0
     src = np.asarray(moment(f, t, x, xi), dtype=float)
-    return dt_u + h_u + att.alpha0 * vals[:, 0] - src
+    return dt_u + h_u + att.alpha0 * u[:, 0] - src
 
 
 def oracle_residuals(
@@ -405,14 +383,14 @@ def oracle_residuals(
     derivative is a central difference in theta, weighted by the turning
     rate of the ray.  The time derivative is a central difference with the
     same step, evaluated only when the field depends on time (it vanishes
-    identically otherwise).  Every stencil state of every point is
-    evaluated in one batched march.
+    identically otherwise).  The seven stencil states of every point are
+    one batched march, which carries one column per time.
     """
     if not len(points):
         return np.zeros(0)
-    stencil = _residual_stencil(model, f, float(t), points, fd_step)
-    times = np.array([tt for tt, _ in stencil])
-    xs = np.array([pp.x for _, pp in stencil])
-    xis = np.array([pp.xi for _, pp in stencil])
-    vals = _values(model, f, att, times[:, None], xs, xis, cfg)
-    return _residual_combine(model, f, att, float(t), points, fd_step, vals.reshape(len(points), -1))
+    times, stencil = _residual_stencil(model, f, float(t), points, fd_step)
+    xs = np.array([pp.x for pp in stencil])
+    xis = np.array([pp.xi for pp in stencil])
+    vals = _march_backward(model, f, att, times, xs, xis, cfg)[:, 0]
+    return _residual_combine(model, f, att, float(t), points, fd_step,
+                             vals.reshape(len(points), -1, times.size))

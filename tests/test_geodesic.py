@@ -183,24 +183,20 @@ class TestErrors:
 
 
 class TestOneEngine:
-    def test_trace_and_oracle_share_the_exit_parameter(self, demo_model, demo_field, unit_attenuation):
-        """The entry and exit parameters of a trace at step h are the oracle's at
-        quadrature step 2h, marched from (x, xi) and from (x, -xi), bit for bit."""
-        from raytransport.transport import _march_backward
-
+    def test_trace_and_oracle_share_the_exit_parameter(self, demo_model):
+        """The entry and exit parameters of a trace at step h are the exits s + ds of
+        the oracle's march at interval 2h from (x, -xi) and from (x, xi), bit for bit;
+        a ray that starts on the sphere heading out is not marched and exits at 0."""
         h = 5e-3
         cfg = rt.IntegratorConfig(step=h)
-        oracle_cfg = rt.IntegratorConfig(step=2.0 * h)
         starts = [([0.3, -0.2], 1.1), ([0.0, 0.0], 0.4), ([-0.6, 0.5], 2.9), ([0.0, 1.0], -1.2)]
         for x, theta in starts:
             p = rt.angle_phase_point(demo_model, x, theta)
-            tau = [
-                _march_backward(demo_model, demo_field, unit_attenuation, 0.0, p.x, xi,
-                                oracle_cfg).tau_minus[0]
-                for xi in (p.xi, -p.xi)
-            ]
+            ex = march(demo_model, [p.x, p.x], [p.xi, -p.xi], 2.0 * h, cfg)
+            tau = np.zeros(2)
+            tau[ex.rays] = ex.s + ex.ds
             path = rt.trace(demo_model, p, cfg)
-            assert (path.tau_minus, path.tau_plus) == (tau[0], -tau[1])
+            assert (path.tau_minus, path.tau_plus) == (-tau[1], tau[0])
 
 
 def _bits(*arrays):
@@ -264,7 +260,7 @@ class TestLayoutIndependence:
             ex = march(model, xl, vl, 0.05, cfg, carry=carry, advance=advance)
             for a in (ex.x, ex.v, ex.x_exit, ex.v_exit):
                 assert a.T.flags["C_CONTIGUOUS"]
-            return (ex.rays, ex.interval, ex.x, ex.v, ex.s, ex.ds, ex.x_exit, ex.v_exit, *ex.carry, *seen)
+            return (ex.rays, ex.x, ex.v, ex.s, ex.ds, ex.x_exit, ex.v_exit, *ex.carry, *seen)
 
         self._each_layout(x, v, run)
 
@@ -324,10 +320,12 @@ class TestSharedParameter:
         ex = march(model, x, v, self.STEP, rt.IntegratorConfig(), advance=advance)
         assert seen and all(type(s) is float for s in seen)
         sums = [0.0]
-        for _ in range(int(ex.interval.max())):
+        for _ in seen:
             sums.append(sums[-1] + self.STEP)
-        assert seen == sums[:len(seen)]
-        assert ex.s.tobytes() == np.array(sums)[ex.interval - 1].tobytes()
+        assert seen == sums[:-1]
+        # a ray parked in an interval keeps the running sum that began it
+        assert set(ex.s.tolist()) <= set(sums)
+        assert ex.s.max() == sums[-1]
 
 
 class TestExitStates:
@@ -371,7 +369,7 @@ class TestExitStates:
         out = [np.sum(y ** 2, axis=1) >= 1.0 for y in (xm, xh, xe)]
         dipped = np.isin(ex.rays, np.nonzero(out[0] & out[1] & ~out[2])[0])
         assert dipped.sum() >= 10
-        assert np.all(ex.interval[dipped] == 1)
+        assert np.all(ex.s[dipped] == 0.0)
         assert np.all(ex.ds[dipped] <= 0.5 * step)
 
     def test_interpolated_mid_alone_parks_no_ray(self, unit_model, monkeypatch):
@@ -391,4 +389,4 @@ class TestExitStates:
         x, v = interior_states(unit_model, 20, 9, 0.5)
         ex = self._check_exits(unit_model, x, -v, 1e-2)
         assert len(calls) > 1
-        assert np.all(ex.interval > 1)
+        assert np.all(ex.s > 0.0)

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import types
 from functools import partial
 
 import numpy as np
@@ -247,6 +246,24 @@ class TestInteriorSolution:
         with pytest.raises(DomainError):
             rt.interior_solution(demo_model, demo_field, unit_attenuation, 0.0, p, cfg)
 
+    def test_every_entry_point_rejects_a_nan_time(self, demo_model, demo_field, unit_attenuation):
+        """A switch-on field at t = nan is an error, not a nan value."""
+        f = rt.with_switch_on(demo_field)
+        cfg = rt.IntegratorConfig(step=1e-2)
+        grid = rt.build_grid(demo_model, 4, 4, 3)
+        idx = rt.classify_boundary(grid, demo_model).outflow_idx
+        p = rt.angle_phase_point(demo_model, [0.2, 0.1], 0.5)
+        calls = [
+            lambda: rt.interior_solution(demo_model, f, unit_attenuation, np.nan, p, cfg),
+            lambda: rt.interior_solution_grid(demo_model, f, unit_attenuation, grid, cfg, t=np.nan),
+            lambda: rt.dynamic_boundary_table(demo_model, f, unit_attenuation, grid.x[idx], grid.xi[idx],
+                                              [np.nan, 0.5], cfg),
+            lambda: rt.oracle_residuals(demo_model, f, unit_attenuation, np.nan, [p], 1e-3, cfg),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
 
 class TestGridOracle:
     def test_matches_single_point_op(self, demo_model, demo_field, unit_attenuation):
@@ -300,9 +317,8 @@ class TestGridOracle:
         """
         grid = rt.build_grid(demo_model, 30, 30, 10)
         nodes = np.sort(np.random.default_rng(0).choice(grid.size, 20, replace=False))
-        sample = types.SimpleNamespace(x=grid.x[nodes], xi=grid.xi[nodes])
-        u = [rt.interior_solution_grid(demo_model, demo_field, unit_attenuation, sample,
-                                       rt.IntegratorConfig(step=h)) for h in (1.6e-2, 8e-3, 4e-3)]
+        u = [transport._values(demo_model, demo_field, unit_attenuation, 0.0, grid.x[nodes], grid.xi[nodes],
+                               rt.IntegratorConfig(step=h))[:, 0] for h in (1.6e-2, 8e-3, 4e-3)]
         coarse, fine = np.max(np.abs(u[0] - u[1])), np.max(np.abs(u[1] - u[2]))
         assert 3.5 <= np.log2(coarse / fine) <= 4.5
 
@@ -313,9 +329,9 @@ class TestGridOracle:
         """
         grid = rt.build_grid(demo_model, 30, 30, 10)
         nodes = np.sort(np.random.default_rng(1).choice(grid.size, 30, replace=False))
-        sample = types.SimpleNamespace(x=grid.x[nodes], xi=grid.xi[nodes])
-        committed, fine = (rt.interior_solution_grid(demo_model, demo_field, unit_attenuation, sample,
-                                                     rt.IntegratorConfig(step=h)) for h in (1e-3, 2.5e-4))
+        committed, fine = (transport._values(demo_model, demo_field, unit_attenuation, 0.0, grid.x[nodes],
+                                             grid.xi[nodes], rt.IntegratorConfig(step=h))[:, 0]
+                           for h in (1e-3, 2.5e-4))
         assert np.max(np.abs(committed - fine)) <= 1e-12 * np.max(np.abs(fine))
 
 
@@ -363,7 +379,7 @@ class TestOrbitOracle:
         u = rt.interior_solution_grid(demo_model, demo_field, unit_attenuation, grid, cfg)
         assert rays == [grid.size]
         assert np.array_equal(u, transport._values(demo_model, demo_field, unit_attenuation, 0.0,
-                                                   grid.x, grid.xi, cfg))
+                                                   grid.x, grid.xi, cfg)[:, 0])
 
     @pytest.mark.parametrize("kind", ["rank 0", "rank 1", "rank 2", "switch-on", "time-dependent"])
     def test_members_within_round_off_of_the_per_node_march(self, demo_model, demo_field,
@@ -385,7 +401,7 @@ class TestOrbitOracle:
         reps = rotation_orbits(grid)[0][:, 0]
         rays = _marched_rays(monkeypatch)
         u = rt.interior_solution_grid(demo_model, f, unit_attenuation, grid, cfg, t=t)
-        ref = transport._values(demo_model, f, unit_attenuation, t, grid.x, grid.xi, cfg)
+        ref = transport._values(demo_model, f, unit_attenuation, t, grid.x, grid.xi, cfg)[:, 0]
         assert rays == [grid.size // 10, grid.size]
         assert np.array_equal(u[reps], ref[reps])
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -405,7 +421,7 @@ class TestOrbitOracle:
         u = rt.interior_solution_grid(model, demo_field, unit_attenuation, grid, cfg)
         assert rays == [grid.size]
         assert np.array_equal(u, transport._values(model, demo_field, unit_attenuation, 0.0,
-                                                   grid.x, grid.xi, cfg))
+                                                   grid.x, grid.xi, cfg)[:, 0])
 
 
 def _time_component(t, x):
@@ -628,8 +644,8 @@ class TestThreeDimensional:
 
 def residual_of(model, f, att, u, t, p, fd_step):
     """The residual combination of a user-supplied u(t, p) read on the oracle's stencil."""
-    stencil = transport._residual_stencil(model, f, t, [p], fd_step)
-    vals = np.array([[float(u(tt, pp)) for tt, pp in stencil]])
+    times, stencil = transport._residual_stencil(model, f, t, [p], fd_step)
+    vals = np.array([[[float(u(tt, pp)) for tt in times] for pp in stencil]])
     return float(transport._residual_combine(model, f, att, t, [p], fd_step, vals)[0])
 
 
@@ -666,6 +682,19 @@ class TestResidual:
                   for x, theta in [([0.3, -0.2], 1.1), ([0.0, 0.0], 0.4), ([-0.6, 0.5], 2.9)]]
         res = rt.oracle_residuals(model, f, unit_attenuation, 0.4, points, 1e-3, rt.IntegratorConfig(step=1e-2))
         assert np.max(np.abs(res)) <= 1e-4
+
+    @pytest.mark.parametrize("kind", ["switch-on", "time-dependent"])
+    def test_dynamic_field_marches_seven_rays_per_point(self, demo_model, demo_field, unit_attenuation,
+                                                        kind, monkeypatch):
+        """The seven stencil states of a point are marched once, carrying t and t +- fd_step."""
+        f = rt.with_switch_on(demo_field) if kind == "switch-on" else dataclasses.replace(
+            demo_field, components={i: partial(_ramped, c) for i, c in demo_field.components.items()},
+            time_dependent=True)
+        points = [rt.angle_phase_point(demo_model, x, theta)
+                  for x, theta in [([0.3, -0.2], 1.1), ([0.0, 0.0], 0.4), ([-0.6, 0.5], 2.9)]]
+        rays = _marched_rays(monkeypatch)
+        rt.oracle_residuals(demo_model, f, unit_attenuation, 0.4, points, 1e-3, rt.IntegratorConfig(step=1e-2))
+        assert rays == [7 * len(points)]
 
     def test_stencil_near_boundary(self, demo_model, demo_field, unit_attenuation):
         p = rt.angle_phase_point(demo_model, [0.995, 0.0], 2.0)
