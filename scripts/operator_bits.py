@@ -11,9 +11,10 @@ dynamic solutions, their residuals, every matrix handed to ``spilu`` (an
 entry of its own per solve, so that a reordered factorization input is told
 apart from a changed solution) and the coercivity estimate.  It also hashes
 the characteristic oracle: ``interior_solution_grid`` for the three media on
-the small grids and for paper4 on (30, 30, 10), for a rank-0 and a rank-2
-field on (4, 5, 6) (even ranks, whose moments keep their sign under the
-march's reversed velocity), three
+the small grids, for paper4 on (30, 30, 10), for the affine medium on
+(40, 40, 20) at step 1e-2 (32000 rays, the one grid marched in more than
+one batch) and for a rank-0 and a rank-2 field on (4, 5, 6) (even ranks,
+whose moments keep their sign under the march's reversed velocity), three
 ``dynamic_boundary_table`` runs (a switch-on field, a time-dependent one and
 one that is both, each at times on and off the quadrature step, every table
 one march with a column per time), ``interior_solution_grid`` of the
@@ -28,9 +29,12 @@ Exits 1 if any hash differs.
 
 Every differing entry is printed with its max relative change: for each
 float array and sparse matrix of the entry, max |new - old| / max |old|,
-and the largest of these (matrices are subtracted as matrices, so a moved
-sparsity pattern counts by the values it moves).  Differences in the
-entry's other fields are named next to it by their position in the entry:
+for each float stored as a hex string (a single-state oracle value, a trace
+endpoint, a solver residual, lambda_min, the criterion-6 gap)
+|new - old| / |old|, and the largest of these (matrices are subtracted as
+matrices, so a moved sparsity pattern counts by the values it moves).
+Differences in the entry's other fields are named next to it by their
+position in the entry:
 a moved sparsity pattern or integer array as such, and each scalar (solver
 residuals, iteration counts, methods) as old -> new.
 """
@@ -48,6 +52,8 @@ GRIDS = [(3, 3, 3), (4, 5, 6), (7, 9, 4), (10, 10, 8), (30, 30, 10), (40, 40, 20
 SOLVE_MAX_NODES = 10 * 10 * 8
 SMALL_GRIDS = GRIDS[:4]
 DEMO_GRID = (30, 30, 10)
+# the one digested grid whose backward march is split into batches
+BATCHED_GRID, BATCHED_STEP = (40, 40, 20), 1e-2
 EVEN_RANK_GRID = (4, 5, 6)
 TRACE_STATES = [([0.3, -0.2], 1.1), ([0.0, 0.0], 0.4), ([-0.6, 0.5], 2.9)]
 SWEEP_EPS = (1e-3, 1e-6, 1e-9)
@@ -179,6 +185,10 @@ def dump_oracle(media: dict, att, field) -> dict:
         for shape in shapes:
             grid = rt.build_grid(model, *shape)
             out[("oracle", name, shape)] = Digest(rt.interior_solution_grid(model, field, att, grid))
+        if name == "affine":
+            grid = rt.build_grid(model, *BATCHED_GRID)
+            out[("oracle", name, BATCHED_GRID, BATCHED_STEP)] = Digest(rt.interior_solution_grid(
+                model, field, att, grid, rt.IntegratorConfig(step=BATCHED_STEP)))
         grid = rt.build_grid(model, *EVEN_RANK_GRID)
         for rank, even in even_fields.items():
             out[("oracle", rank, name, EVEN_RANK_GRID)] = Digest(
@@ -223,9 +233,18 @@ def dump_sweep(model, att, field) -> dict:
         tuple(r.iterations for r in sweep.reports), gap.hex())}
 
 
+def _is_hex_float(value) -> bool:
+    """Whether a scalar field is a float stored as a hex string (``float.hex``)."""
+    return isinstance(value, str) and value.lstrip("-").startswith("0x")
+
+
 def _floats(entry):
-    """The float arrays and sparse matrices of an entry, in order."""
-    if isinstance(entry, Digest):
+    """The float arrays, sparse matrices and hex-float scalars (as 0-d arrays) of an entry, in order."""
+    import numpy as np
+
+    if _is_hex_float(entry):
+        yield np.array(float.fromhex(entry))
+    elif isinstance(entry, Digest):
         if entry.values is not None:
             yield entry.values
     elif isinstance(entry, MatrixDigest):
@@ -248,7 +267,7 @@ def _skeleton(entry):
 
 def _show(value) -> str:
     """A scalar field for printing; floats stored as hex are shown in decimal."""
-    if isinstance(value, str) and value.lstrip("-").startswith("0x"):
+    if _is_hex_float(value):
         return repr(float.fromhex(value))
     return repr(value)
 
@@ -267,7 +286,7 @@ def field_changes(old, new, where="entry"):
 
 
 def max_relative_change(old, new) -> float:
-    """max over the entry's float arrays and matrices of max |new - old| / max |old|.
+    """max over the entry's float arrays, matrices and hex-float scalars of max |new - old| / max |old|.
 
     Matrices are compared as matrices, so a moved sparsity pattern counts
     only by the values it moves.  inf if the two entries do not pair up.

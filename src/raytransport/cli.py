@@ -241,6 +241,8 @@ def run(argv=None) -> int:
         cfg = load_config(args.config)
         if args.workers is None:
             args.workers = cfg.workers
+        elif args.workers < 1:
+            raise ConfigError(f"--workers: must be at least 1, got {args.workers}")
         code = _COMMANDS[cfg.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

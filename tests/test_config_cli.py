@@ -120,6 +120,17 @@ class TestCliCommands:
         cfg.write_text("[run]\ncommand = fly\n")
         assert run(["run", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_flag_below_1_exits_2(self, tmp_path, capsys, workers):
+        """--workers is held to the same bound as run.workers, before any output."""
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(
+            "[run]\ncommand = sweep\noutput_dir = %s/out\n"
+            "[grid]\ni = 6\nj = 6\nk = 4\n[solver]\nepsilon = 1e-3\n" % tmp_path)
+        assert run(["run", str(cfg), "--workers", workers]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key,value", [("method", "foo"), ("preconditioner", "lu"),
                                            ("max_iter", "0"), ("max_iter", "-3")])
     def test_bad_solver_choice_exits_2(self, tmp_path, capsys, key, value):

@@ -424,6 +424,75 @@ class TestOrbitOracle:
                                                    grid.x, grid.xi, cfg)[:, 0])
 
 
+class TestBatchedMarch:
+    """The backward march splits its rays into length-sorted batches of at most
+    MAX_BATCH_RAYS; every ray's arithmetic is its own, so no value moves."""
+
+    LIMIT = 7
+
+    @pytest.mark.parametrize("medium", ["affine", "paper4"])
+    @pytest.mark.parametrize("switched", [False, True], ids=["static", "switch-on"])
+    def test_grid_bits_do_not_depend_on_the_batch_limit(self, demo_field, unit_attenuation, monkeypatch,
+                                                        medium, switched):
+        model = rt.parse_model("affine:2,0.3,0.2" if medium == "affine" else "paper4")
+        f, t = (rt.with_switch_on(demo_field), 0.3) if switched else (demo_field, 0.0)
+        cfg = rt.IntegratorConfig(step=1e-2)
+        grid = rt.build_grid(model, 6, 6, 4)
+        whole = rt.interior_solution_grid(model, f, unit_attenuation, grid, cfg, t=t)
+        monkeypatch.setattr(transport, "MAX_BATCH_RAYS", self.LIMIT)
+        rays = _marched_rays(monkeypatch)
+        batched = rt.interior_solution_grid(model, f, unit_attenuation, grid, cfg, t=t)
+        assert len(rays) > 1
+        assert np.array_equal(batched, whole)
+
+    def test_table_bits_do_not_depend_on_the_batch_limit(self, demo_model, demo_field, unit_attenuation,
+                                                         monkeypatch):
+        f = rt.with_switch_on(demo_field)
+        cfg = rt.IntegratorConfig(step=1e-2)
+        grid = rt.build_grid(demo_model, 10, 10, 8)
+        idx = rt.classify_boundary(grid, demo_model).outflow_idx
+        times = [0.0, 0.3, 0.304, 0.55, 2.0]
+        whole = rt.dynamic_boundary_table(demo_model, f, unit_attenuation, grid.x[idx], grid.xi[idx], times, cfg)
+        monkeypatch.setattr(transport, "MAX_BATCH_RAYS", self.LIMIT)
+        batched = rt.dynamic_boundary_table(demo_model, f, unit_attenuation, grid.x[idx], grid.xi[idx], times,
+                                            cfg)
+        assert np.array_equal(batched, whole)
+
+    def test_worker_counts_agree_bitwise(self, demo_field, unit_attenuation, monkeypatch):
+        model = rt.parse_model("affine:2,0.3,0.2")
+        cfg = rt.IntegratorConfig(step=1e-2)
+        grid = rt.build_grid(model, 6, 6, 4)
+        monkeypatch.setattr(transport, "MAX_BATCH_RAYS", self.LIMIT)
+        runs = [rt.interior_solution_grid(model, demo_field, unit_attenuation, grid, cfg, workers=w)
+                for w in (1, 2, 3)]
+        assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
+
+    def test_one_march_per_batch(self, demo_field, unit_attenuation, monkeypatch):
+        """n rays are ceil(n / limit) marches, each of at most limit rays, that march
+        every ray once in order of their chord length to the sphere."""
+        model = rt.parse_model("affine:2,0.3,0.2")
+        grid = rt.build_grid(model, 6, 6, 4)
+        monkeypatch.setattr(transport, "MAX_BATCH_RAYS", self.LIMIT)
+        starts = []
+
+        def recording_march(model, x0, v0, *args, **kwargs):
+            starts.append((x0, v0))
+            return march(model, x0, v0, *args, **kwargs)
+
+        monkeypatch.setattr(transport, "march", recording_march)
+        rt.interior_solution_grid(model, demo_field, unit_attenuation, grid, rt.IntegratorConfig(step=1e-2))
+        assert len(starts) == math.ceil(grid.size / self.LIMIT)
+        assert max(len(x0) for x0, _ in starts) <= self.LIMIT
+        x0 = np.concatenate([x0 for x0, _ in starts])
+        v0 = np.concatenate([v0 for _, v0 in starts])
+
+        def sorted_rows(a):
+            return a[np.lexsort(a.T[::-1])]
+
+        assert np.array_equal(sorted_rows(np.hstack([x0, -v0])), sorted_rows(np.hstack([grid.x, grid.xi])))
+        assert np.all(np.diff(transport._chord_length(x0, v0)) >= 0.0)
+
+
 def _time_component(t, x):
     return np.asarray(t, dtype=float) + np.zeros(np.asarray(x).shape[:-1])
 
