@@ -25,6 +25,10 @@ and ``interior_solution`` at them and at two outflow states of the
 demo sweep: ``epsilon_sweep`` of paper4 on (30, 30, 10) at eps 1e-3, 1e-6
 and 1e-9 with the oracle at step 8e-3, whose entry holds the l2 and linf
 arrays, the iteration counts and the criterion-6 gap l2(1e-6) - l2(1e-9).
+And the config layer: for each of ``configs/*.cfg`` and the seed-0 config
+text of the three ``perfbench`` workloads (read from this script's
+checkout, so both trees parse the same texts), ``parse_config_text(text)``'s
+``to_text()`` and the ``dataclasses.astuple`` of the parsed config.
 Exits 1 if any hash differs.
 
 Every differing entry is printed with its max relative change: for each
@@ -40,6 +44,7 @@ residuals, iteration counts, methods) as old -> new.
 """
 
 import dataclasses
+import glob
 import hashlib
 import itertools
 import os
@@ -58,6 +63,7 @@ EVEN_RANK_GRID = (4, 5, 6)
 TRACE_STATES = [([0.3, -0.2], 1.1), ([0.0, 0.0], 0.4), ([-0.6, 0.5], 2.9)]
 SWEEP_EPS = (1e-3, 1e-6, 1e-9)
 SWEEP_STEP = 8e-3
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class Digest:
@@ -149,6 +155,7 @@ def dump() -> dict:
             out[("spilu", "dynamic", name, shape)] = tuple(spilu_inputs)
     out.update(dump_oracle(media, att, field))
     out.update(dump_sweep(media["paper4"], att, field))
+    out.update(dump_config())
     return out
 
 
@@ -231,6 +238,24 @@ def dump_sweep(model, att, field) -> dict:
     return {("demo sweep", DEMO_GRID, SWEEP_STEP): (
         Digest(np.array(sweep.l2)), Digest(np.array(sweep.linf)),
         tuple(r.iterations for r in sweep.reports), gap.hex())}
+
+
+def dump_config() -> dict:
+    from raytransport.config import parse_config_text
+
+    sys.path.insert(0, ROOT)
+    from perfbench.workloads import WORKLOADS, config_text
+
+    texts = {}
+    for path in sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg"))):
+        with open(path) as fh:
+            texts[os.path.basename(path)] = fh.read()
+    texts.update((w, config_text(w, 0)) for w in WORKLOADS)
+    out = {}
+    for name, text in texts.items():
+        cfg = parse_config_text(text)
+        out[("config", name)] = (cfg.to_text(), dataclasses.astuple(cfg))
+    return out
 
 
 def _is_hex_float(value) -> bool:

@@ -1,167 +1,112 @@
 """Experiment configuration: a strict INI dialect with sections.
 
-Configs are committed next to results, so parsing is strict: unknown
-sections or keys are rejected, every value is validated with a message
-naming the offending ``section.key``, and a parsed configuration serializes
-back to text that re-parses to an equal configuration.
+Each setting is declared once, as an :class:`ExperimentConfig` field whose
+metadata holds its INI ``section.key`` and parser.  Configs are committed
+next to results, so parsing is strict: unknown sections or keys are
+rejected, every value is validated with a message naming the offending
+``section.key`` (floats must be finite), and a parsed configuration
+serializes back to text that re-parses to an equal configuration.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+import math
+from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import ConfigError
 
-COMMANDS = (
-    "trace",
-    "transform-table",
-    "solve-static",
-    "solve-dynamic",
-    "sweep",
-    "check-prop1",
-    "coercivity",
-)
+COMMANDS = ("trace", "transform-table", "solve-static", "solve-dynamic", "sweep", "check-prop1",
+            "coercivity")
 
 # the commands that build a phase grid, which is 2D
 GRID_COMMANDS = ("transform-table", "solve-static", "solve-dynamic", "sweep")
 
-# section -> key -> attribute, parser; the defaults are ExperimentConfig's
-_SCHEMA = {
-    "run": {
-        "command": ("command", "str"),
-        "output_dir": ("output_dir", "str"),
-        "seed": ("seed", "int"),
-        "workers": ("workers", "int"),
-    },
-    "model": {
-        "model": ("model_spec", "str"),
-        "dim": ("dim", "int"),
-    },
-    "field": {
-        "field": ("field_spec", "str"),
-        "switch_on": ("switch_on", "bool"),
-    },
-    "attenuation": {
-        "alpha": ("alpha_spec", "str"),
-    },
-    "grid": {
-        "i": ("grid_i", "int"),
-        "j": ("grid_j", "int"),
-        "k": ("grid_k", "int"),
-    },
-    "quadrature": {
-        "rule": ("quad_rule", "str"),
-        "step": ("quad_step", "float"),
-    },
-    "integrator": {
-        "step": ("int_step", "float"),
-        "max_steps": ("max_steps", "optint"),
-        "boundary_tol": ("boundary_tol", "float"),
-    },
-    "solver": {
-        "epsilon": ("epsilons", "floats"),
-        "tol": ("tol", "float"),
-        "max_iter": ("max_iter", "optint"),
-        "preconditioner": ("preconditioner", "str"),
-        "method": ("method", "str"),
-    },
-    "dynamic": {
-        "dt": ("dt", "float"),
-        "t_final": ("t_final", "float"),
-    },
-    "trace": {
-        "x": ("trace_x", "floats"),
-        "theta": ("trace_theta", "float"),
-    },
-    "prop1": {
-        "n_theta": ("n_theta", "int"),
-        "n_phi": ("n_phi", "int"),
-    },
-}
+
+def _optint(raw: str) -> int | None:
+    return None if raw.lower() in ("", "none") else int(raw)
+
+
+def _float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(_float(v) for v in raw.split(","))
+
+
+def _bool(raw: str) -> bool:
+    if raw.lower() in ("true", "yes", "1", "on"):
+        return True
+    if raw.lower() in ("false", "no", "0", "off"):
+        return False
+    raise ValueError("expected a boolean")
+
+
+def _key(key: str, parse, default=MISSING):
+    """A field read from INI ``section.key`` by ``parse``, which raises ValueError on bad text."""
+    section, name = key.split(".")
+    return field(default=default, metadata={"ini": (section, name), "parse": parse})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    command: str
-    output_dir: str = "out"
-    seed: int = 0
-    workers: int = 1
-    model_spec: str = "paper4"
-    dim: int = 2
-    field_spec: str = "paper4"
-    switch_on: bool = False
-    alpha_spec: str = "1.0"
-    grid_i: int = 30
-    grid_j: int = 30
-    grid_k: int = 10
-    quad_rule: str = "simpson"
-    quad_step: float = 1e-3
-    int_step: float = 1e-3
-    max_steps: int | None = None  # None: the march's default, max(20000, 20 / step)
-    boundary_tol: float = 1e-10
-    epsilons: tuple[float, ...] = (1e-3,)
-    tol: float = 1e-10
-    max_iter: int | None = None
-    preconditioner: str = "ilu"
-    method: str = "gmres"
-    dt: float = 0.05
-    t_final: float = 1.0
-    trace_x: tuple[float, ...] = (0.0, 0.0)
-    trace_theta: float = 0.0
-    n_theta: int = 64
-    n_phi: int = 64
+    command: str = _key("run.command", str)
+    output_dir: str = _key("run.output_dir", str, "out")
+    seed: int = _key("run.seed", int, 0)
+    workers: int = _key("run.workers", int, 1)
+    model_spec: str = _key("model.model", str, "paper4")
+    dim: int = _key("model.dim", int, 2)
+    field_spec: str = _key("field.field", str, "paper4")
+    switch_on: bool = _key("field.switch_on", _bool, False)
+    alpha_spec: str = _key("attenuation.alpha", str, "1.0")
+    grid_i: int = _key("grid.i", int, 30)
+    grid_j: int = _key("grid.j", int, 30)
+    grid_k: int = _key("grid.k", int, 10)
+    quad_rule: str = _key("quadrature.rule", str, "simpson")
+    quad_step: float = _key("quadrature.step", _float, 1e-3)
+    int_step: float = _key("integrator.step", _float, 1e-3)
+    max_steps: int | None = _key("integrator.max_steps", _optint, None)  # None: max(20000, 20 / step)
+    boundary_tol: float = _key("integrator.boundary_tol", _float, 1e-10)
+    epsilons: tuple[float, ...] = _key("solver.epsilon", _floats, (1e-3,))
+    tol: float = _key("solver.tol", _float, 1e-10)
+    max_iter: int | None = _key("solver.max_iter", _optint, None)
+    preconditioner: str = _key("solver.preconditioner", str, "ilu")
+    method: str = _key("solver.method", str, "gmres")
+    dt: float = _key("dynamic.dt", _float, 0.05)
+    t_final: float = _key("dynamic.t_final", _float, 1.0)
+    trace_x: tuple[float, ...] = _key("trace.x", _floats, (0.0, 0.0))
+    trace_theta: float = _key("trace.theta", _float, 0.0)
+    n_theta: int = _key("prop1.n_theta", int, 64)
+    n_phi: int = _key("prop1.n_phi", int, 64)
 
     def to_text(self) -> str:
-        """Canonical INI serialization; re-parses to an equal configuration."""
-        by_attr = {}
-        for sec, keys in _SCHEMA.items():
-            for key, (attr, kind) in keys.items():
-                by_attr[attr] = (sec, key, kind)
+        """Canonical INI serialization, keys in declaration order; re-parses to an equal configuration."""
         lines: dict[str, list[str]] = {}
         for f in fields(self):
-            sec, key, kind = by_attr[f.name]
+            sec, key = f.metadata["ini"]
             val = getattr(self, f.name)
             if val is None:
                 continue
-            if kind == "floats":
-                text = ",".join(str(float(v)) for v in val)
-            elif kind == "bool":
+            if isinstance(val, bool):
                 text = "true" if val else "false"
+            elif isinstance(val, tuple):
+                text = ",".join(str(float(v)) for v in val)
             else:
                 text = str(val)
             lines.setdefault(sec, []).append(f"{key} = {text}")
         out = []
-        for sec in _SCHEMA:
-            if sec in lines:
-                out.append(f"[{sec}]")
-                out.extend(lines[sec])
-                out.append("")
+        for sec, body in lines.items():
+            out += [f"[{sec}]", *body, ""]
         return "\n".join(out)
 
 
-def _parse_value(kind: str, raw: str, where: str):
-    raw = raw.strip()
-    try:
-        if kind == "str":
-            return raw
-        if kind == "int":
-            return int(raw)
-        if kind == "optint":
-            return None if raw.lower() in ("", "none") else int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            if raw.lower() in ("true", "yes", "1", "on"):
-                return True
-            if raw.lower() in ("false", "no", "0", "off"):
-                return False
-            raise ValueError("expected a boolean")
-        if kind == "floats":
-            return tuple(float(v) for v in raw.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: cannot parse {raw!r} ({exc})") from None
-    raise AssertionError(kind)
+# (section, key) -> field, from the declarations above
+_FIELDS = {f.metadata["ini"]: f for f in fields(ExperimentConfig)}
+_SECTIONS = {sec for sec, _ in _FIELDS}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -173,13 +118,17 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     values = {}
     for sec in parser.sections():
-        if sec not in _SCHEMA:
+        if sec not in _SECTIONS:
             raise ConfigError(f"unknown section [{sec}]")
         for key, raw in parser.items(sec):
-            if key not in _SCHEMA[sec]:
+            if (sec, key) not in _FIELDS:
                 raise ConfigError(f"unknown key {sec}.{key}")
-            attr, kind = _SCHEMA[sec][key]
-            values[attr] = _parse_value(kind, raw, f"{sec}.{key}")
+            f = _FIELDS[sec, key]
+            raw = raw.strip()
+            try:
+                values[f.name] = f.metadata["parse"](raw)
+            except ValueError as exc:
+                raise ConfigError(f"{sec}.{key}: cannot parse {raw!r} ({exc})") from None
 
     if "command" not in values:
         raise ConfigError("run.command is required")

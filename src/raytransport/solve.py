@@ -23,8 +23,9 @@ Laplacian, each built and cut once into its interior block [:n, :n] and
 ring coupling [:n, n:], and combined per eps as T - eps Delta.  The pinned
 matrix is built only when read.
 
-Solves are restarted GMRES on the interior block, the ring values moved to
-the right-hand side through the coupling.  The preconditioner is an
+Solves are restarted GMRES on the interior block, the ring values, held
+only in the ring rows of the right-hand side, moved to its interior rows
+through the coupling.  The preconditioner is an
 incomplete LU factorization, with a Jacobi fallback, of the interior block
 of T (of T + I/dt for the implicit Euler step), not of the viscous block: T
 does not depend on eps, so an eps sweep factors it once and every solve of
@@ -77,7 +78,7 @@ class LinearSystem:
     """The assembled operator's interior block [:n, :n] and ring coupling [:n, n:].
 
     ``transport`` is the interior block of H + alpha I, the matrix the
-    preconditioner is built from.  ``rhs`` holds the ring data on the ring.
+    preconditioner is built from.  ``rhs`` alone holds the ring data, on the ring.
     """
 
     interior: sp.csr_matrix
@@ -86,7 +87,6 @@ class LinearSystem:
     rhs: np.ndarray
     grid: PhaseGrid
     mask: BoundaryMask
-    dirichlet_values: np.ndarray  # full-length; zero off the boundary ring
     epsilon: float
 
     @property
@@ -157,18 +157,17 @@ def assemble(
     if data.shape != (grid.size,):
         raise AssemblyError(f"boundary data shape {data.shape} != grid ({grid.size},)")
     mask = classify_boundary(grid, model)
-    ub = np.zeros(grid.size)
-    ub[mask.outflow_idx] = data[mask.outflow_idx]
 
     parts = parts or operator_parts(grid, model, att, viscous=epsilon > 0.0)
     interior, coupling = interior_operator(parts, epsilon)
     n = grid.n_interior
     b = np.asarray(moment(f, t, grid.x, grid.xi), dtype=float)
-    b[n:] = ub[n:]
+    b[n:] = 0.0
+    b[mask.outflow_idx] = data[mask.outflow_idx]
     if not all(np.all(np.isfinite(v)) for v in (interior.data, coupling.data, b)):
         raise AssemblyError("assembled system contains non-finite entries")
     return LinearSystem(interior=interior, coupling=coupling, transport=parts.transport, rhs=b,
-                        grid=grid, mask=mask, dirichlet_values=ub, epsilon=epsilon)
+                        grid=grid, mask=mask, epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +255,13 @@ def solve_static(
     starting guess.  Non-convergence is reported, not raised: the best
     iterate is returned with ``converged=False`` and the caller decides.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     if max_iter is not None and max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     t0 = time.perf_counter()
     n = system.grid.n_interior
-    ring_term = system.coupling @ system.dirichlet_values[n:]
+    ring_term = system.coupling @ system.rhs[n:]
     b_i = system.rhs[:n] - ring_term
     bnorm = float(np.linalg.norm(system.rhs))
 
@@ -280,7 +279,7 @@ def solve_static(
                       callback=inner.append, callback_type="pr_norm")
     if not np.all(np.isfinite(x)):
         raise NumericalError("GMRES produced non-finite iterates")
-    u = system.dirichlet_values.copy()
+    u = system.rhs.copy()
     u[:n] = x
     # bit for bit the pinned rows' sums, as each interior row has at most one ring neighbour
     res = float(np.linalg.norm(system.rhs[:n] - (system.interior @ x + ring_term)))
@@ -341,12 +340,10 @@ def solve_dynamic(
     reports: list[SolveReport] = []
     for step, t_n in enumerate(times[1:], start=1):
         u = states[-1].values
-        ub = np.zeros(grid.size)
-        ub[outflow] = table[step]
-        rhs = ub.copy()
+        rhs = np.zeros(grid.size)
+        rhs[outflow] = table[step]
         rhs[:n] = np.asarray(moment(f, t_n, grid.x[:n], grid.xi[:n]), dtype=float) + u[:n] / dt
-        state, report = solve_static(replace(step_system, rhs=rhs, dirichlet_values=ub), tol,
-                                     max_iter, precond, x0=u)
+        state, report = solve_static(replace(step_system, rhs=rhs), tol, max_iter, precond, x0=u)
         if not report.converged and not allow_unconverged:
             raise NonConvergenceError(
                 f"step {step} (t = {t_n:.6g}) stopped at relative residual {report.final_residual:.3e}"

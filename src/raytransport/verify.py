@@ -234,8 +234,9 @@ def relative_error(
     """Pointwise |u_num - u_ref| / max(|u_ref|, floor_cut) and its norms.
 
     The default floor is 1e-12 * max|u_ref| (1.0 when the reference vanishes
-    identically); the l2 norm is the node-averaged root mean square over all
-    nodes.
+    identically).  The norms are taken over the nodes where |u_ref| exceeds
+    the floor, or over all nodes when none does; the l2 norm is the
+    node-averaged root mean square.
     """
     a, b = u_num.grid, u_ref.grid
     if (a.I, a.J, a.K) != (b.I, b.J, b.K):
@@ -244,7 +245,9 @@ def relative_error(
     if floor_cut is None:
         floor_cut = _default_floor(ref)
     field = np.abs(u_num.values - ref) / np.maximum(np.abs(ref), floor_cut)
-    norms = ErrorNorms(l2=float(np.sqrt(np.mean(field**2))), linf=float(np.max(field)))
+    above = np.abs(ref) > floor_cut
+    counted = field[above] if above.any() else field
+    norms = ErrorNorms(l2=float(np.sqrt(np.mean(counted**2))), linf=float(np.max(counted)))
     return GridFunction(u_num.grid, field), norms
 
 
@@ -252,7 +255,7 @@ def relative_error(
 class SweepResult:
     """Per-eps relative errors of the viscosity solves against the characteristic reference.
 
-    Norms are taken over the nodes where |u_ref| exceeds the floor cut;
+    Norms are :func:`relative_error`'s, over the nodes where |u_ref| exceeds the floor cut;
     ``epsilons`` are strictly decreasing and positive, as
     :func:`epsilon_sweep` requires.
     """
@@ -295,12 +298,11 @@ def epsilon_sweep(
     continues.
     """
     eps = [float(e) for e in eps_list]
-    if not eps or any(e <= 0.0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
-        raise ValueError("eps_list must be strictly decreasing and positive")
+    if not eps or any(not 0.0 < e < np.inf for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
+        raise ValueError("eps_list must be strictly decreasing, positive and finite")
     u_ref_vals = interior_solution_grid(model, f, att, grid, cfg=cfg, workers=workers)
     u_ref = GridFunction(grid, u_ref_vals)
     floor_cut = _default_floor(u_ref_vals)
-    norm_mask = np.abs(u_ref_vals) > floor_cut
 
     parts = operator_parts(grid, model, att)
     precond = make_preconditioner(parts.transport, preconditioner)
@@ -309,10 +311,9 @@ def epsilon_sweep(
         try:
             system = assemble(grid, model, f, att, e, u_ref_vals, parts=parts)
             sol, rep = solve_static(system, tol=tol, max_iter=max_iter, preconditioner=precond)
-            field, _ = relative_error(sol, u_ref, floor_cut=floor_cut)
-            masked = field.values[norm_mask] if norm_mask.any() else field.values
-            l2s.append(float(np.sqrt(np.mean(masked**2))))
-            linfs.append(float(np.max(masked)))
+            field, norms = relative_error(sol, u_ref, floor_cut=floor_cut)
+            l2s.append(norms.l2)
+            linfs.append(norms.linf)
             reports.append(rep)
             fields.append(field)
             sols.append(sol)

@@ -74,6 +74,29 @@ class TestConfigParsing:
             switch_on=True, max_iter=250, output_dir="elsewhere", quad_step=5e-4)
         assert parse_config_text(cfg2.to_text()) == cfg2
 
+    def test_to_text_of_every_key(self):
+        """Section order, key order and value formatting, with every key away from its default."""
+        cfg = ExperimentConfig(
+            command="check-prop1", output_dir="elsewhere", seed=7, workers=2, model_spec="constant:1.5",
+            dim=3, field_spec="constant-scalar:2.0", switch_on=True, alpha_spec="0.5", grid_i=12,
+            grid_j=14, grid_k=6, quad_rule="midpoint", quad_step=5e-4, int_step=2.5e-3, max_steps=500,
+            boundary_tol=1e-12, epsilons=(1e-2, 1e-5), tol=1e-8, max_iter=250, preconditioner="jacobi",
+            method="bicgstab", dt=0.125, t_final=2.5, trace_x=(0.25, -0.5, 0.0), trace_theta=1.5,
+            n_theta=16, n_phi=32)
+        assert cfg.to_text() == (
+            "[run]\ncommand = check-prop1\noutput_dir = elsewhere\nseed = 7\nworkers = 2\n\n"
+            "[model]\nmodel = constant:1.5\ndim = 3\n\n"
+            "[field]\nfield = constant-scalar:2.0\nswitch_on = true\n\n"
+            "[attenuation]\nalpha = 0.5\n\n"
+            "[grid]\ni = 12\nj = 14\nk = 6\n\n"
+            "[quadrature]\nrule = midpoint\nstep = 0.0005\n\n"
+            "[integrator]\nstep = 0.0025\nmax_steps = 500\nboundary_tol = 1e-12\n\n"
+            "[solver]\nepsilon = 0.01,1e-05\ntol = 1e-08\nmax_iter = 250\npreconditioner = jacobi\n"
+            "method = bicgstab\n\n"
+            "[dynamic]\ndt = 0.125\nt_final = 2.5\n\n"
+            "[trace]\nx = 0.25,-0.5,0.0\ntheta = 1.5\n\n"
+            "[prop1]\nn_theta = 16\nn_phi = 32\n")
+
 
 class TestCliCommands:
     def test_trace_endpoints_on_circle(self, tmp_path):
@@ -154,6 +177,24 @@ class TestCliCommands:
             % (command, tmp_path, section, key, value))
         assert run(["run", str(cfg)]) == 2
         assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("sweep", "solver", "tol", "inf"), ("sweep", "integrator", "boundary_tol", "inf"),
+        ("sweep", "solver", "epsilon", "nan"), ("sweep", "solver", "epsilon", "inf"),
+        ("sweep", "solver", "epsilon", "1e-3,nan"), ("solve-dynamic", "dynamic", "t_final", "inf"),
+        ("sweep", "quadrature", "step", "inf"), ("trace", "trace", "x", "nan,0"),
+    ], ids=["tol-inf", "boundary_tol-inf", "epsilon-nan", "epsilon-inf", "epsilon-list-nan",
+            "t_final-inf", "quadrature_step-inf", "trace_x-nan"])
+    def test_non_finite_float_exits_2(self, tmp_path, capsys, command, section, key, value):
+        """A float key holding inf or nan is rejected, naming section.key, before any output."""
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(
+            "[run]\ncommand = %s\noutput_dir = %s/out\n[grid]\ni = 6\nj = 6\nk = 4\n[%s]\n%s = %s\n"
+            % (command, tmp_path, section, key, value))
+        assert run(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{section}.{key}" in err and "not a finite number" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["sweep", "solve-static", "solve-dynamic", "transform-table"])

@@ -93,10 +93,7 @@ class TestSolveStatic:
         system = rt.assemble(grid, model, field, att, 1e-3, np.zeros(grid.size))
         u_star = np.exp(grid.x[:, 0]) * np.cos(grid.x[:, 1]) * (1 + 0.3 * np.sin(grid.theta))
         b = system.matrix @ u_star
-        ub = np.zeros(grid.size)
-        ring = grid.boundary_indices
-        ub[ring] = u_star[ring]
-        made = dataclasses.replace(system, rhs=b, dirichlet_values=ub)
+        made = dataclasses.replace(system, rhs=b)
         tol = 1e-11
         sol, rep = rt.solve_static(made, tol=tol)
         rel = np.linalg.norm(sol.values - u_star) / np.linalg.norm(u_star)
@@ -128,6 +125,13 @@ class TestSolveStatic:
         system = rt.assemble(grid, model, field, att, 1e-3, np.zeros(grid.size))
         with pytest.raises(ValueError, match="max_iter"):
             rt.solve_static(system, max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, np.inf, np.nan])
+    def test_rejects_tol_not_positive_and_finite(self, small_setup, tol):
+        model, field, att, grid = small_setup
+        system = rt.assemble(grid, model, field, att, 1e-3, np.zeros(grid.size))
+        with pytest.raises(ValueError, match="tol"):
+            rt.solve_static(system, tol=tol)
 
     def test_nonnegative_solutions(self, small_setup):
         """Nonnegative source and data give solutions above -(solver tolerance)."""

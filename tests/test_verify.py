@@ -101,6 +101,18 @@ class TestRelativeError:
         field, _ = rt.relative_error(num, ref, floor_cut=0.25)
         assert_allclose(field.values, 2.0)
 
+    def test_norms_skip_nodes_at_the_floor(self, grid):
+        """Where the reference is zero the pointwise error is |u|/floor; the norms leave it out."""
+        ref_vals = np.where(grid.theta < np.pi, 1.0 + 0.2 * np.cos(grid.phi), 0.0)
+        ref = rt.GridFunction(grid, ref_vals)
+        num = rt.GridFunction(grid, ref_vals + 0.1)
+        field, norms = rt.relative_error(num, ref)
+        above = ref_vals > 0.0
+        assert 0 < above.sum() < grid.size
+        assert norms.l2 == np.sqrt(np.mean(field.values[above] ** 2))
+        assert norms.linf == np.max(field.values[above])
+        assert norms.linf < 0.2
+
     def test_grid_mismatch(self, grid):
         model = rt.paper4_model()
         # (4,5,6) and (6,5,4) have the same node count
@@ -186,3 +198,6 @@ class TestEpsilonSweep:
             rt.epsilon_sweep(model, field, att, grid, [1e-6, 1e-3])
         with pytest.raises(ValueError):
             rt.epsilon_sweep(model, field, att, grid, [])
+        for eps in ([np.inf], [np.nan], [1e-3, np.nan], [np.inf, 1e-3]):
+            with pytest.raises(ValueError, match="positive and finite"):
+                rt.epsilon_sweep(model, field, att, grid, eps)
