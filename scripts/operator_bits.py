@@ -31,12 +31,14 @@ checkout, so both trees parse the same texts), ``parse_config_text(text)``'s
 ``to_text()`` and the ``dataclasses.astuple`` of the parsed config.
 Exits 1 if any hash differs.
 
-Every differing entry is printed with its max relative change: for each
-float array and sparse matrix of the entry, max |new - old| / max |old|,
-for each float stored as a hex string (a single-state oracle value, a trace
-endpoint, a solver residual, lambda_min, the criterion-6 gap)
-|new - old| / |old|, and the largest of these (matrices are subtracted as
-matrices, so a moved sparsity pattern counts by the values it moves).
+Every differing entry is printed with two max relative changes, so that a
+moved solver residual does not hide how far the solutions moved: over the
+entry's float arrays and sparse matrices, the largest
+max |new - old| / max |old| (matrices are subtracted as matrices, so a
+moved sparsity pattern counts by the values it moves), and over its floats
+stored as hex strings (a single-state oracle value, a trace endpoint, a
+solver residual, lambda_min, the criterion-6 gap), the largest
+|new - old| / |old|; "-" where the entry holds none of that kind.
 Differences in the entry's other fields are named next to it by their
 position in the entry:
 a moved sparsity pattern or integer array as such, and each scalar (solver
@@ -264,16 +266,17 @@ def _is_hex_float(value) -> bool:
 
 
 def _floats(entry):
-    """The float arrays, sparse matrices and hex-float scalars (as 0-d arrays) of an entry, in order."""
+    """(is a hex-float scalar, value) for the hex-float scalars (as 0-d arrays), float arrays and
+    sparse matrices of an entry, in order."""
     import numpy as np
 
     if _is_hex_float(entry):
-        yield np.array(float.fromhex(entry))
+        yield True, np.array(float.fromhex(entry))
     elif isinstance(entry, Digest):
         if entry.values is not None:
-            yield entry.values
+            yield False, entry.values
     elif isinstance(entry, MatrixDigest):
-        yield entry.matrix
+        yield False, entry.matrix
     elif isinstance(entry, tuple):
         for e in entry:
             yield from _floats(e)
@@ -310,8 +313,9 @@ def field_changes(old, new, where="entry"):
         yield f"{where} {_show(old)} -> {_show(new)}"
 
 
-def max_relative_change(old, new) -> float:
-    """max over the entry's float arrays, matrices and hex-float scalars of max |new - old| / max |old|.
+def max_relative_change(old, new, scalars: bool) -> float | None:
+    """max |new - old| / max |old| over the entry's hex-float scalars if ``scalars``, else over its
+    float arrays and matrices; None if the entry holds none.
 
     Matrices are compared as matrices, so a moved sparsity pattern counts
     only by the values it moves.  inf if the two entries do not pair up.
@@ -319,8 +323,12 @@ def max_relative_change(old, new) -> float:
     import numpy as np
     import scipy.sparse as sp
 
+    pairs = list(itertools.zip_longest(*([v for is_scalar, v in _floats(e) if is_scalar == scalars]
+                                         for e in (old, new))))
+    if not pairs:
+        return None
     worst = 0.0
-    for a, b in itertools.zip_longest(_floats(old), _floats(new)):
+    for a, b in pairs:
         if a is None or b is None or a.shape != b.shape:
             return float("inf")
         if sp.issparse(a):
@@ -332,6 +340,10 @@ def max_relative_change(old, new) -> float:
         if change:
             worst = max(worst, float(change) / float(scale) if scale else float("inf"))
     return worst
+
+
+def _change(value: float | None) -> str:
+    return "-" if value is None else f"{value:.2e}"
 
 
 def _dump_tree(src: str) -> dict:
@@ -354,7 +366,8 @@ def main(old_src: str, new_src: str) -> int:
     print(f"compared {len(old)} entries: " + ", ".join(f"{k} {n}" for k, n in kinds.items()))
     for k in differing:
         note = "".join(f"; {c}" for c in field_changes(old[k], new[k]))
-        print(f"differs: {k}  max relative change {max_relative_change(old[k], new[k]):.2e}{note}")
+        arrays, scalars = (max_relative_change(old[k], new[k], kind) for kind in (False, True))
+        print(f"differs: {k}  max relative change: arrays {_change(arrays)}, scalars {_change(scalars)}{note}")
     print(f"{len(differing)} differing")
     return 1 if differing else 0
 

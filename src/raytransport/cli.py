@@ -23,7 +23,7 @@ from .phasegrid import build_grid, classify_boundary
 from .refractive import coercivity_margin, parse_model
 from .solve import assemble, discrete_coercivity, solve_dynamic, solve_static, time_levels
 from .tensorfield import parse_field
-from .transport import dynamic_boundary_table, interior_solution_grid, parse_attenuation
+from .transport import dynamic_boundary_table, parse_attenuation
 from .verify import (
     calibrate_identity_convention,
     check_fiber_identity,
@@ -61,6 +61,12 @@ def _outdir(cfg: ExperimentConfig) -> str:
     return out
 
 
+def _outflow_table(model, f, att, grid, times, oracle_cfg):
+    """The outflow nodes of the grid and the transform over them, one row per time."""
+    idx = classify_boundary(grid, model).outflow_idx
+    return idx, dynamic_boundary_table(model, f, att, grid.x[idx], grid.xi[idx], times, oracle_cfg)
+
+
 def _check_converged(reports, allow: bool):
     bad = [r for r in reports if not r.converged]
     if bad and not allow:
@@ -88,10 +94,8 @@ def _cmd_transform_table(cfg, args) -> int:
     model, att, oracle_cfg, _ = _setup(cfg)
     f = _field(cfg)
     grid = build_grid(model, cfg.grid_i, cfg.grid_j, cfg.grid_k)
-    mask = classify_boundary(grid, model)
-    idx = mask.outflow_idx
     times = time_levels(cfg.dt, cfg.t_final) if f.is_dynamic else [0.0]
-    table = dynamic_boundary_table(model, f, att, grid.x[idx], grid.xi[idx], times, oracle_cfg)
+    idx, table = _outflow_table(model, f, att, grid, times, oracle_cfg)
     rows = [
         (t, grid.phi[i], grid.theta[i], table[r, c])
         for r, t in enumerate(times)
@@ -107,9 +111,11 @@ def _cmd_solve_static(cfg, args) -> int:
     model, att, oracle_cfg, _ = _setup(cfg)
     f = _field(cfg)
     grid = build_grid(model, cfg.grid_i, cfg.grid_j, cfg.grid_k)
-    u_ref = interior_solution_grid(model, f, att, grid, cfg=oracle_cfg, workers=args.workers)
+    idx, table = _outflow_table(model, f, att, grid, [0.0], oracle_cfg)
+    data = np.zeros(grid.size)
+    data[idx] = table[0]
     eps = cfg.epsilons[0]
-    system = assemble(grid, model, f, att, eps, u_ref)
+    system = assemble(grid, model, f, att, eps, data)
     sol, rep = solve_static(
         system, tol=cfg.tol, max_iter=cfg.max_iter, preconditioner=cfg.preconditioner,
     )
@@ -129,14 +135,11 @@ def _cmd_solve_dynamic(cfg, args) -> int:
     model, att, oracle_cfg, _ = _setup(cfg)
     f = _field(cfg)
     grid = build_grid(model, cfg.grid_i, cfg.grid_j, cfg.grid_k)
-    mask = classify_boundary(grid, model)
     times = time_levels(cfg.dt, cfg.t_final)
-    idx = mask.outflow_idx
-    table = dynamic_boundary_table(model, f, att, grid.x[idx], grid.xi[idx], times, oracle_cfg)
+    _, table = _outflow_table(model, f, att, grid, times, oracle_cfg)
     states, reports = solve_dynamic(
         grid, model, f, att, cfg.epsilons[0], cfg.dt, cfg.t_final, table,
         tol=cfg.tol, max_iter=cfg.max_iter, preconditioner=cfg.preconditioner,
-        allow_unconverged=args.allow_unconverged,
     )
     out = _outdir(cfg)
     exports.write_gridfunction_csv(states[-1], os.path.join(out, "final.csv"))
@@ -145,6 +148,7 @@ def _cmd_solve_dynamic(cfg, args) -> int:
         f"solve-dynamic: {len(states) - 1} steps to t = {times[-1]:g}, "
         f"total iters = {total_iters}, max residual = {max(r.final_residual for r in reports):.3e}"
     )
+    _check_converged(reports, args.allow_unconverged)
     return 0
 
 

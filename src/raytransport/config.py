@@ -110,7 +110,8 @@ _SECTIONS = {sec for sec, _ in _FIELDS}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header can name the empty section, so [DEFAULT] is read as a section, and rejected
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -15,27 +15,26 @@ The time-dependent problem is stepped with implicit Euler,
     (u^{n+1} - u^n) / dt + L_eps u^{n+1} = f(t_{n+1}) . xi^m,
 
 with boundary data read at t_{n+1} and u^0 = 0.  Each step is the pinned
-stationary system with alpha + 1/dt in place of alpha on the interior rows
-and source f(t_{n+1}) . xi^m + u^n/dt, and is solved as one.
+stationary system at absorption alpha + 1/dt, assembled once by
+:func:`assemble`, with u^n/dt added to the source on the interior rows.
 
 The operator is assembled from eps-free parts, T = H + alpha I and the
 Laplacian, each built and cut once into its interior block [:n, :n] and
 ring coupling [:n, n:], and combined per eps as T - eps Delta.  The pinned
 matrix is built only when read.
 
-Solves are restarted GMRES on the interior block, the ring values, held
-only in the ring rows of the right-hand side, moved to its interior rows
-through the coupling.  The preconditioner is an
-incomplete LU factorization, with a Jacobi fallback, of the interior block
-of T (of T + I/dt for the implicit Euler step), not of the viscous block: T
-does not depend on eps, so an eps sweep factors it once and every solve of
-the sweep reuses it, and for small eps the viscous block is a small
-perturbation of it.  The block is factored in downwind order, strong
-component by strong component (a transport sweep): upwind H couples a node
-only to its upwind neighbours, so in that order T is block lower triangular
-and the factors fill in only inside the small components where
-characteristics close on themselves.  GMRES has one call site,
-:func:`solve_static`.  Reports name the preconditioner that was actually
+Solves are restarted GMRES on the interior block, the ring values, held only
+in the ring rows of the right-hand side, moved to its interior rows through
+the coupling.  The preconditioner is an incomplete LU factorization, with a
+Jacobi fallback, of the interior block of T (at alpha + 1/dt for the implicit
+Euler step), not of the viscous block: T does not depend on eps, so an eps
+sweep factors it once and every solve of the sweep reuses it, and for small
+eps the viscous block is a small perturbation of it.  The block is factored in
+downwind order, strong component by strong component (a transport sweep):
+upwind H couples a node only to its upwind neighbours, so in that order T is
+block lower triangular and the factors fill in only inside the small
+components where characteristics close on themselves.  GMRES has one call
+site, :func:`solve_static`.  Reports name the preconditioner that was actually
 built and carry an independently recomputed relative residual of the full
 pinned system, for an implicit Euler step the step system.
 """
@@ -50,7 +49,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .errors import AssemblyError, NonConvergenceError, NumericalError
+from .errors import AssemblyError, NumericalError
 from .phasegrid import (
     BoundaryMask,
     GridFunction,
@@ -160,14 +159,21 @@ def assemble(
 
     parts = parts or operator_parts(grid, model, att, viscous=epsilon > 0.0)
     interior, coupling = interior_operator(parts, epsilon)
-    n = grid.n_interior
-    b = np.asarray(moment(f, t, grid.x, grid.xi), dtype=float)
-    b[n:] = 0.0
-    b[mask.outflow_idx] = data[mask.outflow_idx]
+    b = _rhs(grid, mask, f, t, data[mask.outflow_idx])
     if not all(np.all(np.isfinite(v)) for v in (interior.data, coupling.data, b)):
         raise AssemblyError("assembled system contains non-finite entries")
     return LinearSystem(interior=interior, coupling=coupling, transport=parts.transport, rhs=b,
                         grid=grid, mask=mask, epsilon=epsilon)
+
+
+def _rhs(grid: PhaseGrid, mask: BoundaryMask, f: SymmetricTensorField, t: float,
+         outflow: np.ndarray) -> np.ndarray:
+    """f(t) . xi^m on the interior rows, ``outflow`` (in outflow order) on the outflow nodes, else 0."""
+    n = grid.n_interior
+    b = np.zeros(grid.size)
+    b[:n] = moment(f, t, grid.x[:n], grid.xi[:n])
+    b[mask.outflow_idx] = outflow
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -305,49 +311,36 @@ def solve_dynamic(
     tol: float = 1e-10,
     max_iter: int | None = None,
     preconditioner: str = "ilu",
-    allow_unconverged: bool = False,
 ) -> tuple[list[GridFunction], list[SolveReport]]:
-    """Implicit Euler march of the dynamic problem; returns all steps.
+    """Implicit Euler march of the dynamic problem; returns all steps and their reports.
 
     ``boundary_data`` is an array of shape (n_steps + 1, n_outflow): row n
     holds the values over the outflow nodes (in outflow-index order) at step
     n.  Step 0 is the initial state u = 0; steps 1..N are solved at
-    t_n = n dt, each by :func:`solve_static` on the pinned stationary system
-    with T + I/dt in place of the transport operator T = H + alpha I and
-    source f(t_n) + u^{n-1}/dt, all from one preconditioner of T + I/dt.
+    t_n = n dt, each by :func:`solve_static` on the system :func:`assemble`
+    builds at absorption alpha + 1/dt, with source f(t_n) + u^{n-1}/dt, all
+    from one preconditioner of its transport block.  As there, non-convergence
+    is reported, not raised.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     if t_final < dt:
         raise ValueError("t_final must be at least dt")
     times = time_levels(dt, t_final)
-    system = assemble(grid, model, f, att, epsilon, np.zeros(grid.size))
-    outflow = system.mask.outflow_idx
-
+    system = assemble(grid, model, f, Attenuation(att.alpha0 + 1.0 / dt), epsilon, np.zeros(grid.size))
     table = np.asarray(boundary_data, dtype=float)
-    if table.shape != (len(times), outflow.size):
-        raise AssemblyError(
-            f"boundary table shape {table.shape} != {(len(times), outflow.size)}"
-        )
-
+    shape = (len(times), system.mask.outflow_idx.size)
+    if table.shape != shape:
+        raise AssemblyError(f"boundary table shape {table.shape} != {shape}")
+    precond = make_preconditioner(system.transport, preconditioner)
     n = grid.n_interior
-    shift = sp.diags(np.full(n, 1.0 / dt))
-    step_system = replace(system, interior=system.interior + shift,
-                          transport=system.transport + shift)
-    precond = make_preconditioner(step_system.transport, preconditioner)
-
     states = [GridFunction(grid, np.zeros(grid.size))]
     reports: list[SolveReport] = []
     for step, t_n in enumerate(times[1:], start=1):
         u = states[-1].values
-        rhs = np.zeros(grid.size)
-        rhs[outflow] = table[step]
-        rhs[:n] = np.asarray(moment(f, t_n, grid.x[:n], grid.xi[:n]), dtype=float) + u[:n] / dt
-        state, report = solve_static(replace(step_system, rhs=rhs), tol, max_iter, precond, x0=u)
-        if not report.converged and not allow_unconverged:
-            raise NonConvergenceError(
-                f"step {step} (t = {t_n:.6g}) stopped at relative residual {report.final_residual:.3e}"
-            )
+        rhs = _rhs(grid, system.mask, f, t_n, table[step])
+        rhs[:n] += u[:n] / dt
+        state, report = solve_static(replace(system, rhs=rhs), tol, max_iter, precond, x0=u)
         states.append(state)
         reports.append(report)
     return states, reports

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .geodesic import IntegratorConfig
-from .phasegrid import GridFunction, PhaseGrid, classify_boundary
+from .phasegrid import GridFunction, PhaseGrid
 from .refractive import RefractiveModel, acceleration
 from .solve import SolveReport, assemble, make_preconditioner, operator_parts, solve_static
 from .tensorfield import SymmetricTensorField
@@ -220,12 +220,6 @@ class ErrorNorms:
     linf: float
 
 
-def _default_floor(ref: np.ndarray) -> float:
-    """1e-12 * max|ref|, or 1.0 when the reference vanishes identically."""
-    m = float(np.max(np.abs(ref)))
-    return 1e-12 * m if m > 0.0 else 1.0
-
-
 def relative_error(
     u_num: GridFunction,
     u_ref: GridFunction,
@@ -243,7 +237,8 @@ def relative_error(
         raise ValueError("grid mismatch between numerical and reference fields")
     ref = u_ref.values
     if floor_cut is None:
-        floor_cut = _default_floor(ref)
+        m = float(np.max(np.abs(ref)))
+        floor_cut = 1e-12 * m if m > 0.0 else 1.0
     field = np.abs(u_num.values - ref) / np.maximum(np.abs(ref), floor_cut)
     above = np.abs(ref) > floor_cut
     counted = field[above] if above.any() else field
@@ -255,7 +250,7 @@ def relative_error(
 class SweepResult:
     """Per-eps relative errors of the viscosity solves against the characteristic reference.
 
-    Norms are :func:`relative_error`'s, over the nodes where |u_ref| exceeds the floor cut;
+    Norms are :func:`relative_error`'s, over the nodes where |u_ref| exceeds its default floor;
     ``epsilons`` are strictly decreasing and positive, as
     :func:`epsilon_sweep` requires.
     """
@@ -267,7 +262,6 @@ class SweepResult:
     error_fields: list[GridFunction | None]
     solutions: list[GridFunction | None]
     u_ref: GridFunction
-    floor_cut: float
 
     def rows(self):
         for k, eps in enumerate(self.epsilons):
@@ -302,7 +296,6 @@ def epsilon_sweep(
         raise ValueError("eps_list must be strictly decreasing, positive and finite")
     u_ref_vals = interior_solution_grid(model, f, att, grid, cfg=cfg, workers=workers)
     u_ref = GridFunction(grid, u_ref_vals)
-    floor_cut = _default_floor(u_ref_vals)
 
     parts = operator_parts(grid, model, att)
     precond = make_preconditioner(parts.transport, preconditioner)
@@ -311,7 +304,7 @@ def epsilon_sweep(
         try:
             system = assemble(grid, model, f, att, e, u_ref_vals, parts=parts)
             sol, rep = solve_static(system, tol=tol, max_iter=max_iter, preconditioner=precond)
-            field, norms = relative_error(sol, u_ref, floor_cut=floor_cut)
+            field, norms = relative_error(sol, u_ref)
             l2s.append(norms.l2)
             linfs.append(norms.linf)
             reports.append(rep)
@@ -332,5 +325,4 @@ def epsilon_sweep(
         error_fields=fields,
         solutions=sols,
         u_ref=u_ref,
-        floor_cut=floor_cut,
     )

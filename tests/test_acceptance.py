@@ -204,7 +204,8 @@ def test_criterion_9_dynamic_stationary_limit():
         n = int(round(t_final / dt))
         times = [s * dt for s in range(n + 1)]
         table = rt.dynamic_boundary_table(model, f_dyn, att, grid.x[idx], grid.xi[idx], times, cfg)
-        states, _ = rt.solve_dynamic(grid, model, f_dyn, att, 1e-3, dt, t_final, table, tol=1e-10)
+        states, reports = rt.solve_dynamic(grid, model, f_dyn, att, 1e-3, dt, t_final, table, tol=1e-10)
+        assert all(r.converged for r in reports), f"a step of dt = {dt} did not converge"
         return states[-1].values
 
     u_dt = final_step(0.05)

@@ -57,6 +57,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="run.command"):
             parse_config_text("[model]\nmodel = paper4\n")
 
+    @pytest.mark.parametrize("body", ["[run]\ncommand = trace\n",
+                                      "[run]\ncommand = trace\n[model]\nmodel = constant:1.0\n"])
+    def test_default_section_exits_2(self, tmp_path, capsys, body):
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text("[DEFAULT]\nseed = 3\n" + body)
+        assert run(["run", str(cfg)]) == 2
+        assert "unknown section [DEFAULT]" in capsys.readouterr().err
+
     def test_sweep_requires_decreasing_eps(self):
         text = "[run]\ncommand = sweep\n[solver]\nepsilon = 1e-6,1e-3\n"
         with pytest.raises(ConfigError, match="strictly decreasing"):
@@ -243,6 +251,40 @@ class TestCliCommands:
         assert run(["run", str(cfg)]) == 0
         lines = (tmp_path / "out" / "final.csv").read_text().splitlines()
         assert len(lines) == 6 * 6 * 4 + 1
+
+    def test_solve_dynamic_unconverged_exits_4_after_writing(self, tmp_path, capsys):
+        cfg = tmp_path / "u.cfg"
+        cfg.write_text(
+            "[run]\ncommand = solve-dynamic\noutput_dir = %s/out\n"
+            "[model]\nmodel = constant:1.0\n[field]\nfield = paper4\nswitch_on = true\n"
+            "[attenuation]\nalpha = 1.0\n[grid]\ni = 6\nj = 6\nk = 4\n"
+            "[solver]\nepsilon = 1e-3\ntol = 1e-30\nmax_iter = 1\npreconditioner = none\n"
+            "[dynamic]\ndt = 0.25\nt_final = 0.5\n" % tmp_path)
+        assert run(["run", str(cfg)]) == 4
+        final = tmp_path / "out" / "final.csv"
+        assert len(final.read_text().splitlines()) == 6 * 6 * 4 + 1
+        assert "non-convergence: 2 solve(s)" in capsys.readouterr().err
+        final.unlink()
+        assert run(["run", str(cfg), "--allow-unconverged"]) == 0
+        assert final.exists()
+
+    def test_solve_static_reads_no_grid_oracle(self, tmp_path, monkeypatch):
+        """solve-static takes its boundary data from the outflow table, not the whole-grid oracle."""
+        from raytransport import cli, transport
+
+        def whole_grid(*args, **kwargs):
+            raise AssertionError("the whole-grid oracle was run")
+
+        monkeypatch.setattr(transport, "interior_solution_grid", whole_grid)
+        monkeypatch.setattr(cli, "interior_solution_grid", whole_grid, raising=False)
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(
+            "[run]\ncommand = solve-static\noutput_dir = %s/out\n"
+            "[model]\nmodel = paper4\n[field]\nfield = paper4\n"
+            "[attenuation]\nalpha = 1.0\n[grid]\ni = 6\nj = 6\nk = 4\n[solver]\nepsilon = 1e-3\n"
+            % tmp_path)
+        assert run(["run", str(cfg)]) == 0
+        assert (tmp_path / "out" / "solution.csv").exists()
 
     def test_check_prop1_command(self, tmp_path, capsys):
         cfg = tmp_path / "p.cfg"

@@ -10,7 +10,7 @@ from scipy.sparse.csgraph import connected_components
 import raytransport as rt
 from raytransport import phasegrid as pg
 from raytransport import solve
-from raytransport.errors import AssemblyError, NonConvergenceError
+from raytransport.errors import AssemblyError
 
 
 @pytest.fixture(scope="module")
@@ -328,29 +328,39 @@ class TestSolveDynamic:
             assert_allclose(s.values, 0.0)
         assert all(r.converged for r in reports)
 
-    def test_non_convergence_raises_with_step(self, small_setup):
+    def test_unconverged_steps_are_reported(self, small_setup):
+        """Non-convergence is reported per step, not raised, and the march runs to the end."""
         model, field, att, grid = small_setup
-        mask = rt.classify_boundary(grid, model)
-        table = np.zeros((3, mask.outflow_idx.size))
-        with pytest.raises(NonConvergenceError, match="step 1"):
-            rt.solve_dynamic(grid, model, field, att, 1e-3, 0.5, 1.0, table,
-                             tol=1e-30, max_iter=1, preconditioner="none")
+        table = np.zeros((3, rt.classify_boundary(grid, model).outflow_idx.size))
+        states, reports = rt.solve_dynamic(grid, model, field, att, 1e-3, 0.5, 1.0, table,
+                                           tol=1e-30, max_iter=1, preconditioner="none")
+        assert len(states) == 3 and len(reports) == 2
+        assert not any(r.converged for r in reports)
+
+    def test_steps_solve_the_system_assembled_at_alpha_plus_1_over_dt(self, small_setup, monkeypatch):
+        """Every step's operator is bit for bit ``assemble``'s at absorption alpha + 1/dt."""
+        model, field, att, grid = small_setup
+        eps, dt = 1e-3, 0.25
+        table = np.ones((5, rt.classify_boundary(grid, model).outflow_idx.size))
+        systems = []
+        solve_static = solve.solve_static
+        monkeypatch.setattr(solve, "solve_static",
+                            lambda system, *a, **k: systems.append(system) or solve_static(system, *a, **k))
+        rt.solve_dynamic(grid, model, field, att, eps, dt, 1.0, table)
+        shifted = rt.assemble(grid, model, field, rt.constant_attenuation(att.alpha0 + 1.0 / dt), eps,
+                              np.zeros(grid.size))
+        assert len(systems) == 4
+        for system in systems:
+            for name in ("interior", "coupling", "transport"):
+                a, b = getattr(system, name), getattr(shifted, name)
+                assert (a.indptr.tobytes(), a.indices.tobytes(), a.data.tobytes()) == (
+                    b.indptr.tobytes(), b.indices.tobytes(), b.data.tobytes()), name
 
     def test_table_shape_checked(self, small_setup):
         model, field, att, grid = small_setup
         table = np.zeros((2, rt.classify_boundary(grid, model).outflow_idx.size))
         with pytest.raises(AssemblyError, match="boundary table shape"):
             rt.solve_dynamic(grid, model, field, att, 1e-3, 0.5, 1.0, table)
-
-    def test_allow_unconverged_continues(self, small_setup):
-        model, field, att, grid = small_setup
-        mask = rt.classify_boundary(grid, model)
-        table = np.zeros((3, mask.outflow_idx.size))
-        states, reports = rt.solve_dynamic(grid, model, field, att, 1e-3, 0.5, 1.0, table,
-                                           tol=1e-30, max_iter=1, preconditioner="none",
-                                           allow_unconverged=True)
-        assert len(states) == 3
-        assert not all(r.converged for r in reports)
 
 
 class TestDiscreteCoercivity:
