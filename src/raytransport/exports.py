@@ -14,6 +14,10 @@ from .geodesic import GeodesicPath
 from .phasegrid import GridFunction
 
 
+# the PGM gray levels as written, str(0) .. str(255)
+_LEVELS = tuple(str(i) for i in range(256))
+
+
 def _fmt(v) -> str:
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
@@ -64,8 +68,8 @@ def write_pgm_slice(gf: GridFunction, k: int, path: str) -> str:
     with open(path, "w") as fh:
         fh.write("P2\n")
         fh.write(f"{sl.shape[1]} {sl.shape[0]}\n255\n")
-        for row in img:
-            fh.write(" ".join(str(v) for v in row) + "\n")
+        for row in img.tolist():
+            fh.write(" ".join([_LEVELS[v] for v in row]) + "\n")
     base, _ = os.path.splitext(path)
     with open(base + ".range.txt", "w") as fh:
         fh.write(f"min {_fmt(lo)}\nmax {_fmt(hi)}\n")

@@ -3,8 +3,11 @@
 Rays are solutions of gamma'' = -G(gamma)[gamma', gamma'] integrated with
 classical fixed-step RK4.  The affine parameter is metric arc length: states
 are kept at metric unit speed, |v| = 1/n(x) euclidean.  Exits through the
-unit sphere are refined by bisection on |gamma(tau)| - 1 inside the crossing
-step, so entry/exit parameters are resolved far below the step size.
+unit sphere are refined inside the crossing step by safeguarded Newton on
+|gamma(tau)|^2 - 1, each iterate an RK4 step from the step's start, until the
+next iterate is within 4 ulp of the bracket's outer end, so entry/exit
+parameters are resolved to the rounding of |gamma|^2, far below the step
+size.
 
 All rays are marched by one batched engine, :func:`march`: each interval is
 one RK4 step that reuses the previous interval's last acceleration as its
@@ -184,27 +187,54 @@ def _hermite_mid(y0: np.ndarray, y1: np.ndarray, d0: np.ndarray, d1: np.ndarray,
 
 
 def refine_exit(model: RefractiveModel, x: np.ndarray, v: np.ndarray, hi, iters: int = 60):
-    """Bisect the crossing of |gamma| = 1 inside a step.
+    """Find the crossing of |gamma| = 1 inside a step by safeguarded Newton.
 
     ``x, v`` are the last states strictly inside the ball and the crossing
     happens within step size ``hi`` (scalar or per-row).  Returns
-    (s_exit, x_exit, v_exit); each bisection iterate re-steps from (x, v) so
-    the refined state is an RK4 state, not an interpolant.  The iterates need
-    only the RK4 position; the final state is one full :func:`rk4_step`.
-    All of them start from (x, v), so they share one first stage.
+    (s_exit, x_exit, v_exit).  The iterates solve phi(s) = |x(s)|^2 - 1 = 0
+    for the position x(s) of an RK4 step of size s from (x, v), with slope
+    2 x(s) . v(s) from the same :func:`rk4_step`, so the refined state is an
+    RK4 state, not an interpolant; all steps start from (x, v) and share one
+    first stage.  Each ray keeps a bracket [lo, hi], lo inside and hi at or
+    beyond the sphere: a Newton iterate is taken only in (lo, hi], else the
+    bracket's midpoint.  A ray stops once its next iterate is within 4 ulp of
+    hi, whose state it already holds, and returns hi: s_exit is the first
+    parameter found at or beyond the sphere.  ``iters`` caps the steps per
+    ray.  Every ray iterates on its own numbers, so its exit is the same,
+    bit for bit, refined alone or in a batch.
     """
-    lo = np.zeros(x.shape[0])
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (x.shape[0],)).copy()
+    n, dim = x.shape
+    lo = np.zeros(n)
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,)).copy()
     a1 = acceleration(model, x, v)  # the first stage of every iterate
+    x_exit, v_exit = np.empty((dim, n)).T, np.empty((dim, n)).T
+    held = np.zeros(n, dtype=bool)  # x_exit, v_exit hold the state at hi
+    # the rays still searching: their states, last iterate, phi and slope there
+    rays, xk, vk, ak = np.arange(n), x, v, a1
+    s, phi, slope = np.zeros(n), _dot(x, x) - 1.0, 2.0 * _dot(x, v)
     for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        xm = _rk4_position(model, x, v, _per_row(mid), a1)[0]
-        outside = _dot(xm, xm) >= 1.0
-        hi = np.where(outside, mid, hi)
-        lo = np.where(outside, lo, mid)
-    s = hi  # first parameter at or beyond the sphere
-    xe, ve = rk4_step(model, x, v, s, a1)
-    return s, xe, ve
+        lo_k, hi_k = lo[rays], hi[rays]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = s - phi / slope
+        t = np.where((t > lo_k) & (t <= hi_k), t, 0.5 * (lo_k + hi_k))
+        go = ~(held[rays] & (hi_k - t <= 4.0 * np.spacing(hi_k)))
+        if not go.all():
+            rays, t, xk, vk, ak = rays[go], t[go], _keep(xk, go), _keep(vk, go), _keep(ak, go)
+            if not rays.size:
+                break
+        xt, vt = rk4_step(model, xk, vk, t, ak)
+        phi, slope = _dot(xt, xt) - 1.0, 2.0 * _dot(xt, vt)
+        out = phi >= 0.0
+        hit = rays[out]
+        hi[hit], x_exit[hit], v_exit[hit], held[hit] = t[out], xt[out], vt[out], True
+        lo[rays[~out]] = t[~out]
+        s = t
+    # a ray that reached the cap before any step landed at or beyond the sphere
+    if not held.all():
+        miss = ~held
+        x_exit[miss], v_exit[miss] = rk4_step(
+            model, _keep(x, miss), _keep(v, miss), hi[miss], _keep(a1, miss))
+    return hi, x_exit, v_exit
 
 
 def _keep(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -259,13 +289,14 @@ def march(
     runs until the interpolated mid or the end state of an interval leaves
     the ball; it is parked at the state that began that interval, and all
     parked rays are refined by one batched :func:`refine_exit` once every
-    ray has left.  The bisection bracket must end on an RK4 position outside
-    the ball, so a ray whose end state is inside but whose interpolated mid
-    is not is parked only if its RK4 half-step position is outside too (the
-    bracket is then step/2); otherwise it marches on.  The parameter s is
-    the running sum of whole intervals, one float shared by every ray inside,
-    so a ray exits at s + ds, and its exit keeps the s of the interval it
-    left in: whatever depends on the parameter alone is a function of s.
+    ray has left.  The exit search keeps a bracket whose outer end must be an
+    RK4 position outside the ball, so a ray whose end state is inside but
+    whose interpolated mid is not is parked only if its RK4 half-step
+    position is outside too (the bracket is then step/2); otherwise it
+    marches on.  The parameter s is the running sum of whole intervals, one
+    float shared by every ray inside, so a ray exits at s + ds, and its exit
+    keeps the s of the interval it left in: whatever depends on the
+    parameter alone is a function of s.
 
     ``carry`` holds per-ray arrays that travel with the rays.  After each
     interval, ``advance(rays, s, xm, vm, xe, ve, carry)`` gets the rays still
@@ -291,7 +322,7 @@ def march(
     # the one conversion: compressing x0.T yields C-contiguous (dim, N) rows
     x, v, s = _keep(x0, inside), _keep(v0, inside), 0.0
     carry = tuple(_keep(np.asarray(c), inside) for c in carry)
-    # (rays, x, v, s, bisection bracket, *carry) per parked batch
+    # (rays, x, v, s, search bracket, *carry) per parked batch
     none = np.zeros(0)
     parked = [(alive[:0], x[:0], v[:0], none, none, *(c[:0] for c in carry))]
     a = acceleration(model, x, v)

@@ -19,7 +19,7 @@ is written per model family so that no gradient array is formed:
     radial   n = p(s), s = |x|^2, grad n = 2 p'(s) x:
              a = k (x |v|^2 - 2 v (x . v)) with k = 2 p'(s) / n, one Horner
              pass each for p and p' (a constant medium gives a = 0);
-    affine   n = a + b . x: the gradient form with the slope b as scalars.
+    affine   n = a + b . x: the gradient form with the slope b as one (dim,) array.
 
 Dot products are summed in index order.  The Christoffel symbols are not
 formed here; the tests check the kernels against them.
@@ -90,10 +90,11 @@ def turn_rate(model: RefractiveModel, x: np.ndarray, xi: np.ndarray) -> np.ndarr
 
 
 def _gradient_form(n, gv, g_v2, v) -> np.ndarray:
-    """(g |v|^2 - 2 v (g . v)) / n from n, g . v and g |v|^2 (overwritten)."""
-    t = 2.0 * v
-    t *= gv[..., None]
-    g_v2 -= t
+    """(g |v|^2 - 2 v (g . v)) / n from n, g . v and g |v|^2 (overwritten).
+
+    v (2 (g . v)) is (2 v) (g . v) bit for bit, since doubling is exact.
+    """
+    g_v2 -= v * (2.0 * gv)[..., None]
     g_v2 /= n[..., None]
     return g_v2
 
@@ -224,24 +225,25 @@ def _radial_accel(coeffs: tuple, dcoeffs2: tuple, x, v) -> np.ndarray:
     return a
 
 
-def _slope(x, b: tuple):
-    """b . x for a slope held as scalars, summed in index order like :func:`_dot`."""
+def _slope(x, b: np.ndarray):
+    """b . x for a slope vector b of shape (dim,), summed in index order like :func:`_dot`."""
     out = x[..., 0] * b[0]
     for i in range(1, len(b)):
         out += x[..., i] * b[i]
     return out
 
 
-def _affine_n_grad(a: float, b: tuple, x) -> tuple[np.ndarray, np.ndarray]:
+def _affine_n_grad(a: float, b: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     g = np.empty_like(x)
     g[...] = b
     return a + _slope(x, b), g
 
 
-def _affine_accel(a: float, b: tuple, x, v) -> np.ndarray:
+def _affine_accel(a: float, b: np.ndarray, x, v) -> np.ndarray:
     # b_i |v|^2 with the component axis last, in v's layout
-    b_v2 = np.moveaxis(np.multiply.outer(b, _dot(v, v)), 0, -1)
+    b_v2 = np.multiply.outer(b, _dot(v, v))
+    b_v2 = b_v2.T if b_v2.ndim == 2 else np.moveaxis(b_v2, 0, -1)
     return _gradient_form(a + _slope(x, b), _slope(v, b), b_v2, v)
 
 
@@ -288,10 +290,11 @@ def affine_model(a: float, b, name: str = "") -> RefractiveModel:
     floor = a - float(np.linalg.norm(b))
     if not floor > 0.0:
         raise ValueError("affine model is not positive on the ball")
+    slope = np.array(b)
     return RefractiveModel(
         dim=len(b),
-        n_grad=partial(_affine_n_grad, a, b),
-        accel=partial(_affine_accel, a, b),
+        n_grad=partial(_affine_n_grad, a, slope),
+        accel=partial(_affine_accel, a, slope),
         floor=floor,
         name=name or "affine:" + ",".join(repr(v) for v in (a, *b)),
     )

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -145,6 +147,16 @@ class TestCliCommands:
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert run(["run", str(tmp_path / "nope.cfg")]) == 2
+
+    def test_module_entry_point_runs_the_cli(self):
+        """``python -m raytransport`` is the CLI: a missing config exits 2 with its error."""
+        src = os.path.dirname(os.path.dirname(rt.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "raytransport", "run", "configs/nonexistent.cfg"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "nonexistent.cfg" in proc.stderr
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -319,16 +331,21 @@ class TestExports:
         assert len(lines) == grid.size + 1
         assert lines[0] == "i,j,k,r,phi,theta,value"
 
-    def test_pgm_constant_field(self, tmp_path, demo_model):
-        grid = rt.build_grid(demo_model, 5, 6, 4)
-        gf = rt.GridFunction(grid, np.full(grid.size, 2.5))
-        path = write_pgm_slice(gf, 0, str(tmp_path / "c.pgm"))
-        body = open(path).read().split()
-        assert body[0] == "P2"
-        levels = set(body[4:])
-        assert levels == {"0"}
-        sidecar = open(str(tmp_path / "c.range.txt")).read()
-        assert "min 2.5" in sidecar and "max 2.5" in sidecar
+    def test_pgm_bytes(self, tmp_path, demo_model):
+        """A varying and a constant slice, byte for byte: each gray level as str(int),
+        the range as the floats' str; a constant slice is all level 0."""
+        grid = rt.build_grid(demo_model, 3, 4, 3)
+        slice0 = [[-1.0, 3.0, 1.0, 0.0], [-0.9, 2.5, 0.25, -0.5], [2.0, -0.96, 1.5, 0.5]]
+        values = np.stack([slice0, np.zeros((3, 4)), np.ones((3, 4))], axis=-1).ravel()
+        for name, gf, pgm, sidecar in [
+            ("v", rt.GridFunction(grid, values),
+             b"P2\n4 3\n255\n0 255 128 64\n6 223 80 32\n191 3 159 96\n", b"min -1.0\nmax 3.0\n"),
+            ("c", rt.GridFunction(grid, np.full(grid.size, 2.5)),
+             b"P2\n4 3\n255\n0 0 0 0\n0 0 0 0\n0 0 0 0\n", b"min 2.5\nmax 2.5\n"),
+        ]:
+            path = write_pgm_slice(gf, 0, str(tmp_path / f"{name}.pgm"))
+            assert open(path, "rb").read() == pgm
+            assert (tmp_path / f"{name}.range.txt").read_bytes() == sidecar
 
     def test_byte_stable_rewrites(self, tmp_path, demo_model):
         grid = rt.build_grid(demo_model, 5, 6, 4)

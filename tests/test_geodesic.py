@@ -6,7 +6,7 @@ import raytransport as rt
 from raytransport import geodesic
 from raytransport.errors import DomainError, TraceLimitError
 from raytransport.geodesic import march, refine_exit, rk4_step, speed_defect
-from raytransport.refractive import acceleration
+from raytransport.refractive import _dot, acceleration
 
 # the engine's media: radial and non-radial in 2D, radial in 3D
 MEDIA = [("paper4", 2), ("affine:2,0.3,0.2", 2), ("paper4", 3)]
@@ -390,3 +390,86 @@ class TestExitStates:
         ex = self._check_exits(unit_model, x, -v, 1e-2)
         assert len(calls) > 1
         assert np.all(ex.s > 0.0)
+
+
+def crossing_states(model, step, seed):
+    """States whose next RK4 step of size ``step`` ends at or beyond the sphere.
+
+    Interior starts and near-grazing ones, just inside the sphere and heading
+    along it (tilted outward by 0 to 1e-3 rad), each stepped until its next
+    step would leave the ball.
+    """
+    x, v = interior_states(model, 30, seed, 0.95)
+    ang = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+    depth = np.tile([1e-4, 1e-8, 1e-12], 4)
+    tilt = np.repeat([0.0, 1e-9, 1e-6, 1e-3], 3)
+    xg = (1.0 - depth)[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    dg = np.stack([-np.sin(ang + tilt), np.cos(ang + tilt)], axis=1)
+    x, v = np.concatenate([x, xg]), np.concatenate([v, dg / model.n(xg)[:, None]])
+    for _ in range(100000):
+        xn, vn = rk4_step(model, x, v, step)
+        inside = _dot(xn, xn) < 1.0
+        if not inside.any():
+            return x, v
+        x[inside], v[inside] = xn[inside], vn[inside]
+    raise AssertionError("rays did not reach the sphere")
+
+
+def bisected_exit(model, x, v, hi, iters=60):
+    """The exit parameter by ``iters`` bisections of [0, hi] on the RK4 position's |x|^2 >= 1."""
+    lo, hi = np.zeros(x.shape[0]), np.full(x.shape[0], hi)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        xm = rk4_step(model, x, v, mid)[0]
+        out = _dot(xm, xm) >= 1.0
+        lo, hi = np.where(out, lo, mid), np.where(out, mid, hi)
+    return hi
+
+
+class TestExitSearch:
+    """refine_exit's safeguarded Newton search, on radial, affine and straight rays."""
+
+    STEP = 1e-2
+
+    @pytest.fixture(params=["paper4", "affine:2,0.3,0.2", "constant:1.0"])
+    def crossing(self, request):
+        model = rt.parse_model(request.param)
+        return (model, *crossing_states(model, self.STEP, 17))
+
+    def test_a_ray_alone_is_its_batch_row(self, crossing):
+        model, x, v = crossing
+        batch = refine_exit(model, x, v, self.STEP)
+        for i in range(x.shape[0]):
+            alone = refine_exit(model, x[i:i + 1], v[i:i + 1], self.STEP)
+            assert _bits(*alone) == _bits(*(b[i:i + 1] for b in batch))
+
+    def test_exit_state_is_the_rk4_step_at_or_beyond_the_sphere(self, crossing):
+        model, x, v = crossing
+        s, x_exit, v_exit = refine_exit(model, x, v, self.STEP)
+        assert np.all((s > 0.0) & (s <= self.STEP))
+        xs, vs = rk4_step(model, x, v, s)
+        assert _bits(xs, vs) == _bits(x_exit, v_exit)
+        assert np.all(_dot(xs, xs) >= 1.0)
+
+    def test_agrees_with_bisection(self, crossing):
+        """s is the 60-step bisection's within 1e-15, or within the rounding of
+        |x|^2 - 1 (a few eps) over its slope 2 x . v where the exit grazes."""
+        model, x, v = crossing
+        s, x_exit, v_exit = refine_exit(model, x, v, self.STEP)
+        tol = np.maximum(1e-15, 4.0 * np.finfo(float).eps / np.abs(2.0 * _dot(x_exit, v_exit)))
+        assert np.all(np.abs(s - bisected_exit(model, x, v, self.STEP)) <= tol)
+
+    def test_grazing_exit_ends_within_the_cap(self, crossing, monkeypatch):
+        model, x, v = crossing
+        graze = np.abs(_dot(x, v)) < 1e-3
+        assert graze.sum() >= 6
+        steps = []
+
+        def counting(*args):
+            steps.append(args[1].shape[0])
+            return rk4_step(*args)
+
+        monkeypatch.setattr(geodesic, "rk4_step", counting)
+        s, x_exit, _ = refine_exit(model, x[graze], v[graze], self.STEP, iters=60)
+        assert len(steps) < 60
+        assert np.all(_dot(x_exit, x_exit) >= 1.0)
