@@ -14,8 +14,11 @@ the sign of <xi, nu>.
 Two discrete operators are provided as sparse matrices:
 
 * the ray derivative H u = rdot d_r u + phidot d_phi u + thetadot d_theta u,
-  discretized with first-order differences upwinded node-by-node against the
-  sign of each advection coefficient (stability of the transport part);
+  discretized with first-order differences upwinded node by node against the
+  sign of each advection coefficient (stability of the transport part); a
+  coefficient whose exact value is 0 (rdot at tangential directions, phidot
+  and, in a radial medium, thetadot at radial ones) is set to 0 from the
+  node's angle indices, so that round-off decides no upwind side;
 
 * the phase Laplacian Delta = Delta_x + Delta_xi with second-order central
   differences (symmetry of the diffusion part), where
@@ -37,8 +40,8 @@ same ambient state at signed radius -r_1, and the stencil weights account
 for the doubled spacing.  The resulting one-sided closure keeps first-order
 consistency at the inner ring without a special center equation.  At the
 boundary ring one-sided interior differences are used; solver assembly
-replaces those rows anyway.  The upwind H keeps per-node coefficients but
-takes its angular neighbors from the same periodic column rule.
+replaces those rows anyway.  H is built from the same tables, with one
+weight per node.
 """
 
 from __future__ import annotations
@@ -61,8 +64,6 @@ class PhaseGrid:
     J: int
     K: int
     rs: np.ndarray       # (I,)
-    phis: np.ndarray     # (J,)
-    thetas: np.ndarray   # (K,)
     r: np.ndarray        # per node (size,)
     phi: np.ndarray
     theta: np.ndarray
@@ -117,7 +118,7 @@ def build_grid(model: RefractiveModel, I: int, J: int, K: int) -> PhaseGrid:
     n_node = np.asarray(model.n(x), dtype=float)
     xi = np.stack([np.cos(theta), np.sin(theta)], axis=-1) / n_node[:, None]
     return PhaseGrid(
-        I=I, J=J, K=K, rs=rs, phis=phis, thetas=thetas,
+        I=I, J=J, K=K, rs=rs,
         r=r, phi=phi, theta=theta, x=x, xi=xi, n_node=n_node,
     )
 
@@ -170,14 +171,27 @@ def advection_coefficients(grid: PhaseGrid, model: RefractiveModel):
     """Characteristic velocity (rdot, phidot, thetadot) of the ray flow at each node.
 
     rdot = xi . rhat, phidot = (xi . phihat) / r, and thetadot is the turning
-    rate of the direction angle, (a2 xi1 - a1 xi2) / |xi|^2 with a the ray
-    acceleration.
+    rate of the direction angle (:func:`turn_rate`).  A rate whose exact
+    value is 0 is set to 0 from the node's angle indices, so that round-off
+    picks no upwind side: theta - phi = 2 pi m / (J K) with
+    m = (k + 1) J - (j + 1) K (0-based j, k), so the direction is tangential
+    (rdot = 0) where 4 m = J K (mod 2 J K) and radial (phidot = 0, and
+    thetadot = 0 in a radial medium) where 2 m = 0 (mod J K).
     """
     rhat = np.stack([np.cos(grid.phi), np.sin(grid.phi)], axis=-1)
     phihat = np.stack([-np.sin(grid.phi), np.cos(grid.phi)], axis=-1)
     rdot = np.einsum("ij,ij->i", grid.xi, rhat)
     phidot = np.einsum("ij,ij->i", grid.xi, phihat) / grid.r
-    return rdot, phidot, turn_rate(model, grid.x, grid.xi)
+    thetadot = turn_rate(model, grid.x, grid.xi)
+    _, j, k = _node_indices(grid)
+    JK = grid.J * grid.K
+    m = (k + 1) * grid.J - (j + 1) * grid.K
+    rdot[4 * m % (2 * JK) == JK] = 0.0
+    radial = 2 * m % JK == 0
+    phidot[radial] = 0.0
+    if model.radial:
+        thetadot[radial] = 0.0
+    return rdot, phidot, thetadot
 
 
 def rotation_orbits(grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -203,10 +217,8 @@ def rotation_orbits(grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def _node_indices(grid: PhaseGrid):
-    lin = np.arange(grid.size)
-    i0 = lin // (grid.J * grid.K)
-    j0 = (lin // grid.K) % grid.J
-    return lin, i0, j0
+    """The 0-based (i, j, k) of every node, in linear order."""
+    return np.unravel_index(np.arange(grid.size), (grid.I, grid.J, grid.K))
 
 
 def _antipodal_cols(grid: PhaseGrid, lin, j0):
@@ -244,6 +256,11 @@ def _coo(parts, size):
     return mat
 
 
+def _at(grid: PhaseGrid, w, rows) -> np.ndarray:
+    """A table weight, one float or one per node, at the nodes ``rows``."""
+    return np.broadcast_to(w, (grid.size,))[rows]
+
+
 def _central_first(h: float):
     return ((1, 1.0 / (2 * h)), (-1, -1.0 / (2 * h)))
 
@@ -256,7 +273,7 @@ def _central_second(h: float):
 def _periodic(grid: PhaseGrid, axis: str, weights):
     """The stencil sum_d w_d u(. + d steps) along phi or theta, at every node."""
     lin = np.arange(grid.size)
-    return _coo([(lin, _periodic_cols(grid, lin, axis, d), np.full(lin.size, w)) for d, w in weights],
+    return _coo([(lin, _periodic_cols(grid, lin, axis, d), _at(grid, w, lin)) for d, w in weights],
                 grid.size)
 
 
@@ -268,19 +285,20 @@ def _radial(grid: PhaseGrid, inner, pole, boundary):
     ghost (signed radius -r_1, two steps inward), split over its columns by
     the ghost weights; the pole table carries the matching nonuniform weights.
     """
-    lin, i0, j0 = _node_indices(grid)
+    lin = np.arange(grid.size)
+    i0, j0, _ = _node_indices(grid)
     JK = grid.J * grid.K
     li = lin[(i0 >= 1) & (i0 <= grid.I - 2)]
     lp = lin[i0 == 0]
     lb = lin[i0 == grid.I - 1]
     ca, cb, wa, wb = _antipodal_cols(grid, lp, j0[i0 == 0])
-    parts = [(li, li + d * JK, np.full(li.size, w)) for d, w in inner]
+    parts = [(li, li + d * JK, _at(grid, w, li)) for d, w in inner]
     for d, w in pole:
         if d == -1:
-            parts += [(lp, ca, np.full(lp.size, wa * w)), (lp, cb, np.full(lp.size, wb * w))]
+            parts += [(lp, ca, wa * _at(grid, w, lp)), (lp, cb, wb * _at(grid, w, lp))]
         else:
-            parts.append((lp, lp + d * JK, np.full(lp.size, w)))
-    parts += [(lb, lb + d * JK, np.full(lb.size, w)) for d, w in boundary]
+            parts.append((lp, lp + d * JK, _at(grid, w, lp)))
+    parts += [(lb, lb + d * JK, _at(grid, w, lb)) for d, w in boundary]
     return _coo(parts, grid.size)
 
 
@@ -289,40 +307,27 @@ def _radial(grid: PhaseGrid, inner, pole, boundary):
 # ---------------------------------------------------------------------------
 
 def h_matrix(grid: PhaseGrid, model: RefractiveModel) -> sp.csr_matrix:
-    """Upwind discretization of the ray derivative H."""
+    """Upwind discretization of the ray derivative H.
+
+    Along each axis a backward difference weighted by max(c, 0) and a
+    forward one by min(c, 0), c the axis' coefficient; a zero c adds no
+    entry.  The pole's backward radial neighbor is the antipodal ghost
+    (spacing 2h), and the boundary ring differences backward whatever the
+    sign of rdot.
+    """
     rdot, phidot, thetadot = advection_coefficients(grid, model)
-    lin, i0, j0 = _node_indices(grid)
-    JK = grid.J * grid.K
     h = grid.dr
-    parts = []
-
-    # radial legs, upwinded by the sign of rdot
-    backward = ((i0 == grid.I - 1) | ((i0 >= 1) & (rdot >= 0.0)))
-    lb = lin[backward]
-    cb = rdot[backward]
-    parts += [(lb, lb, cb / h), (lb, lb - JK, -cb / h)]
-
-    forward = (i0 <= grid.I - 2) & (rdot < 0.0)
-    lf = lin[forward]
-    cf = rdot[forward]
-    parts += [(lf, lf, -cf / h), (lf, lf + JK, cf / h)]
-
-    pole_back = (i0 == 0) & (rdot >= 0.0)
-    lp = lin[pole_back]
-    cp = rdot[pole_back]
-    ca, cc, wa, wb = _antipodal_cols(grid, lp, j0[pole_back])
-    # upstream value sits across the center at signed radius -r_1: spacing 2h
-    parts += [(lp, lp, cp / (2 * h)), (lp, ca, -wa * cp / (2 * h)), (lp, cc, -wb * cp / (2 * h))]
-
-    # periodic legs in phi and theta
-    for coeff, axis, step in ((phidot, "phi", grid.dphi), (thetadot, "theta", grid.dtheta)):
-        up = coeff >= 0.0
-        lu, cu = lin[up], coeff[up]
-        parts += [(lu, lu, cu / step), (lu, _periodic_cols(grid, lu, axis, -1), -cu / step)]
-        ld, cd = lin[~up], coeff[~up]
-        parts += [(ld, ld, -cd / step), (ld, _periodic_cols(grid, ld, axis, 1), cd / step)]
-
-    return _coo(parts, grid.size)
+    up, down = np.maximum(rdot, 0.0) / h, np.minimum(rdot, 0.0) / h
+    forward = ((0, -down), (1, down))
+    out = _radial(grid, ((-1, -up), (0, up)) + forward,
+                  pole=((-1, -up / 2), (0, up / 2)) + forward,
+                  boundary=((-1, -rdot / h), (0, rdot / h)))
+    for c, axis, step in ((phidot, "phi", grid.dphi), (thetadot, "theta", grid.dtheta)):
+        up, down = np.maximum(c, 0.0) / step, np.minimum(c, 0.0) / step
+        out = out + _periodic(grid, axis, ((-1, -up), (0, up), (0, -down), (1, down)))
+    out.eliminate_zeros()
+    out.sort_indices()
+    return out
 
 
 def laplace_x_matrix(grid: PhaseGrid, model: RefractiveModel) -> sp.csr_matrix:

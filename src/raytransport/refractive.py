@@ -12,9 +12,10 @@ form in n and its gradient:
 
 where dots and |.| on the right-hand sides are euclidean.  Each model
 carries two analytic kernels: ``n_grad`` returns n and grad n at the same
-points (there is no Hessian), for stencil assembly, and ``accel`` returns
-the ray acceleration, the one quantity the ray engine asks for.  ``accel``
-is written per model family so that no gradient array is formed:
+points (there is no Hessian), and ``accel`` returns the ray acceleration,
+the one quantity that the ray engine and the turning rate of the
+transport operator (:func:`turn_rate`) ask for.  ``accel`` is written per
+model family so that no gradient array is formed:
 
     radial   n = p(s), s = |x|^2, grad n = 2 p'(s) x:
              a = k (x |v|^2 - 2 v (x . v)) with k = 2 p'(s) / n, one Horner
@@ -77,26 +78,9 @@ def acceleration(model: RefractiveModel, x: np.ndarray, v: np.ndarray) -> np.nda
 
 
 def turn_rate(model: RefractiveModel, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Turning rate (a2 xi1 - a1 xi2) / |xi|^2 of the direction angle of 2D rays.
-
-    a is the gradient form from ``n_grad``, not the ``accel`` kernel: where xi
-    is radial the exact rate is 0, and the sign of the computed round-off
-    picks the upwind side of H, so this form keeps the grid operators' bits.
-    """
-    n, g = model.n_grad(x)
-    xi2 = _dot(xi, xi)
-    a = _gradient_form(n, _dot(g, xi), g * xi2[..., None], xi)
-    return (a[..., 1] * xi[..., 0] - a[..., 0] * xi[..., 1]) / xi2
-
-
-def _gradient_form(n, gv, g_v2, v) -> np.ndarray:
-    """(g |v|^2 - 2 v (g . v)) / n from n, g . v and g |v|^2 (overwritten).
-
-    v (2 (g . v)) is (2 v) (g . v) bit for bit, since doubling is exact.
-    """
-    g_v2 -= v * (2.0 * gv)[..., None]
-    g_v2 /= n[..., None]
-    return g_v2
+    """Turning rate (a2 xi1 - a1 xi2) / |xi|^2 of the direction angle of 2D rays, a = ``accel``."""
+    a = model.accel(x, xi)
+    return (a[..., 1] * xi[..., 0] - a[..., 0] * xi[..., 1]) / _dot(xi, xi)
 
 
 def _dot(a: np.ndarray, b) -> np.ndarray:
@@ -241,10 +225,14 @@ def _affine_n_grad(a: float, b: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _affine_accel(a: float, b: np.ndarray, x, v) -> np.ndarray:
+    """(b |v|^2 - 2 v (b . v)) / n with n = a + b . x; v (2 (b . v)) is (2 v) (b . v)
+    bit for bit, since doubling is exact."""
     # b_i |v|^2 with the component axis last, in v's layout
-    b_v2 = np.multiply.outer(b, _dot(v, v))
-    b_v2 = b_v2.T if b_v2.ndim == 2 else np.moveaxis(b_v2, 0, -1)
-    return _gradient_form(a + _slope(x, b), _slope(v, b), b_v2, v)
+    acc = np.multiply.outer(b, _dot(v, v))
+    acc = acc.T if acc.ndim == 2 else np.moveaxis(acc, 0, -1)
+    acc -= v * (2.0 * _slope(v, b))[..., None]
+    acc /= (a + _slope(x, b))[..., None]
+    return acc
 
 
 def radial_poly_model(coeffs, dim: int = 2, name: str = "") -> RefractiveModel:

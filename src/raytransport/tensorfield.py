@@ -87,9 +87,9 @@ def moment(f: SymmetricTensorField, t, x, xi) -> np.ndarray:
     return out if out.shape else float(out)
 
 
-def with_switch_on(f: SymmetricTensorField, flag: bool = True) -> SymmetricTensorField:
-    """Copy of f that vanishes for t < 0 (or not, with flag=False)."""
-    return dataclasses.replace(f, switch_on=flag)
+def with_switch_on(f: SymmetricTensorField) -> SymmetricTensorField:
+    """Copy of f that vanishes for t < 0."""
+    return dataclasses.replace(f, switch_on=True)
 
 
 # ---------------------------------------------------------------------------
@@ -152,4 +152,4 @@ def parse_field(spec: str, dim: int = 2, switch_on: bool = False) -> SymmetricTe
         raise ValueError(f"bad field spec {spec!r}: {exc}") from None
     if f.dim != dim:
         raise ValueError(f"field spec {spec!r} has dim {f.dim}, expected {dim}")
-    return with_switch_on(f, switch_on) if switch_on else f
+    return with_switch_on(f) if switch_on else f

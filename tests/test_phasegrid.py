@@ -103,8 +103,8 @@ class TestAdvectionCoefficients:
         j = (lin // grid.K) % grid.J
         k = lin % grid.K
         radial = j == k
-        assert_allclose(thetadot[radial], 0.0, atol=1e-14)
-        assert_allclose(phidot[radial], 0.0, atol=1e-14)
+        assert np.all(thetadot[radial] == 0.0)
+        assert np.all(phidot[radial] == 0.0)
 
     def test_turning_rate_matches_traced_ray(self, demo_model):
         """thetadot agrees with d/dtau of the traced direction angle."""
@@ -211,6 +211,34 @@ class TestUpwindDerivative:
             assert up in set(h.rows[i])
             wraps += thetadot[i] >= 0
         assert wraps > 0
+
+
+class TestZeroRates:
+    """A rate that is exactly 0 on the grid adds no leg to H, whatever its round-off."""
+
+    @pytest.mark.parametrize("spec, shape", [
+        ("paper4", (10, 10, 8)), ("paper4", (30, 30, 10)), ("affine:2,0.3,0.2", (40, 40, 20))])
+    def test_no_legs_along_zero_rates(self, spec, shape):
+        model = rt.parse_model(spec)
+        grid = rt.build_grid(model, *shape)
+        h = h_matrix(grid, model).tocoo()
+        assert np.all(h.data != 0.0)
+        ri, rj, rk = np.unravel_index(h.row, shape)
+        ci, cj, ck = np.unravel_index(h.col, shape)
+        J = shape[1]
+        # the pole's upstream radial neighbor: the node(s) at phi + pi in ring 1
+        antipodal = (ri == 0) & (ci == 0) & (ck == rk) & ((cj - rj - J // 2) % J <= J % 2)
+        phi_leg = (ci == ri) & (ck == rk) & (cj != rj) & ~antipodal
+        theta_leg = (ci == ri) & (cj == rj) & (ck != rk)
+        radial_leg = (ci != ri) | antipodal
+        angle = grid.theta[h.row] - grid.phi[h.row]
+        radial = np.abs(np.sin(angle)) < 1e-9
+        tangential = np.abs(np.cos(angle)) < 1e-9
+        assert radial.any()
+        assert not np.any(radial & phi_leg)
+        if model.radial:
+            assert not np.any(radial & theta_leg)
+        assert not np.any(tangential & radial_leg)
 
 
 class TestLaplacian:

@@ -193,7 +193,7 @@ SWEEP_MEDIA = [
     ("paper4", (10, 10, 8)),
     ("affine:2,0.3,0.2", (16, 24, 12)),
     ("constant:1", (10, 10, 8)),
-    ("radial:2,-0.5,0.25", (10, 10, 8)),  # one strong component of all nodes
+    ("radial:2,-0.5,0.25", (10, 10, 8)),  # one strong component of all but the radial-direction nodes
 ]
 
 
@@ -226,8 +226,15 @@ class TestSweepOrder:
         assert np.linalg.norm(precond.operator.matvec(block @ v) - v) <= 1e-5 * np.linalg.norm(v)
 
     def test_single_component_medium_solves(self):
+        """Radial-direction nodes neither turn nor sweep in phi, so each is a
+        component of its own; every other node lies on one strong component."""
         model, grid, block = _transport_block(*SWEEP_MEDIA[-1])
-        assert connected_components(block, directed=True, connection="strong")[0] == 1
+        count, component = connected_components(block, directed=True, connection="strong")
+        n = block.shape[0]
+        radial = np.abs(np.sin(grid.theta[:n] - grid.phi[:n])) < 1e-9
+        assert count == 37 and radial.sum() == 36
+        assert np.all(np.bincount(component)[component[radial]] == 1)
+        assert np.unique(component[~radial]).size == 1
         mask = rt.classify_boundary(grid, model)
         data = np.zeros(grid.size)
         data[mask.outflow_idx] = 0.25 + 0.1 * np.sin(grid.theta[mask.outflow_idx])

@@ -125,7 +125,8 @@ class TestAgainstReferenceLoop:
     @pytest.mark.parametrize("case", list(_reference_cases()))
     @pytest.mark.parametrize("name", list(REFERENCE_FIELDS))
     def test_equals_reference(self, name, case, switch_on):
-        f = rt.with_switch_on(REFERENCE_FIELDS[name], switch_on)
+        f = REFERENCE_FIELDS[name]
+        f = rt.with_switch_on(f) if switch_on else f
         t, x, xi = _reference_cases()[case]
         got = moment(f, t, x, xi)
         want = reference_moment(f, t, x, xi)
