@@ -21,7 +21,6 @@ from .geodesic import (
     IntegratorConfig,
     PhaseSpacePoint,
     angle_phase_point,
-    bouguer_invariant,
     trace,
     unit_phase_point,
 )

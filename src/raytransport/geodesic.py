@@ -432,15 +432,3 @@ def trace(model: RefractiveModel, p, cfg: IntegratorConfig | None = None):
         ))
     return paths[0] if isinstance(p, PhaseSpacePoint) else paths
 
-
-def bouguer_invariant(model: RefractiveModel, x, v) -> float:
-    """Angular momentum n^2(x) (x1 v2 - x2 v1) of a 2D ray state.
-
-    For rotationally symmetric media this is conserved along geodesics
-    (Bouguer's law; equal to n |v| r sin(angle to the radial direction)
-    times n, and to n r sin(angle) at metric unit speed).
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    n = float(model.n(x))
-    return n * n * float(x[0] * v[1] - x[1] * v[0])

@@ -31,17 +31,21 @@ Two discrete operators are provided as sparse matrices:
   derivative: the 1/n^2 scale of the ambient fiber derivatives cancels
   against the fiber radius 1/n).
 
-Every stencil is a table of (offset, weight) pairs, applied by one periodic
-builder (phi or theta, wrapping) and one radial builder (separate tables for
-the inner rings, the innermost ring and the boundary ring).  The innermost
+Every stencil is a table of (offset, weight) pairs, a weight one float or
+one per node, applied by one periodic builder (phi or theta, wrapping) and
+one radial builder (separate tables for the inner rings, the innermost ring
+and the boundary ring).  A builder returns the stencil's legs, (row, column,
+weight) triples, and each operator places the legs of all its stencils in
+one sparse matrix, summing legs that share an entry.  H has one three-entry
+table per axis (backward, diagonal, forward), whose zero side adds no leg;
+Delta_x folds each node's factors into its tables' weights.  The innermost
 ring i = 1 closes its radial stencils through the disk center: the missing
 inward neighbor is the antipodal node (r_1, phi + pi, theta), which is the
 same ambient state at signed radius -r_1, and the stencil weights account
 for the doubled spacing.  The resulting one-sided closure keeps first-order
 consistency at the inner ring without a special center equation.  At the
 boundary ring one-sided interior differences are used; solver assembly
-replaces those rows anyway.  H is built from the same tables, with one
-weight per node.
+replaces those rows anyway.
 """
 
 from __future__ import annotations
@@ -63,7 +67,6 @@ class PhaseGrid:
     I: int
     J: int
     K: int
-    rs: np.ndarray       # (I,)
     r: np.ndarray        # per node (size,)
     phi: np.ndarray
     theta: np.ndarray
@@ -118,8 +121,7 @@ def build_grid(model: RefractiveModel, I: int, J: int, K: int) -> PhaseGrid:
     n_node = np.asarray(model.n(x), dtype=float)
     xi = np.stack([np.cos(theta), np.sin(theta)], axis=-1) / n_node[:, None]
     return PhaseGrid(
-        I=I, J=J, K=K, rs=rs,
-        r=r, phi=phi, theta=theta, x=x, xi=xi, n_node=n_node,
+        I=I, J=J, K=K, r=r, phi=phi, theta=theta, x=x, xi=xi, n_node=n_node,
     )
 
 
@@ -178,12 +180,10 @@ def advection_coefficients(grid: PhaseGrid, model: RefractiveModel):
     (rdot = 0) where 4 m = J K (mod 2 J K) and radial (phidot = 0, and
     thetadot = 0 in a radial medium) where 2 m = 0 (mod J K).
     """
-    rhat = np.stack([np.cos(grid.phi), np.sin(grid.phi)], axis=-1)
-    phihat = np.stack([-np.sin(grid.phi), np.cos(grid.phi)], axis=-1)
-    rdot = np.einsum("ij,ij->i", grid.xi, rhat)
-    phidot = np.einsum("ij,ij->i", grid.xi, phihat) / grid.r
+    rdot, phidot = _polar(grid, grid.xi)
+    phidot /= grid.r
     thetadot = turn_rate(model, grid.x, grid.xi)
-    _, j, k = _node_indices(grid)
+    _, j, k = np.unravel_index(np.arange(grid.size), (grid.I, grid.J, grid.K))
     JK = grid.J * grid.K
     m = (k + 1) * grid.J - (j + 1) * grid.K
     rdot[4 * m % (2 * JK) == JK] = 0.0
@@ -216,25 +216,25 @@ def rotation_orbits(grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
 # stencils from (offset, weight) tables
 # ---------------------------------------------------------------------------
 
-def _node_indices(grid: PhaseGrid):
-    """The 0-based (i, j, k) of every node, in linear order."""
-    return np.unravel_index(np.arange(grid.size), (grid.I, grid.J, grid.K))
+def _polar(grid: PhaseGrid, v: np.ndarray):
+    """The components (v . rhat, v . phihat) of one vector per node."""
+    rhat = np.stack([np.cos(grid.phi), np.sin(grid.phi)], axis=-1)
+    phihat = np.stack([-np.sin(grid.phi), np.cos(grid.phi)], axis=-1)
+    return np.einsum("ij,ij->i", v, rhat), np.einsum("ij,ij->i", v, phihat)
 
 
-def _antipodal_cols(grid: PhaseGrid, lin, j0):
-    """Columns and weights realizing the value at (r_1, phi + pi, theta).
+def _antipodal_cols(grid: PhaseGrid, lp):
+    """(columns, share) pairs realizing the value at (r_1, phi + pi, theta) for the pole nodes ``lp``.
 
     With J even the angle phi + pi is a grid angle; with J odd it falls
     exactly midway between two, so the ghost value is their mean.
     """
     J, K = grid.J, grid.K
-    base = lin - j0 * K  # index with j = 0
-    if J % 2 == 0:
-        ja = (j0 + J // 2) % J
-        return base + ja * K, base + ja * K, 1.0, 0.0
+    j0 = lp // K  # the pole ring is the head of the linear order
     ja = (j0 + J // 2) % J
-    jb = (j0 + J // 2 + 1) % J
-    return base + ja * K, base + jb * K, 0.5, 0.5
+    if J % 2 == 0:
+        return ((lp + (ja - j0) * K, 1.0),)
+    return (lp + (ja - j0) * K, 0.5), (lp + ((ja + 1) % J - j0) * K, 0.5)
 
 
 def _periodic_cols(grid: PhaseGrid, lin, axis: str, d: int):
@@ -246,19 +246,28 @@ def _periodic_cols(grid: PhaseGrid, lin, axis: str, d: int):
     return lin + ((k0 + d) % grid.K) - k0
 
 
-def _coo(parts, size):
-    rows = np.concatenate([p[0] for p in parts])
-    cols = np.concatenate([p[1] for p in parts])
-    vals = np.concatenate([p[2] for p in parts])
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return mat
+def _legs(grid: PhaseGrid, parts, scale):
+    """One stencil's legs, (rows, cols, weights) per (rows, cols, table weight)
+    part, each weight times ``scale`` (one float or one per node)."""
+    size = (grid.size,)
+    return [(r, c, np.broadcast_to(w * scale, size)[r]) for r, c, w in parts]
 
 
-def _at(grid: PhaseGrid, w, rows) -> np.ndarray:
-    """A table weight, one float or one per node, at the nodes ``rows``."""
-    return np.broadcast_to(w, (grid.size,))[rows]
+def _matrix(grid: PhaseGrid, *stencils) -> sp.csr_matrix:
+    """Place the legs of ``stencils`` in one canonical CSR matrix.
+
+    Zero-weight legs are dropped, legs sharing an entry are summed and a sum
+    that cancels to 0 is not stored.  The sums run in the order the legs are
+    given: scipy sorts each row's entries with an insertion sort, which is
+    stable, up to 16 of them, and no row here holds more.  Rows and columns
+    come as int32, the index type scipy gives the matrix, so none is cast.
+    """
+    legs = [leg for s in stencils for leg in s]
+    keep = [w != 0.0 for _, _, w in legs]
+    rows, cols, weights = (np.concatenate([leg[i][k] for leg, k in zip(legs, keep)]) for i in range(3))
+    out = sp.coo_matrix((weights, (rows, cols)), shape=(grid.size, grid.size)).tocsr()
+    out.eliminate_zeros()
+    return out
 
 
 def _central_first(h: float):
@@ -270,36 +279,53 @@ def _central_second(h: float):
     return ((-1, 1.0 / h2), (0, -2.0 / h2), (1, 1.0 / h2))
 
 
-def _periodic(grid: PhaseGrid, axis: str, weights):
-    """The stencil sum_d w_d u(. + d steps) along phi or theta, at every node."""
-    lin = np.arange(grid.size)
-    return _coo([(lin, _periodic_cols(grid, lin, axis, d), _at(grid, w, lin)) for d, w in weights],
-                grid.size)
+def _radial_first(h: float):
+    """(inner, pole, boundary) tables of d_r; pole offsets are (-2h, 0, +h), the boundary one-sided."""
+    return (_central_first(h),
+            ((-1, -1.0 / (6 * h)), (0, -1.0 / (2 * h)), (1, 2.0 / (3 * h))),
+            ((-2, 1.0 / (2 * h)), (-1, -4.0 / (2 * h)), (0, 3.0 / (2 * h))))
 
 
-def _radial(grid: PhaseGrid, inner, pole, boundary):
-    """Radial stencil from (offset in rings, weight) tables.
+def _radial_second(h: float):
+    """(inner, pole, boundary) tables of d_rr, on the spacings of :func:`_radial_first`."""
+    h2 = h ** 2
+    return (_central_second(h),
+            ((-1, 1.0 / (3 * h2)), (0, -1.0 / h2), (1, 2.0 / (3 * h2))),
+            ((-2, 1.0 / h2), (-1, -2.0 / h2), (0, 1.0 / h2)))
+
+
+def _upwind(c, step: float, ghost: float = 1.0):
+    """Three-entry table of c d/ds on spacing ``step``, the backward neighbor
+    ``ghost`` steps away: backward where c > 0, forward where c < 0."""
+    up, down = np.maximum(c, 0.0) / step, np.minimum(c, 0.0) / step
+    return ((-1, -up / ghost), (0, up / ghost - down), (1, down))
+
+
+def _periodic(grid: PhaseGrid, axis: str, table, scale=1.0):
+    """Legs of the stencil sum_d w_d u(. + d steps) along phi or theta, at every node."""
+    lin = np.arange(grid.size, dtype=np.int32)
+    return _legs(grid, [(lin, _periodic_cols(grid, lin, axis, d), w) for d, w in table], scale)
+
+
+def _radial(grid: PhaseGrid, inner, pole, boundary, scale=1.0):
+    """Legs of a radial stencil from (offset in rings, weight) tables.
 
     ``inner`` serves rings 2..I-1, ``pole`` the innermost ring and
     ``boundary`` the ring r = 1.  At the pole offset -1 is the antipodal
     ghost (signed radius -r_1, two steps inward), split over its columns by
-    the ghost weights; the pole table carries the matching nonuniform weights.
+    their shares; the pole table carries the matching nonuniform weights.
     """
-    lin = np.arange(grid.size)
-    i0, j0, _ = _node_indices(grid)
+    lin = np.arange(grid.size, dtype=np.int32)
     JK = grid.J * grid.K
-    li = lin[(i0 >= 1) & (i0 <= grid.I - 2)]
-    lp = lin[i0 == 0]
-    lb = lin[i0 == grid.I - 1]
-    ca, cb, wa, wb = _antipodal_cols(grid, lp, j0[i0 == 0])
-    parts = [(li, li + d * JK, _at(grid, w, li)) for d, w in inner]
+    lp, li, lb = lin[:JK], lin[JK:-JK], lin[-JK:]
+    parts = [(li, li + d * JK, w) for d, w in inner]
     for d, w in pole:
         if d == -1:
-            parts += [(lp, ca, wa * _at(grid, w, lp)), (lp, cb, wb * _at(grid, w, lp))]
+            parts += [(lp, cols, share * w) for cols, share in _antipodal_cols(grid, lp)]
         else:
-            parts.append((lp, lp + d * JK, _at(grid, w, lp)))
-    parts += [(lb, lb + d * JK, _at(grid, w, lb)) for d, w in boundary]
-    return _coo(parts, grid.size)
+            parts.append((lp, lp + d * JK, w))
+    parts += [(lb, lb + d * JK, w) for d, w in boundary]
+    return _legs(grid, parts, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -307,64 +333,52 @@ def _radial(grid: PhaseGrid, inner, pole, boundary):
 # ---------------------------------------------------------------------------
 
 def h_matrix(grid: PhaseGrid, model: RefractiveModel) -> sp.csr_matrix:
-    """Upwind discretization of the ray derivative H.
+    """Upwind discretization of the ray derivative H, placed in one matrix.
 
-    Along each axis a backward difference weighted by max(c, 0) and a
-    forward one by min(c, 0), c the axis' coefficient; a zero c adds no
-    entry.  The pole's backward radial neighbor is the antipodal ghost
-    (spacing 2h), and the boundary ring differences backward whatever the
-    sign of rdot.
+    Each axis has a three-entry table, c its coefficient and h its step:
+    backward -max(c, 0)/h, diagonal |c|/h (as max(c, 0)/h - min(c, 0)/h,
+    one of which is 0) and forward min(c, 0)/h, so a zero c adds no leg.
+    The pole's backward radial neighbor is the antipodal ghost (spacing
+    2h: -max(c, 0)/2h and max(c, 0)/2h - min(c, 0)/h), and the boundary
+    ring differences backward whatever the sign of rdot.
     """
     rdot, phidot, thetadot = advection_coefficients(grid, model)
     h = grid.dr
-    up, down = np.maximum(rdot, 0.0) / h, np.minimum(rdot, 0.0) / h
-    forward = ((0, -down), (1, down))
-    out = _radial(grid, ((-1, -up), (0, up)) + forward,
-                  pole=((-1, -up / 2), (0, up / 2)) + forward,
-                  boundary=((-1, -rdot / h), (0, rdot / h)))
-    for c, axis, step in ((phidot, "phi", grid.dphi), (thetadot, "theta", grid.dtheta)):
-        up, down = np.maximum(c, 0.0) / step, np.minimum(c, 0.0) / step
-        out = out + _periodic(grid, axis, ((-1, -up), (0, up), (0, -down), (1, down)))
-    out.eliminate_zeros()
-    out.sort_indices()
-    return out
+    return _matrix(
+        grid,
+        _radial(grid, _upwind(rdot, h), _upwind(rdot, h, ghost=2.0),
+                boundary=((-1, -rdot / h), (0, rdot / h))),
+        _periodic(grid, "phi", _upwind(phidot, grid.dphi)),
+        _periodic(grid, "theta", _upwind(thetadot, grid.dtheta)),
+    )
+
+
+def _laplace_x_stencils(grid: PhaseGrid, model: RefractiveModel):
+    """Legs of Delta_x, each node's factors folded into the table weights."""
+    n2, n3 = grid.n_node ** -2.0, grid.n_node ** -3.0
+    g_r, g_phi = _polar(grid, np.asarray(model.grad_n(grid.x), dtype=float))
+    return (
+        _radial(grid, *_radial_second(grid.dr), scale=n2),
+        _radial(grid, *_radial_first(grid.dr), scale=n2 / grid.r + n3 * g_r),
+        _periodic(grid, "phi", _central_second(grid.dphi), scale=n2 / grid.r**2),
+        _periodic(grid, "phi", _central_first(grid.dphi), scale=n3 * g_phi / grid.r),
+    )
+
+
+def _laplace_xi_stencil(grid: PhaseGrid):
+    return _periodic(grid, "theta", _central_second(grid.dtheta))
 
 
 def laplace_x_matrix(grid: PhaseGrid, model: RefractiveModel) -> sp.csr_matrix:
     """Spatial part of the phase Laplacian in polar coordinates."""
-    h = grid.dr
-    h2 = h ** 2
-    # pole offsets are (-2h, 0, +h); the boundary ring is one-sided
-    d2r = _radial(grid, _central_second(h),
-                  pole=((-1, 1.0 / (3 * h2)), (0, -1.0 / h2), (1, 2.0 / (3 * h2))),
-                  boundary=((-2, 1.0 / h2), (-1, -2.0 / h2), (0, 1.0 / h2)))
-    d1r = _radial(grid, _central_first(h),
-                  pole=((-1, -1.0 / (6 * h)), (0, -1.0 / (2 * h)), (1, 2.0 / (3 * h))),
-                  boundary=((-2, 1.0 / (2 * h)), (-1, -4.0 / (2 * h)), (0, 3.0 / (2 * h))))
-    d2p = _periodic(grid, "phi", _central_second(grid.dphi))
-    d1p = _periodic(grid, "phi", _central_first(grid.dphi))
-    n = grid.n_node
-    g = np.asarray(model.grad_n(grid.x), dtype=float)
-    rhat = np.stack([np.cos(grid.phi), np.sin(grid.phi)], axis=-1)
-    phihat = np.stack([-np.sin(grid.phi), np.cos(grid.phi)], axis=-1)
-    g_r = np.einsum("ij,ij->i", g, rhat)
-    g_phi = np.einsum("ij,ij->i", g, phihat)
-    euclid = d2r + sp.diags(1.0 / grid.r) @ d1r + sp.diags(1.0 / grid.r**2) @ d2p
-    drift = sp.diags(g_r) @ d1r + sp.diags(g_phi / grid.r) @ d1p
-    out = (sp.diags(n**-2.0) @ euclid + sp.diags(n**-3.0) @ drift).tocsr()
-    out.sum_duplicates()
-    out.sort_indices()
-    return out
+    return _matrix(grid, *_laplace_x_stencils(grid, model))
 
 
 def laplace_xi_matrix(grid: PhaseGrid, model: RefractiveModel) -> sp.csr_matrix:
     """Fiber part of the phase Laplacian: a bare second theta derivative."""
-    return _periodic(grid, "theta", _central_second(grid.dtheta))
+    return _matrix(grid, _laplace_xi_stencil(grid))
 
 
 def laplace_matrix(grid: PhaseGrid, model: RefractiveModel) -> sp.csr_matrix:
-    out = (laplace_x_matrix(grid, model) + laplace_xi_matrix(grid, model)).tocsr()
-    out.sum_duplicates()
-    out.sort_indices()
-    return out
-
+    """The phase Laplacian Delta_x + Delta_xi, the legs of both placed in one matrix."""
+    return _matrix(grid, *_laplace_x_stencils(grid, model), _laplace_xi_stencil(grid))

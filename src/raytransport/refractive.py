@@ -209,19 +209,11 @@ def _radial_accel(coeffs: tuple, dcoeffs2: tuple, x, v) -> np.ndarray:
     return a
 
 
-def _slope(x, b: np.ndarray):
-    """b . x for a slope vector b of shape (dim,), summed in index order like :func:`_dot`."""
-    out = x[..., 0] * b[0]
-    for i in range(1, len(b)):
-        out += x[..., i] * b[i]
-    return out
-
-
 def _affine_n_grad(a: float, b: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     g = np.empty_like(x)
     g[...] = b
-    return a + _slope(x, b), g
+    return a + _dot(x, b), g
 
 
 def _affine_accel(a: float, b: np.ndarray, x, v) -> np.ndarray:
@@ -230,8 +222,8 @@ def _affine_accel(a: float, b: np.ndarray, x, v) -> np.ndarray:
     # b_i |v|^2 with the component axis last, in v's layout
     acc = np.multiply.outer(b, _dot(v, v))
     acc = acc.T if acc.ndim == 2 else np.moveaxis(acc, 0, -1)
-    acc -= v * (2.0 * _slope(v, b))[..., None]
-    acc /= (a + _slope(x, b))[..., None]
+    acc -= v * (2.0 * _dot(v, b))[..., None]
+    acc /= (a + _dot(x, b))[..., None]
     return acc
 
 

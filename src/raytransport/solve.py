@@ -366,6 +366,8 @@ def discrete_coercivity(system: LinearSystem, probes: int = 4, seed: int = 0) ->
     iteration from a fresh random vector; a positive result certifies
     discrete coercivity of the assembled operator.
     """
+    if probes < 1:
+        raise ValueError("probes must be at least 1")
     s = symmetric_part(system.interior)
     n = s.shape[0]
     c = float(np.max(np.abs(s).sum(axis=1)))
@@ -373,7 +375,7 @@ def discrete_coercivity(system: LinearSystem, probes: int = 4, seed: int = 0) ->
     rng = np.random.default_rng(seed)
     best = -np.inf
     reliable = True
-    for _ in range(max(1, probes)):
+    for _ in range(probes):
         v0 = rng.standard_normal(n)
         try:
             vals = spla.eigsh(

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import raytransport as rt
-from conftest import random_phase_points
+from conftest import bouguer_invariant, random_phase_points
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -70,7 +70,7 @@ def test_criterion_2_bouguer_drift(demo_model):
         points.append(rt.angle_phase_point(demo_model, x, rng.uniform(0.0, 2.0 * np.pi)))
     worst = 0.0
     for path in rt.trace(demo_model, points, rt.IntegratorConfig(step=1e-3)):
-        J = np.array([rt.bouguer_invariant(demo_model, xx, vv) for xx, vv in zip(path.xs, path.vs)])
+        J = np.array([bouguer_invariant(demo_model, xx, vv) for xx, vv in zip(path.xs, path.vs)])
         span = path.tau_plus - path.tau_minus
         drift = (J.max() - J.min()) / max(np.abs(J).max(), 1e-12) / span
         worst = max(worst, float(drift))

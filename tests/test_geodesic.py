@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import raytransport as rt
+from conftest import bouguer_invariant
 from raytransport import geodesic
 from raytransport.errors import DomainError, TraceLimitError
 from raytransport.geodesic import march, refine_exit, rk4_step, speed_defect
@@ -85,7 +86,7 @@ class TestDemoMedium:
             x = rng.uniform(-0.5, 0.5, size=2)
             p = rt.angle_phase_point(demo_model, x, rng.uniform(0, 2 * np.pi))
             path = rt.trace(demo_model, p)
-            J = np.array([rt.bouguer_invariant(demo_model, xx, vv) for xx, vv in zip(path.xs, path.vs)])
+            J = np.array([bouguer_invariant(demo_model, xx, vv) for xx, vv in zip(path.xs, path.vs)])
             span = path.tau_plus - path.tau_minus
             drift = (J.max() - J.min()) / max(np.abs(J).max(), 1e-12) / span
             assert drift < 1e-6

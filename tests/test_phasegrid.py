@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 import raytransport as rt
@@ -8,6 +9,13 @@ from raytransport.phasegrid import (
     GLANCING,
     INFLOW,
     OUTFLOW,
+    _central_first,
+    _central_second,
+    _matrix,
+    _periodic,
+    _radial,
+    _radial_first,
+    _radial_second,
     h_matrix,
     laplace_matrix,
     laplace_x_matrix,
@@ -38,7 +46,7 @@ class TestGridConstruction:
     def test_small_grid_nodes(self, demo_model):
         grid = rt.build_grid(demo_model, 3, 3, 3)
         assert grid.size == 27
-        assert_allclose(grid.rs, [1 / 3, 2 / 3, 1.0])
+        assert_allclose(grid.r[::grid.J * grid.K], [1 / 3, 2 / 3, 1.0])
 
     def test_boundary_radius_exact(self, demo_model):
         grid = rt.build_grid(demo_model, 12, 8, 6)
@@ -300,6 +308,65 @@ class TestLaplacian:
         a = apply_laplace(grid, demo_model, rt.GridFunction(grid, u_vals)).values
         b = apply_laplace(grid, demo_model, rt.GridFunction(grid, u_vals.copy())).values
         assert np.array_equal(a, b)
+
+
+def assert_canonical(m):
+    """CSR with strictly increasing columns in each row and no stored zero."""
+    assert m.format == "csr"
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    assert np.all(np.diff(rows * m.shape[1] + m.indices) > 0)
+    assert np.all(m.data != 0.0)
+
+
+# at J = 3 the pole's antipodal columns are also its phi neighbors
+PLACEMENT_CASES = [(medium, shape) for medium in ("paper4", "affine:2,0.3,0.2", "constant:1.0")
+                   for shape in ((3, 3, 3), (6, 9, 7), (10, 10, 8))]
+
+
+class TestPlacement:
+    """Each operator is one placement of its stencils' legs; Delta_x equals its
+    single-stencil matrices scaled node by node with sp.diags."""
+
+    @staticmethod
+    def old_algebra(grid, model):
+        """Delta_x and Delta from the five single-stencil matrices, scaled by sp.diags."""
+        d2r = _matrix(grid, _radial(grid, *_radial_second(grid.dr)))
+        d1r = _matrix(grid, _radial(grid, *_radial_first(grid.dr)))
+        d2p = _matrix(grid, _periodic(grid, "phi", _central_second(grid.dphi)))
+        d1p = _matrix(grid, _periodic(grid, "phi", _central_first(grid.dphi)))
+        d2t = _matrix(grid, _periodic(grid, "theta", _central_second(grid.dtheta)))
+        n = grid.n_node
+        g = np.asarray(model.grad_n(grid.x), dtype=float)
+        c, s = np.cos(grid.phi), np.sin(grid.phi)
+        g_r, g_phi = g[:, 0] * c + g[:, 1] * s, -g[:, 0] * s + g[:, 1] * c
+        euclid = d2r + sp.diags(1.0 / grid.r) @ d1r + sp.diags(1.0 / grid.r**2) @ d2p
+        drift = sp.diags(g_r) @ d1r + sp.diags(g_phi / grid.r) @ d1p
+        lx = (sp.diags(n**-2.0) @ euclid + sp.diags(n**-3.0) @ drift).tocsr()
+        return lx, (lx + d2t).tocsr()
+
+    @pytest.fixture(params=PLACEMENT_CASES, ids=str)
+    def operators(self, request):
+        spec, shape = request.param
+        model = rt.parse_model(spec)
+        grid = rt.build_grid(model, *shape)
+        ops = [f(grid, model) for f in (h_matrix, laplace_x_matrix, laplace_xi_matrix, laplace_matrix)]
+        return grid, model, ops
+
+    def test_canonical_without_zeros(self, operators):
+        for m in operators[2]:
+            assert_canonical(m)
+
+    def test_laplacian_is_union_of_parts(self, operators):
+        _, _, (_, lx, lxi, lap) = operators
+        union = (abs(lx) + abs(lxi)).tocsr()
+        assert np.array_equal(lap.indptr, union.indptr)
+        assert np.array_equal(lap.indices, union.indices)
+        assert abs(lap - (lx + lxi)).max() <= 1e-15 * abs(lap).max()
+
+    def test_matches_diagonal_scaling(self, operators):
+        grid, model, (_, lx, _, lap) = operators
+        for got, ref in zip((lx, lap), self.old_algebra(grid, model)):
+            assert abs(got - ref).max() <= 1e-15 * abs(got).max()
 
 
 class TestGridFunction:

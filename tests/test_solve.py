@@ -378,6 +378,13 @@ class TestDiscreteCoercivity:
         assert est.reliable
         assert est.lambda_min > 0.0
 
+    @pytest.mark.parametrize("probes", [0, -2])
+    def test_rejects_probes_below_1(self, small_setup, probes):
+        model, field, att, grid = small_setup
+        system = rt.assemble(grid, model, field, att, 1e-2, np.zeros(grid.size))
+        with pytest.raises(ValueError, match="probes"):
+            rt.discrete_coercivity(system, probes=probes)
+
     def test_identity_dominated(self, unit_model):
         grid = rt.build_grid(unit_model, 8, 8, 6)
         att = rt.constant_attenuation(1.0)
