@@ -25,7 +25,11 @@ and ``interior_solution`` at them and at two outflow states of the
 demo sweep: ``epsilon_sweep`` of paper4 on (30, 30, 10) at eps 1e-3, 1e-6
 and 1e-9 with the oracle at step 8e-3, whose entry holds the l2 and linf
 arrays, the iteration counts and the criterion-6 gap l2(1e-6) - l2(1e-9).
-And the config layer: for each of ``configs/*.cfg`` and the seed-0 config
+The fiber-integral check: ``check_fiber_identity``'s lhs and rhs for the two
+3D media of acceptance criterion 5 (paper4 and the affine medium
+2 + 0.3 x_1 - 0.2 x_3), each of ``standard_fiber_functions()``, criterion
+5's three base points, both pairing conventions and orders (16, 16) and
+(64, 64).  And the config layer: for each of ``configs/*.cfg`` and the seed-0 config
 text of the three ``perfbench`` workloads (read from this script's
 checkout, so both trees parse the same texts), ``parse_config_text(text)``'s
 ``to_text()`` and the ``dataclasses.astuple`` of the parsed config.
@@ -65,6 +69,8 @@ EVEN_RANK_GRID = (4, 5, 6)
 TRACE_STATES = [([0.3, -0.2], 1.1), ([0.0, 0.0], 0.4), ([-0.6, 0.5], 2.9)]
 SWEEP_EPS = (1e-3, 1e-6, 1e-9)
 SWEEP_STEP = 8e-3
+FIBER_POINTS = [(0.2, 0.1, -0.3), (-0.4, 0.25, 0.1), (0.0, 0.0, 0.5)]
+FIBER_ORDERS = (16, 64)
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -157,6 +163,7 @@ def dump() -> dict:
             out[("spilu", "dynamic", name, shape)] = tuple(spilu_inputs)
     out.update(dump_oracle(media, att, field))
     out.update(dump_sweep(media["paper4"], att, field))
+    out.update(dump_fiber())
     out.update(dump_config())
     return out
 
@@ -240,6 +247,20 @@ def dump_sweep(model, att, field) -> dict:
     return {("demo sweep", DEMO_GRID, SWEEP_STEP): (
         Digest(np.array(sweep.l2)), Digest(np.array(sweep.linf)),
         tuple(r.iterations for r in sweep.reports), gap.hex())}
+
+
+def dump_fiber() -> dict:
+    import raytransport as rt
+    from raytransport.verify import CONVENTIONS
+
+    media = {"paper4": rt.paper4_model(dim=3), "affine": rt.affine_model(2.0, [0.3, 0.0, -0.2])}
+    out = {}
+    for name, model in media.items():
+        for fi, fn in enumerate(rt.standard_fiber_functions()):
+            for x, conv, order in itertools.product(FIBER_POINTS, CONVENTIONS, FIBER_ORDERS):
+                chk = rt.check_fiber_identity(model, fn, x, order, order, conv)
+                out[("fiber", name, fi, x, conv, order)] = (chk.lhs.hex(), chk.rhs.hex())
+    return out
 
 
 def dump_config() -> dict:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import exports
 from .config import ExperimentConfig, load_config
-from .errors import ConfigError, NonConvergenceError, NumericalError, TraceLimitError
+from .errors import ConfigError, DomainError, NonConvergenceError, NumericalError, TraceLimitError
 from .geodesic import IntegratorConfig, angle_phase_point, trace
 from .phasegrid import build_grid, classify_boundary
 from .refractive import coercivity_margin, parse_model
@@ -80,7 +80,10 @@ def _cmd_trace(cfg, args) -> int:
     if cfg.dim != 2:
         raise ConfigError("trace.x: the trace command is 2D")
     p = angle_phase_point(model, np.asarray(cfg.trace_x), cfg.trace_theta)
-    path = trace(model, p, trace_cfg)
+    try:
+        path = trace(model, p, trace_cfg)
+    except DomainError as exc:
+        raise ConfigError(f"trace.x: {exc}") from None
     out = os.path.join(_outdir(cfg), "path.csv")
     exports.write_path_csv(path, out)
     print(

@@ -27,15 +27,16 @@ def _optint(raw: str) -> int | None:
     return None if raw.lower() in ("", "none") else int(raw)
 
 
-def _float(raw: str) -> float:
+def finite_float(raw: str) -> float:
+    """``float(raw)``, rejecting inf and nan with ValueError; also reads the numbers of specs."""
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError("not a finite number")
     return value
 
 
-def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(_float(v) for v in raw.split(","))
+def finite_floats(raw: str) -> tuple[float, ...]:
+    return tuple(finite_float(v) for v in raw.split(","))
 
 
 def _bool(raw: str) -> bool:
@@ -67,19 +68,19 @@ class ExperimentConfig:
     grid_j: int = _key("grid.j", int, 30)
     grid_k: int = _key("grid.k", int, 10)
     quad_rule: str = _key("quadrature.rule", str, "simpson")
-    quad_step: float = _key("quadrature.step", _float, 1e-3)
-    int_step: float = _key("integrator.step", _float, 1e-3)
+    quad_step: float = _key("quadrature.step", finite_float, 1e-3)
+    int_step: float = _key("integrator.step", finite_float, 1e-3)
     max_steps: int | None = _key("integrator.max_steps", _optint, None)  # None: max(20000, 20 / step)
-    boundary_tol: float = _key("integrator.boundary_tol", _float, 1e-10)
-    epsilons: tuple[float, ...] = _key("solver.epsilon", _floats, (1e-3,))
-    tol: float = _key("solver.tol", _float, 1e-10)
+    boundary_tol: float = _key("integrator.boundary_tol", finite_float, 1e-10)
+    epsilons: tuple[float, ...] = _key("solver.epsilon", finite_floats, (1e-3,))
+    tol: float = _key("solver.tol", finite_float, 1e-10)
     max_iter: int | None = _key("solver.max_iter", _optint, None)
     preconditioner: str = _key("solver.preconditioner", str, "ilu")
     method: str = _key("solver.method", str, "gmres")
-    dt: float = _key("dynamic.dt", _float, 0.05)
-    t_final: float = _key("dynamic.t_final", _float, 1.0)
-    trace_x: tuple[float, ...] = _key("trace.x", _floats, (0.0, 0.0))
-    trace_theta: float = _key("trace.theta", _float, 0.0)
+    dt: float = _key("dynamic.dt", finite_float, 0.05)
+    t_final: float = _key("dynamic.t_final", finite_float, 1.0)
+    trace_x: tuple[float, ...] = _key("trace.x", finite_floats, (0.0, 0.0))
+    trace_theta: float = _key("trace.theta", finite_float, 0.0)
     n_theta: int = _key("prop1.n_theta", int, 64)
     n_phi: int = _key("prop1.n_phi", int, 64)
 

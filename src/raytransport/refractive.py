@@ -34,6 +34,8 @@ from typing import Callable
 
 import numpy as np
 
+from .config import finite_float, finite_floats
+
 
 @dataclass(frozen=True)
 class RefractiveModel:
@@ -292,11 +294,11 @@ def parse_model(spec: str, dim: int = 2) -> RefractiveModel:
         if head == "paper4" and not tail:
             return paper4_model(dim=dim)
         if head == "constant":
-            return constant_model(float(tail), dim=dim)
+            return constant_model(finite_float(tail), dim=dim)
         if head == "radial":
-            return radial_poly_model([float(v) for v in tail.split(",")], dim=dim)
+            return radial_poly_model(finite_floats(tail), dim=dim)
         if head == "affine":
-            vals = [float(v) for v in tail.split(",")]
+            vals = finite_floats(tail)
             if len(vals) - 1 != dim:
                 raise ValueError(f"affine model needs {dim} slope entries")
             return affine_model(vals[0], vals[1:])

@@ -161,7 +161,7 @@ def assemble(
     interior, coupling = interior_operator(parts, epsilon)
     b = _rhs(grid, mask, f, t, data[mask.outflow_idx])
     if not all(np.all(np.isfinite(v)) for v in (interior.data, coupling.data, b)):
-        raise AssemblyError("assembled system contains non-finite entries")
+        raise NumericalError("assembled system contains non-finite entries")
     return LinearSystem(interior=interior, coupling=coupling, transport=parts.transport, rhs=b,
                         grid=grid, mask=mask, epsilon=epsilon)
 

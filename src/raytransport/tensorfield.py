@@ -20,6 +20,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .config import finite_float, finite_floats
+
 ComponentFn = Callable[[object, np.ndarray], np.ndarray]  # (t, x) -> values
 
 
@@ -143,9 +145,9 @@ def parse_field(spec: str, dim: int = 2, switch_on: bool = False) -> SymmetricTe
         if head == "paper4" and not tail:
             f = paper4_field()
         elif head == "constant-vec":
-            f = constant_vector_field([float(v) for v in tail.split(",")])
+            f = constant_vector_field(finite_floats(tail))
         elif head == "constant-scalar":
-            f = constant_scalar_field(float(tail), dim=dim)
+            f = constant_scalar_field(finite_float(tail), dim=dim)
         else:
             raise ValueError("unknown field kind")
     except ValueError as exc:

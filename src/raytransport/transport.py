@@ -74,6 +74,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import finite_float
 from .errors import DomainError, StencilError
 from .geodesic import IntegratorConfig, PhaseSpacePoint, angle_phase_point, march, rk4_step
 from .phasegrid import PhaseGrid, rotation_orbits
@@ -102,8 +103,8 @@ def parse_attenuation(spec: str) -> Attenuation:
     head, _, tail = spec.partition(":")
     try:
         if head == "constant":
-            return constant_attenuation(float(tail))
-        return constant_attenuation(float(spec))
+            return constant_attenuation(finite_float(tail))
+        return constant_attenuation(finite_float(spec))
     except ValueError:
         raise ValueError(f"bad attenuation spec {spec!r}") from None
 

@@ -7,8 +7,10 @@ Two independent checks of the machinery:
 
       - oint G^k_ij xi_i xi_j (du/dxi_k) u domega = oint <grad n, xi> / n u^2 domega,
 
-  with the fiber derivatives du/dxi expressed through the (theta, phi) chart
-  of the sphere of radius 1/n.  The pairing <grad n, xi> is evaluated under a
+  where u is a test function of the unit direction omega = n xi and the
+  fiber derivative du/dxi on the sphere |xi| = 1/n is n times the part of
+  u's ambient gradient tangent to the sphere, so no chart of the sphere
+  enters.  The pairing <grad n, xi> is evaluated under a
   selectable convention (the two readings differ by a factor n^2), and
   ``calibrate_identity_convention`` picks the one whose discrepancy vanishes
   under quadrature refinement.
@@ -38,67 +40,17 @@ from .transport import Attenuation, interior_solution_grid
 CONVENTIONS = ("metric-gradient", "euclidean-gradient")
 
 
-def _fiber_a(th, ph):
-    return 1.0 + 0.5 * np.sin(th) * np.cos(ph)
-
-
-def _fiber_a_dth(th, ph):
-    return 0.5 * np.cos(th) * np.cos(ph)
-
-
-def _fiber_a_dph(th, ph):
-    return -0.5 * np.sin(th) * np.sin(ph)
-
-
-def _fiber_b(th, ph):
-    return np.exp(0.7 * np.sin(th) * np.sin(ph) + 0.3 * np.cos(th))
-
-
-def _fiber_b_dth(th, ph):
-    return _fiber_b(th, ph) * (0.7 * np.cos(th) * np.sin(ph) - 0.3 * np.sin(th))
-
-
-def _fiber_b_dph(th, ph):
-    return _fiber_b(th, ph) * 0.7 * np.sin(th) * np.cos(ph)
-
-
-def _fiber_c(th, ph):
-    return np.cos(th) + 0.5 * np.sin(th) ** 2 * np.sin(ph) * np.cos(ph)
-
-
-def _fiber_c_dth(th, ph):
-    return -np.sin(th) + np.sin(th) * np.cos(th) * np.sin(ph) * np.cos(ph)
-
-
-def _fiber_c_dph(th, ph):
-    return 0.5 * np.sin(th) ** 2 * (np.cos(ph) ** 2 - np.sin(ph) ** 2)
-
-
-def standard_fiber_functions() -> list["FiberFunction"]:
-    """Three smooth sphere functions with analytic chart derivatives.
-
-    All are restrictions of entire functions of the unit direction vector,
-    so their chart derivatives carry the sin(theta) factors that keep the
-    1/sin(theta) terms of the fiber-derivative formulas bounded.
-    """
-    return [
-        FiberFunction(value=_fiber_a, d_theta=_fiber_a_dth, d_phi=_fiber_a_dph),
-        FiberFunction(value=_fiber_b, d_theta=_fiber_b_dth, d_phi=_fiber_b_dph),
-        FiberFunction(value=_fiber_c, d_theta=_fiber_c_dth, d_phi=_fiber_c_dph),
-    ]
-
-
 @dataclass(frozen=True)
 class FiberFunction:
-    """A smooth test function on the direction sphere, u(theta, phi).
+    """A smooth test function u on the direction sphere, given by an extension to R^3.
 
-    Analytic chart derivatives are optional; central differences with step
-    1e-5 are used when they are absent.
+    ``value`` maps unit directions omega of shape (..., 3) to u (...), and
+    ``grad`` to the ambient gradient (..., 3) of the extension; only its part
+    tangent to the sphere enters the check, so any smooth extension will do.
     """
 
-    value: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    d_theta: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    d_phi: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    value: Callable[[np.ndarray], np.ndarray]
+    grad: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -107,6 +59,26 @@ class IdentityCheck:
     rhs: float
     abs_diff: float
     convention: str
+
+
+def _exp_b(w):
+    return np.exp(0.7 * w[..., 1] + 0.3 * w[..., 2])
+
+
+def standard_fiber_functions() -> list[FiberFunction]:
+    """Three smooth sphere functions with their ambient gradients.
+
+    1 + omega_1 / 2, exp(0.7 omega_2 + 0.3 omega_3) and omega_3 + omega_1 omega_2 / 2,
+    each differentiated as the function of omega in R^3 that its formula defines.
+    """
+    return [
+        FiberFunction(value=lambda w: 1.0 + 0.5 * w[..., 0],
+                      grad=lambda w: np.broadcast_to([0.5, 0.0, 0.0], w.shape)),
+        FiberFunction(value=_exp_b, grad=lambda w: _exp_b(w)[..., None] * np.array([0.0, 0.7, 0.3])),
+        FiberFunction(value=lambda w: w[..., 2] + 0.5 * w[..., 0] * w[..., 1],
+                      grad=lambda w: np.stack([0.5 * w[..., 1], 0.5 * w[..., 0], np.ones(w.shape[:-1])],
+                                              axis=-1)),
+    ]
 
 
 def check_fiber_identity(
@@ -133,39 +105,17 @@ def check_fiber_identity(
         raise ValueError("base point must lie strictly inside the ball")
 
     s, w = np.polynomial.legendre.leggauss(n_theta)
-    theta = np.arccos(s)
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    th, ph = np.meshgrid(theta, phi, indexing="ij")
+    th, ph = np.meshgrid(np.arccos(s), 2.0 * np.pi * np.arange(n_phi) / n_phi, indexing="ij")
     wq = w[:, None] * (2.0 * np.pi / n_phi)
-
-    u = np.asarray(u_test.value(th, ph), dtype=float)
-    if u_test.d_theta is not None:
-        u_th = np.asarray(u_test.d_theta(th, ph), dtype=float)
-    else:
-        h = 1e-5
-        u_th = (u_test.value(th + h, ph) - u_test.value(th - h, ph)) / (2.0 * h)
-    if u_test.d_phi is not None:
-        u_ph = np.asarray(u_test.d_phi(th, ph), dtype=float)
-    else:
-        h = 1e-5
-        u_ph = (u_test.value(th, ph + h) - u_test.value(th, ph - h)) / (2.0 * h)
+    omega = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
 
     nval, grad = model.n_grad(x)
     nval = float(nval)
-    sin_t, cos_t = np.sin(th), np.cos(th)
-    sin_p, cos_p = np.sin(ph), np.cos(ph)
-    omega = np.stack([sin_t * cos_p, sin_t * sin_p, cos_t], axis=-1)
     xi = omega / nval
-
-    # chart form of the ambient fiber derivatives on the sphere |xi| = 1/n
-    du_dxi = np.stack(
-        [
-            nval * (cos_p * cos_t * u_th - sin_p / sin_t * u_ph),
-            nval * (sin_p * cos_t * u_th + cos_p / sin_t * u_ph),
-            -nval * sin_t * u_th,
-        ],
-        axis=-1,
-    )
+    u = np.asarray(u_test.value(omega), dtype=float)
+    g = np.asarray(u_test.grad(omega), dtype=float)
+    # on the sphere |xi| = 1/n the fiber derivative is n times the tangential part of grad u
+    du_dxi = nval * (g - np.sum(g * omega, axis=-1, keepdims=True) * omega)
 
     xb = np.broadcast_to(x, xi.shape)
     a = acceleration(model, xb, xi)  # equals -G^k_ij xi_i xi_j

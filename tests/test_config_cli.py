@@ -217,6 +217,51 @@ class TestCliCommands:
         assert f"{section}.{key}" in err and "not a finite number" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section,key,value,kind", [
+        ("model", "model", "constant:inf", "model"), ("model", "model", "radial:1,nan", "model"),
+        ("model", "model", "affine:2,inf,0", "model"), ("field", "field", "constant-scalar:nan", "field"),
+        ("field", "field", "constant-vec:inf,0", "field"), ("attenuation", "alpha", "inf", "attenuation"),
+        ("attenuation", "alpha", "nan", "attenuation"),
+    ], ids=["constant-inf", "radial-nan", "affine-inf", "scalar-nan", "vec-inf", "alpha-inf", "alpha-nan"])
+    def test_non_finite_spec_number_exits_2(self, tmp_path, capsys, section, key, value, kind):
+        """A spec string holding inf or nan is rejected before the oracle runs or any output."""
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(
+            "[run]\ncommand = sweep\noutput_dir = %s/out\n[grid]\ni = 6\nj = 6\nk = 4\n[%s]\n%s = %s\n"
+            % (tmp_path, section, key, value))
+        assert run(["run", str(cfg)]) == 2
+        assert f"bad {kind} spec" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_trace_start_outside_ball_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "trace.cfg"
+        cfg.write_text(MINIMAL.replace("x = 0.3,0.0", "x = 1.5, 0.0").replace(
+            "command = trace", f"command = trace\noutput_dir = {tmp_path}/out"))
+        assert run(["run", str(cfg)]) == 2
+        assert "trace.x" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "path.csv").exists()
+
+    def test_overflowing_epsilon_is_a_numerical_failure(self, tmp_path, capsys):
+        """eps = 1e308 passes the config checks but overflows T - eps Delta: solve-static exits 3,
+        and a sweep records the failed row, solves the next eps, writes its outputs and exits 4."""
+        base = (
+            "[run]\ncommand = %s\noutput_dir = %s/out\n"
+            "[model]\nmodel = paper4\n[field]\nfield = paper4\n"
+            "[attenuation]\nalpha = 1.0\n[grid]\ni = 6\nj = 6\nk = 4\n[solver]\nepsilon = %s\n")
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(base % ("solve-static", tmp_path, "1e308"))
+        assert run(["run", str(cfg)]) == 3
+        assert "numerical failure: assembled system contains non-finite entries" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "solution.csv").exists()
+        cfg.write_text(base % ("sweep", tmp_path, "1e308,1e-3"))
+        assert run(["run", str(cfg)]) == 4
+        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert rows[0].split(",")[1:] == ["nan", "nan", "0", "inf", "false"]
+        assert rows[1].endswith(",true")
+        assert not (tmp_path / "out" / "solution_eps0_k00.pgm").exists()
+        assert (tmp_path / "out" / "solution_eps1_k03.pgm").exists()
+
     @pytest.mark.parametrize("command", ["sweep", "solve-static", "solve-dynamic", "transform-table"])
     def test_grid_command_in_3d_exits_2(self, tmp_path, capsys, command):
         """Phase grids are 2D: the config is rejected, naming model.dim, before any output."""

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 import raytransport as rt
 from raytransport import verify
 from raytransport.errors import NumericalError
+from raytransport.refractive import acceleration
 
 MODELS_3D = [rt.paper4_model(dim=3), rt.affine_model(2.0, [0.3, 0.0, -0.2])]
 POINTS_3D = [(0.2, 0.1, -0.3), (-0.4, 0.25, 0.1), (0.0, 0.0, 0.5)]
@@ -22,7 +23,7 @@ class TestFiberIdentity:
     def test_constant_function(self):
         """u = 1 kills the derivative side; the other side integrates an odd
         direction field over the whole sphere."""
-        const = rt.FiberFunction(value=lambda th, ph: np.ones_like(th))
+        const = rt.FiberFunction(value=lambda w: np.ones(w.shape[:-1]), grad=np.zeros_like)
         chk = rt.check_fiber_identity(MODELS_3D[0], const, (0.3, 0.1, -0.2), 32, 32)
         assert chk.abs_diff <= 1e-12
 
@@ -49,11 +50,39 @@ class TestFiberIdentity:
         assert d8 > 1e-9  # coarse orders sit above the rounding floor
         assert d16 <= d8 / 4.0
 
-    def test_finite_difference_fallback(self):
-        fn_full = rt.standard_fiber_functions()[1]
-        fn_fd = rt.FiberFunction(value=fn_full.value)
-        a = rt.check_fiber_identity(MODELS_3D[0], fn_fd, POINTS_3D[0], 32, 32)
-        assert a.abs_diff <= 1e-9
+    def test_only_the_tangential_gradient_counts(self):
+        """U |omega|^2 equals U on the sphere but has the extra normal gradient 2 U omega."""
+        for model in MODELS_3D:
+            for fn in rt.standard_fiber_functions():
+                def value(w, fn=fn):
+                    return fn.value(w) * np.sum(w * w, axis=-1)
+
+                def grad(w, fn=fn):
+                    return np.sum(w * w, axis=-1)[..., None] * fn.grad(w) + 2.0 * fn.value(w)[..., None] * w
+
+                extended = rt.FiberFunction(value=value, grad=grad)
+                for x in POINTS_3D:
+                    lhs = rt.check_fiber_identity(model, fn, x, 32, 32).lhs
+                    assert rt.check_fiber_identity(model, extended, x, 32, 32).lhs == pytest.approx(
+                        lhs, rel=0.0, abs=1e-15)
+
+    def test_matches_the_sphere_chart(self):
+        """exp(0.7 omega_2 + 0.3 omega_3) differentiated through the (theta, phi) chart."""
+        model, x, order = MODELS_3D[1], np.array(POINTS_3D[1]), 32
+        s, w = np.polynomial.legendre.leggauss(order)
+        th, ph = np.meshgrid(np.arccos(s), 2.0 * np.pi * np.arange(order) / order, indexing="ij")
+        sin_t, cos_t, sin_p, cos_p = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
+        omega = np.stack([sin_t * cos_p, sin_t * sin_p, cos_t], axis=-1)
+        u = np.exp(0.7 * sin_t * sin_p + 0.3 * cos_t)
+        u_th = u * (0.7 * cos_t * sin_p - 0.3 * sin_t)
+        u_ph = u * 0.7 * sin_t * cos_p
+        n = float(model.n(x))
+        du_dxi = n * np.stack([cos_p * cos_t * u_th - sin_p / sin_t * u_ph,
+                               sin_p * cos_t * u_th + cos_p / sin_t * u_ph, -sin_t * u_th], axis=-1)
+        a = acceleration(model, np.broadcast_to(x, omega.shape), omega / n)
+        lhs = np.sum(w[:, None] * (2.0 * np.pi / order) * np.sum(a * du_dxi, axis=-1) * u)
+        chk = rt.check_fiber_identity(model, rt.standard_fiber_functions()[1], x, order, order)
+        assert chk.lhs == pytest.approx(lhs, rel=0.0, abs=1e-14)
 
     def test_argument_errors(self):
         fn = rt.standard_fiber_functions()[0]
