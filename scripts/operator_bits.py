@@ -21,7 +21,10 @@ one march with a column per time), ``interior_solution_grid`` of the
 switch-on field at t = 0.3 on (10, 10, 8), the ``trace`` paths of three
 states, ``oracle_residuals`` of the switch-on field at those three states,
 and ``interior_solution`` at them and at two outflow states of the
-(10, 10, 8) ring, once static and once switched on at t = 0.3.  Last, the
+(10, 10, 8) ring, once static and once switched on at t = 0.3, and the
+``march`` exits (``rays``, ``s``, ``ds``, ``x_exit``, ``v_exit``) of 400
+near-tangent rays in n = 1 - 0.45 |x|^2 at step 0.1, the batch whose graze
+re-test runs and whose dips the crossing test partly misses.  Last, the
 demo sweep: ``epsilon_sweep`` of paper4 on (30, 30, 10) at eps 1e-3, 1e-6
 and 1e-9 with the oracle at step 8e-3, whose entry holds the l2 and linf
 arrays, the iteration counts and the criterion-6 gap l2(1e-6) - l2(1e-9).
@@ -69,6 +72,8 @@ EVEN_RANK_GRID = (4, 5, 6)
 TRACE_STATES = [([0.3, -0.2], 1.1), ([0.0, 0.0], 0.4), ([-0.6, 0.5], 2.9)]
 SWEEP_EPS = (1e-3, 1e-6, 1e-9)
 SWEEP_STEP = 8e-3
+# near-tangent rays whose dips out of the ball the march's crossing test partly misses
+GRAZE_MEDIUM, GRAZE_RAYS, GRAZE_SEED, GRAZE_STEP = "radial:1,-0.45", 400, 2, 0.1
 FIBER_POINTS = [(0.2, 0.1, -0.3), (-0.4, 0.25, 0.1), (0.0, 0.0, 0.5)]
 FIBER_ORDERS = (16, 64)
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -233,7 +238,24 @@ def dump_oracle(media: dict, att, field) -> dict:
         for kind, f, t in (("static", field, 0.0), ("switch-on", rt.with_switch_on(field), 0.3)):
             out[("interior_solution", kind, name)] = tuple(
                 rt.interior_solution(model, f, att, t, p, coarse).hex() for p in points + ring)
+    out[("grazing exits", GRAZE_MEDIUM, GRAZE_STEP)] = dump_grazing()
     return out
+
+
+def dump_grazing() -> tuple:
+    """The exits of a march of near-tangent rays, every field a graze re-test can move."""
+    import numpy as np
+
+    import raytransport as rt
+    from raytransport.geodesic import march
+
+    model = rt.parse_model(GRAZE_MEDIUM)
+    rng = np.random.default_rng(GRAZE_SEED)
+    tilt = rng.uniform(0.025, 0.05, GRAZE_RAYS) * rng.choice([-1.0, 1.0], GRAZE_RAYS)
+    x = np.stack([1.0 - rng.uniform(0.0, 1e-4, GRAZE_RAYS), np.zeros(GRAZE_RAYS)], axis=1)
+    v = np.stack([np.sin(tilt), np.cos(tilt)], axis=1) / model.n(x)[:, None]
+    ex = march(model, x, v, GRAZE_STEP, rt.IntegratorConfig(step=GRAZE_STEP))
+    return tuple(Digest(a) for a in (ex.rays, ex.s, ex.ds, ex.x_exit, ex.v_exit))
 
 
 def dump_sweep(model, att, field) -> dict:

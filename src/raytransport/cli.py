@@ -37,9 +37,12 @@ IDENTITY_POINTS = [(0.2, 0.1, -0.3), (-0.4, 0.25, 0.1), (0.0, 0.0, 0.5)]
 def _setup(cfg: ExperimentConfig):
     try:
         model = parse_model(cfg.model_spec, dim=cfg.dim)
+    except ValueError as exc:
+        raise ConfigError(f"model.model: {exc}") from None
+    try:
         att = parse_attenuation(cfg.alpha_spec)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"attenuation.alpha: {exc}") from None
 
     def march_at(step):
         return IntegratorConfig(step=step, max_steps=cfg.max_steps, boundary_tol=cfg.boundary_tol)
@@ -52,7 +55,7 @@ def _field(cfg: ExperimentConfig):
     try:
         return parse_field(cfg.field_spec, dim=cfg.dim, switch_on=cfg.switch_on)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"field.field: {exc}") from None
 
 
 def _outdir(cfg: ExperimentConfig) -> str:

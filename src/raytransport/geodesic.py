@@ -124,29 +124,6 @@ class GeodesicPath:
 # RK4 stepping (batched: states of shape (N, dim), any memory layout)
 # ---------------------------------------------------------------------------
 
-def _per_row(h):
-    """A scalar step as a Python float, a per-row step as a column."""
-    h = np.asarray(h, dtype=float)
-    return h[..., None] if h.ndim else float(h)
-
-
-def _rk4_position(model: RefractiveModel, x: np.ndarray, v: np.ndarray, h, a1=None):
-    """The new position of an RK4 step of size h (from :func:`_per_row`).
-
-    Returns it with the stages a1..a3 and the velocities v3, v4 that the new
-    velocity needs; the position itself never needs the fourth stage.  A
-    given first stage ``a1`` must be the acceleration at (x, v).
-    """
-    if a1 is None:
-        a1 = acceleration(model, x, v)
-    v2 = v + 0.5 * h * a1
-    a2 = acceleration(model, x + 0.5 * h * v, v2)
-    v3 = v + 0.5 * h * a2
-    a3 = acceleration(model, x + 0.5 * h * v2, v3)
-    v4 = v + h * a3
-    return _rk4_sum(x, h, v, v2, v3, v4), (a1, a2, a3), v3, v4
-
-
 def _rk4_sum(y, h, k1, k2, k3, k4):
     """y + (h / 6) * (k1 + 2 k2 + 2 k3 + k4), summed in place in that order."""
     acc = 2.0 * k2
@@ -162,12 +139,20 @@ def rk4_step(model: RefractiveModel, x: np.ndarray, v: np.ndarray, h, a1=None):
     """One classical RK4 step of size h (scalar or per-row array).
 
     ``a1``, the acceleration at (x, v), is the first stage; given, it saves
-    one acceleration and leaves the result's bits unchanged.
+    one acceleration and leaves the result's bits unchanged.  The new
+    position never reads the fourth stage; only the new velocity needs it.
     """
-    h = _per_row(h)
-    xn, (a1, a2, a3), v3, v4 = _rk4_position(model, x, v, h, a1)
+    h = np.asarray(h, dtype=float)
+    h = h[..., None] if h.ndim else float(h)
+    if a1 is None:
+        a1 = acceleration(model, x, v)
+    v2 = v + 0.5 * h * a1
+    a2 = acceleration(model, x + 0.5 * h * v, v2)
+    v3 = v + 0.5 * h * a2
+    a3 = acceleration(model, x + 0.5 * h * v2, v3)
+    v4 = v + h * a3
     a4 = acceleration(model, x + h * v3, v4)
-    return xn, _rk4_sum(v, h, a1, a2, a3, a4)
+    return _rk4_sum(x, h, v, v2, v3, v4), _rk4_sum(v, h, a1, a2, a3, a4)
 
 
 def _hermite_mid(y0: np.ndarray, y1: np.ndarray, d0: np.ndarray, d1: np.ndarray, h: float):
@@ -340,7 +325,7 @@ def march(
         if crossed.any():
             graze = crossed & ~out_end
             if graze.any():
-                xh = _rk4_position(model, _keep(x, graze), _keep(v, graze), half, _keep(a, graze))[0]
+                xh = rk4_step(model, _keep(x, graze), _keep(v, graze), half, _keep(a, graze))[0]
                 crossed[graze] = _dot(xh, xh) >= 1.0
             parked.append(tuple(_keep(b, crossed) for b in (
                 alive, x, v, np.full(alive.size, s), np.where(out_end, step, half),

@@ -131,8 +131,9 @@ def interior_operator(parts: OperatorParts, epsilon: float) -> tuple[sp.csr_matr
         raise ValueError("epsilon must be nonnegative")
     if epsilon == 0.0:
         return parts.transport, parts.transport_coupling
-    return (parts.transport - epsilon * parts.laplacian,
-            parts.transport_coupling - epsilon * parts.laplacian_coupling)
+    with np.errstate(over="ignore"):  # an overflow is the non-finite entry assemble reports
+        return (parts.transport - epsilon * parts.laplacian,
+                parts.transport_coupling - epsilon * parts.laplacian_coupling)
 
 
 def assemble(

@@ -57,10 +57,11 @@ g = gcd(J, K), maps nodes to nodes
 (:func:`~raytransport.phasegrid.rotation_orbits`).  So
 :func:`interior_solution_grid` marches one ray per orbit of g nodes, and the
 running integral carries one column per turn as it carries one per time:
-after each interval, and at the exit stubs, the representatives' states are
-turned into every member's frame, built component-major as (2, g, n) rows
-of two products per component (no BLAS), and the source is read there.  Representatives
-keep the per-node march's bits and the other members differ from it by
+after each interval, and at the exit stubs, the representatives' positions
+and directions are turned together into every member's frame by one einsum,
+a component-major (state, component, turn, ray) block of two products per
+component (no BLAS), and the source is read there.  Representatives keep
+the per-node march's bits and the other members differ from it by
 round-off.  A non-radial medium is the orbit of size one and takes no
 rotation arithmetic.
 """
@@ -105,8 +106,8 @@ def parse_attenuation(spec: str) -> Attenuation:
         if head == "constant":
             return constant_attenuation(finite_float(tail))
         return constant_attenuation(finite_float(spec))
-    except ValueError:
-        raise ValueError(f"bad attenuation spec {spec!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"bad attenuation spec {spec!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -128,23 +129,6 @@ def _chord_length(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     d = v / np.sqrt(np.sum(v * v, axis=1))[:, None]
     xd = np.sum(x * d, axis=1)
     return -xd + np.sqrt(np.maximum(xd * xd + 1.0 - np.sum(x * x, axis=1), 0.0))
-
-
-def _turned(x: np.ndarray, rot: np.ndarray) -> np.ndarray:
-    """2D states x (N, 2) turned about the center by 0 and by each further angle.
-
-    ``rot`` holds the rotation matrices [[cos, -sin], [sin, cos]] of the
-    angles after the first, shape (2, g - 1, 2); turn 0 is x itself.  A
-    turned component, x1 cos - x2 sin or x1 sin + x2 cos, is two products
-    summed in index order by einsum's own loop (no BLAS), so a state's bits
-    do not depend on its batch.  Returns the (N, g, 2) transpose view of a
-    C-contiguous (2, g, N) array: each component of each turn is one
-    contiguous row.
-    """
-    out = np.empty((2, rot.shape[1] + 1, x.shape[0]))
-    out[:, 0] = x.T
-    np.einsum("kqc,cn->kqn", rot, x.T, out=out[:, 1:])
-    return out.T
 
 
 def _march_backward(
@@ -203,12 +187,23 @@ def _march_backward(
     # the march runs backward: the moment at the forward direction -v is (-1)^m times that at v
     sign = -1.0 if f.rank % 2 else 1.0
 
-    def turned(x):
-        return _turned(x, rot) if turns.size > 1 else x[:, None]
-
     def source_at(s, x, xi):
-        """The moment at each state in every turn as (n, n_turns, n_times), n_times 1 if not time-dependent."""
-        x, xi = turned(x), turned(xi)
+        """The moment at each state in every turn as (n, n_turns, n_times), n_times 1 if not time-dependent.
+
+        x and xi are turned together into one C-contiguous (state, component,
+        turn, ray) block: turn 0 is the states themselves, and each further
+        component, x1 cos - x2 sin or x1 sin + x2 cos, is two products summed
+        in index order by einsum's own loop (no BLAS), so a state's bits do
+        not depend on its batch.  The moment reads the (n, n_turns, 2)
+        transpose views, each component of each turn one contiguous row.
+        """
+        if turns.size > 1:
+            block = np.empty((2, 2, turns.size, x.shape[0]))
+            block[0, :, 0], block[1, :, 0] = x.T, xi.T
+            np.einsum("kqc,pcn->pkqn", rot, block[:, :, 0], out=block[:, :, 1:])
+            x, xi = block[0].T, block[1].T
+        else:
+            x, xi = x[:, None], xi[:, None]
         if f.time_dependent:
             return np.asarray(moment(f, t - s, x[:, :, None], xi[:, :, None]), dtype=float)
         return np.asarray(moment(f, 0.0, x, xi), dtype=float)[..., None]
@@ -253,11 +248,6 @@ def _march_backward(
 # public oracle operations
 # ---------------------------------------------------------------------------
 
-def _values(model, f, att, t, x, xi, cfg=None, turns=(0.0,)) -> np.ndarray:
-    """The backward integral at time t from each state (x, xi) turned by each angle, (n, n_turns)."""
-    return _march_backward(model, f, att, t, x, xi, cfg, turns)[:, :, 0]
-
-
 def interior_solution(
     model: RefractiveModel,
     f: SymmetricTensorField,
@@ -278,7 +268,7 @@ def interior_solution(
     r = float(np.linalg.norm(p.x))
     if r > 1.0 + 10.0 * cfg.boundary_tol:
         raise DomainError(f"point is not inside the ball: |x| = {r:.6g}")
-    return float(_values(model, f, att, float(t), p.x, p.xi, cfg)[0, 0])
+    return float(_march_backward(model, f, att, float(t), p.x, p.xi, cfg)[0, 0, 0])
 
 
 def interior_solution_grid(
@@ -310,7 +300,7 @@ def interior_solution_grid(
     else:
         members, turns = np.arange(grid.size)[:, None], np.zeros(1)
     x, xi = grid.x[members[:, 0]], grid.xi[members[:, 0]]
-    run = partial(_values, model, f, att, t, cfg=cfg, turns=turns)
+    run = partial(_march_backward, model, f, att, t, cfg=cfg, turns=turns)
     if workers <= 1:
         vals = run(x, xi)
     else:
@@ -319,7 +309,7 @@ def interior_solution_grid(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             vals = np.concatenate(list(pool.map(run, [j[0] for j in jobs], [j[1] for j in jobs])))
     u = np.empty(members.size)
-    u[members] = vals
+    u[members] = vals[:, :, 0]
     return u
 
 

@@ -233,6 +233,25 @@ class TestCliCommands:
         assert f"bad {kind} spec" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section,key,value,line", [
+        ("attenuation", "alpha", "-1", "attenuation.alpha: bad attenuation spec '-1': alpha0 must be positive"),
+        ("attenuation", "alpha", "inf", "attenuation.alpha: bad attenuation spec 'inf': not a finite number"),
+        ("model", "model", "radial:1,nan", "model.model: bad model spec 'radial:1,nan': not a finite number"),
+        ("model", "model", "lens", "model.model: unknown model spec 'lens'"),
+        ("field", "field", "dipole", "field.field: bad field spec 'dipole': unknown field kind"),
+        ("field", "field", "constant-vec:1,0,0",
+         "field.field: field spec 'constant-vec:1,0,0' has dim 3, expected 2"),
+    ], ids=["alpha-negative", "alpha-inf", "radial-nan", "model-unknown", "field-unknown", "field-dim"])
+    def test_bad_spec_names_its_key_and_reason(self, tmp_path, capsys, section, key, value, line):
+        """A spec the parser rejects exits 2 with one line naming section.key and the reason."""
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(
+            "[run]\ncommand = sweep\noutput_dir = %s/out\n[grid]\ni = 6\nj = 6\nk = 4\n[%s]\n%s = %s\n"
+            % (tmp_path, section, key, value))
+        assert run(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {line}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_trace_start_outside_ball_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "trace.cfg"
         cfg.write_text(MINIMAL.replace("x = 0.3,0.0", "x = 1.5, 0.0").replace(
@@ -241,9 +260,11 @@ class TestCliCommands:
         assert "trace.x" in capsys.readouterr().err
         assert not (tmp_path / "out" / "path.csv").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_epsilon_is_a_numerical_failure(self, tmp_path, capsys):
         """eps = 1e308 passes the config checks but overflows T - eps Delta: solve-static exits 3,
-        and a sweep records the failed row, solves the next eps, writes its outputs and exits 4."""
+        and a sweep records the failed row, solves the next eps, writes its outputs and exits 4.
+        The overflow is reported by those exits alone, with no numpy warning before them."""
         base = (
             "[run]\ncommand = %s\noutput_dir = %s/out\n"
             "[model]\nmodel = paper4\n[field]\nfield = paper4\n"

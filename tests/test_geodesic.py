@@ -393,6 +393,69 @@ class TestExitStates:
         assert np.all(ex.s > 0.0)
 
 
+def near_tangent_states(model, count, seed):
+    """States just inside the sphere, |x| in [1 - 1e-4, 1), heading along it.
+
+    Each is tilted inward or outward by 0.025 to 0.05 rad and has metric unit
+    speed.  In n = 1 - 0.45 |x|^2 such rays swing out of the ball and back,
+    some of them within half an interval of size 0.1.
+    """
+    rng = np.random.default_rng(seed)
+    tilt = rng.uniform(0.025, 0.05, count) * rng.choice([-1.0, 1.0], count)
+    x = np.stack([1.0 - rng.uniform(0.0, 1e-4, count), np.zeros(count)], axis=1)
+    v = np.stack([np.sin(tilt), np.cos(tilt)], axis=1) / model.n(x)[:, None]
+    return x, v
+
+
+def unseen_dips(monkeypatch, step):
+    """Count, per whole march interval of size ``step``, the unseen dips out of the ball.
+
+    A dip is unseen when the interval's RK4 half-step position is at or
+    beyond the sphere while its Hermite mid and its end are inside.  Whole
+    intervals are the ``rk4_step`` calls of scalar size ``step`` given their
+    first stage; the list holds one count per interval.
+    """
+    step_rk4, counts = geodesic.rk4_step, []
+
+    def counting(model, x, v, h, a1=None):
+        xe, ve = step_rk4(model, x, v, h, a1)
+        if np.ndim(h) == 0 and h == step and a1 is not None:
+            xh = step_rk4(model, x, v, 0.5 * h, a1)[0]
+            xm = geodesic._hermite_mid(x, xe, v, ve, h)
+            unseen = (_dot(xh, xh) >= 1.0) & (_dot(xm, xm) < 1.0) & (_dot(xe, xe) < 1.0)
+            counts.append(int(np.count_nonzero(unseen)))
+        return xe, ve
+
+    monkeypatch.setattr(geodesic, "rk4_step", counting)
+    return counts
+
+
+class TestUnseenDips:
+    """The crossing test reads the Hermite mid and the end of each interval, so a
+    ray out of the ball for less than the sampling marches on.  None is marched
+    on the bundled grids at their steps; near-tangent rays show that one can be."""
+
+    @pytest.mark.parametrize("spec, shape, step", [
+        ("paper4", (30, 30, 10), 1e-3), ("affine:2,0.3,0.2", (40, 40, 20), 1e-2)])
+    def test_none_in_the_bundled_oracles(self, spec, shape, step, monkeypatch):
+        model = rt.parse_model(spec)
+        grid = rt.build_grid(model, *shape)
+        counts = unseen_dips(monkeypatch, step)
+        rt.interior_solution_grid(model, rt.paper4_field(), rt.constant_attenuation(1.0), grid,
+                                  rt.IntegratorConfig(step=step))
+        assert len(counts) > 900
+        assert sum(counts) == 0
+
+    def test_near_tangent_rays_dip_unseen(self, monkeypatch):
+        """The control: rays whose dips the test misses exit at a later swing."""
+        model = rt.parse_model("radial:1,-0.45")
+        x, v = near_tangent_states(model, 400, 2)
+        counts = unseen_dips(monkeypatch, 0.1)
+        ex = march(model, x, v, 0.1, rt.IntegratorConfig(step=0.1))
+        assert sum(counts) > 0
+        assert ex.rays.size == x.shape[0]
+
+
 def crossing_states(model, step, seed):
     """States whose next RK4 step of size ``step`` ends at or beyond the sphere.
 

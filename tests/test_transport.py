@@ -317,8 +317,8 @@ class TestGridOracle:
         """
         grid = rt.build_grid(demo_model, 30, 30, 10)
         nodes = np.sort(np.random.default_rng(0).choice(grid.size, 20, replace=False))
-        u = [transport._values(demo_model, demo_field, unit_attenuation, 0.0, grid.x[nodes], grid.xi[nodes],
-                               rt.IntegratorConfig(step=h))[:, 0] for h in (1.6e-2, 8e-3, 4e-3)]
+        u = [rt.dynamic_boundary_table(demo_model, demo_field, unit_attenuation, grid.x[nodes], grid.xi[nodes],
+                                       [0.0], rt.IntegratorConfig(step=h))[0] for h in (1.6e-2, 8e-3, 4e-3)]
         coarse, fine = np.max(np.abs(u[0] - u[1])), np.max(np.abs(u[1] - u[2]))
         assert 3.5 <= np.log2(coarse / fine) <= 4.5
 
@@ -329,8 +329,8 @@ class TestGridOracle:
         """
         grid = rt.build_grid(demo_model, 30, 30, 10)
         nodes = np.sort(np.random.default_rng(1).choice(grid.size, 30, replace=False))
-        committed, fine = (transport._values(demo_model, demo_field, unit_attenuation, 0.0, grid.x[nodes],
-                                             grid.xi[nodes], rt.IntegratorConfig(step=h))[:, 0]
+        committed, fine = (rt.dynamic_boundary_table(demo_model, demo_field, unit_attenuation, grid.x[nodes],
+                                                     grid.xi[nodes], [0.0], rt.IntegratorConfig(step=h))[0]
                            for h in (1e-3, 2.5e-4))
         assert np.max(np.abs(committed - fine)) <= 1e-12 * np.max(np.abs(fine))
 
@@ -378,8 +378,8 @@ class TestOrbitOracle:
         rays = _marched_rays(monkeypatch)
         u = rt.interior_solution_grid(demo_model, demo_field, unit_attenuation, grid, cfg)
         assert rays == [grid.size]
-        assert np.array_equal(u, transport._values(demo_model, demo_field, unit_attenuation, 0.0,
-                                                   grid.x, grid.xi, cfg)[:, 0])
+        assert np.array_equal(u, rt.dynamic_boundary_table(demo_model, demo_field, unit_attenuation,
+                                                           grid.x, grid.xi, [0.0], cfg)[0])
 
     @pytest.mark.parametrize("kind", ["rank 0", "rank 1", "rank 2", "switch-on", "time-dependent"])
     def test_members_within_round_off_of_the_per_node_march(self, demo_model, demo_field,
@@ -401,7 +401,7 @@ class TestOrbitOracle:
         reps = rotation_orbits(grid)[0][:, 0]
         rays = _marched_rays(monkeypatch)
         u = rt.interior_solution_grid(demo_model, f, unit_attenuation, grid, cfg, t=t)
-        ref = transport._values(demo_model, f, unit_attenuation, t, grid.x, grid.xi, cfg)[:, 0]
+        ref = rt.dynamic_boundary_table(demo_model, f, unit_attenuation, grid.x, grid.xi, [t], cfg)[0]
         assert rays == [grid.size // 10, grid.size]
         assert np.array_equal(u[reps], ref[reps])
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -420,8 +420,8 @@ class TestOrbitOracle:
         rays = _marched_rays(monkeypatch)
         u = rt.interior_solution_grid(model, demo_field, unit_attenuation, grid, cfg)
         assert rays == [grid.size]
-        assert np.array_equal(u, transport._values(model, demo_field, unit_attenuation, 0.0,
-                                                   grid.x, grid.xi, cfg)[:, 0])
+        assert np.array_equal(u, rt.dynamic_boundary_table(model, demo_field, unit_attenuation,
+                                                           grid.x, grid.xi, [0.0], cfg)[0])
 
 
 class TestBatchedMarch:
