@@ -5,11 +5,12 @@ Usage: ``python3 scripts/operator_bits.py OLD_SRC NEW_SRC`` where each
 argument is a directory holding the ``raytransport`` package (for example a
 checkout's ``src``).  Each tree is imported in its own process, which hashes
 the ``indptr``/``indices``/``data`` of H, Delta_x, Delta_xi and Delta for
-three media on six grids, and on the small grids also the assembled system,
-the preconditioner's sweep order of the transport block, the static and
-dynamic solutions, their residuals, every matrix handed to ``spilu`` (an
-entry of its own per solve, so that a reordered factorization input is told
-apart from a changed solution) and the coercivity estimate.  It also hashes
+three media on six grids, and on the small grids also the assembled system
+(its pinned matrix and right-hand side), the preconditioner's sweep order of
+the transport block, the static and dynamic solutions, their residuals,
+every matrix handed to ``spilu`` (an entry of its own per solve, so that a
+reordered factorization input is told apart from a changed solution) and the
+coercivity estimate.  It also hashes
 the characteristic oracle: ``interior_solution_grid`` for the three media on
 the small grids, for paper4 on (30, 30, 10), for the affine medium on
 (40, 40, 20) at step 1e-2 (32000 rays, the one grid marched in more than
@@ -19,7 +20,7 @@ whose moments keep their sign under the march's reversed velocity), three
 one that is both, each at times on and off the quadrature step, every table
 one march with a column per time), ``interior_solution_grid`` of the
 switch-on field at t = 0.3 on (10, 10, 8), the ``trace`` paths of three
-states, ``oracle_residuals`` of the switch-on field at those three states,
+states, the transport residual of the switch-on field at those three states,
 and ``interior_solution`` at them and at two outflow states of the
 (10, 10, 8) ring, once static and once switched on at t = 0.3, and the
 ``march`` exits (``rays``, ``s``, ``ds``, ``x_exit``, ``v_exit``) of 400
@@ -36,6 +37,10 @@ The fiber-integral check: ``check_fiber_identity``'s lhs and rhs for the two
 text of the three ``perfbench`` workloads (read from this script's
 checkout, so both trees parse the same texts), ``parse_config_text(text)``'s
 ``to_text()`` and the ``dataclasses.astuple`` of the parsed config.
+The pinned matrix and the transport residual are the tests' own
+(``pinned_matrix`` and ``oracle_residuals`` of ``tests/conftest.py``, read
+from this script's checkout, so both trees compute them with the same code
+on their own ``raytransport``).
 Exits 1 if any hash differs.
 
 Every differing entry is printed with two max relative changes, so that a
@@ -77,6 +82,7 @@ GRAZE_MEDIUM, GRAZE_RAYS, GRAZE_SEED, GRAZE_STEP = "radial:1,-0.45", 400, 2, 0.1
 FIBER_POINTS = [(0.2, 0.1, -0.3), (-0.4, 0.25, 0.1), (0.0, 0.0, 0.5)]
 FIBER_ORDERS = (16, 64)
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TESTS = os.path.join(ROOT, "tests")
 
 
 class Digest:
@@ -118,6 +124,9 @@ def dump() -> dict:
     from raytransport import phasegrid as pg
     from raytransport import solve as sv
 
+    sys.path.insert(0, TESTS)
+    from conftest import pinned_matrix
+
     spilu_inputs = []
     spilu = spla.spilu
 
@@ -146,13 +155,12 @@ def dump() -> dict:
             data = np.random.default_rng(0).standard_normal(grid.size)
             for eps in (1e-3, 0.0):
                 system = sv.assemble(grid, model, field, att, eps, data)
-                out[("A", name, shape, eps)] = (MatrixDigest(system.matrix), Digest(system.rhs))
-                for kind in ("ilu", "jacobi"):
-                    spilu_inputs.clear()
-                    sol, rep = sv.solve_static(system, tol=1e-10, preconditioner=kind)
-                    out[("static", kind, name, shape, eps)] = (
-                        Digest(sol.values), rep.final_residual.hex(), rep.iterations, rep.method)
-                    out[("spilu", "static", kind, name, shape, eps)] = tuple(spilu_inputs)
+                out[("A", name, shape, eps)] = (MatrixDigest(pinned_matrix(system)), Digest(system.rhs))
+                spilu_inputs.clear()
+                sol, rep = sv.solve_static(system, tol=1e-10)
+                out[("static", name, shape, eps)] = (
+                    Digest(sol.values), rep.final_residual.hex(), rep.iterations, rep.method)
+                out[("spilu", "static", name, shape, eps)] = tuple(spilu_inputs)
             # the order the ILU factors the transport block in
             out[("sweep order", name, shape)] = Digest(sv.sweep_order(system.transport))
             est = sv.discrete_coercivity(system, probes=2, seed=0)
@@ -190,6 +198,9 @@ def dump_oracle(media: dict, att, field) -> dict:
     import numpy as np
 
     import raytransport as rt
+
+    sys.path.insert(0, TESTS)
+    from conftest import oracle_residuals
 
     coarse = rt.IntegratorConfig(step=1e-2)
     ramped = dataclasses.replace(
@@ -232,7 +243,7 @@ def dump_oracle(media: dict, att, field) -> dict:
             out[("trace", name, tuple(x), theta)] = (
                 Digest(path.taus), Digest(path.xs), Digest(path.vs), path.tau_minus.hex(), path.tau_plus.hex())
         points = [rt.angle_phase_point(model, x, theta) for x, theta in TRACE_STATES]
-        out[("residuals", name)] = Digest(rt.oracle_residuals(
+        out[("residuals", name)] = Digest(oracle_residuals(
             model, rt.with_switch_on(field), att, 0.4, points, 1e-3, coarse))
         ring = [rt.PhaseSpacePoint(grid.x[i], grid.xi[i]) for i in (idx[0], idx[idx.size // 2])]
         for kind, f, t in (("static", field, 0.0), ("switch-on", rt.with_switch_on(field), 0.3)):

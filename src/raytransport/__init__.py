@@ -13,7 +13,6 @@ from .errors import (
     DomainError,
     NonConvergenceError,
     NumericalError,
-    StencilError,
     TraceLimitError,
 )
 from .geodesic import (
@@ -70,7 +69,6 @@ from .transport import (
     dynamic_boundary_table,
     interior_solution,
     interior_solution_grid,
-    oracle_residuals,
     parse_attenuation,
 )
 from .verify import (

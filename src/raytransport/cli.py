@@ -122,9 +122,7 @@ def _cmd_solve_static(cfg, args) -> int:
     data[idx] = table[0]
     eps = cfg.epsilons[0]
     system = assemble(grid, model, f, att, eps, data)
-    sol, rep = solve_static(
-        system, tol=cfg.tol, max_iter=cfg.max_iter, preconditioner=cfg.preconditioner,
-    )
+    sol, rep = solve_static(system, tol=cfg.tol, max_iter=cfg.max_iter)
     out = _outdir(cfg)
     exports.write_gridfunction_csv(sol, os.path.join(out, "solution.csv"))
     for k in range(grid.K):
@@ -143,10 +141,8 @@ def _cmd_solve_dynamic(cfg, args) -> int:
     grid = build_grid(model, cfg.grid_i, cfg.grid_j, cfg.grid_k)
     times = time_levels(cfg.dt, cfg.t_final)
     _, table = _outflow_table(model, f, att, grid, times, oracle_cfg)
-    states, reports = solve_dynamic(
-        grid, model, f, att, cfg.epsilons[0], cfg.dt, cfg.t_final, table,
-        tol=cfg.tol, max_iter=cfg.max_iter, preconditioner=cfg.preconditioner,
-    )
+    states, reports = solve_dynamic(grid, model, f, att, cfg.epsilons[0], cfg.dt, cfg.t_final,
+                                    table, tol=cfg.tol, max_iter=cfg.max_iter)
     out = _outdir(cfg)
     exports.write_gridfunction_csv(states[-1], os.path.join(out, "final.csv"))
     total_iters = sum(r.iterations for r in reports)
@@ -162,10 +158,8 @@ def _cmd_sweep(cfg, args) -> int:
     model, att, oracle_cfg, _ = _setup(cfg)
     f = _field(cfg)
     grid = build_grid(model, cfg.grid_i, cfg.grid_j, cfg.grid_k)
-    sweep = epsilon_sweep(
-        model, f, att, grid, cfg.epsilons, cfg=oracle_cfg, tol=cfg.tol,
-        max_iter=cfg.max_iter, preconditioner=cfg.preconditioner, workers=args.workers,
-    )
+    sweep = epsilon_sweep(model, f, att, grid, cfg.epsilons, cfg=oracle_cfg, tol=cfg.tol,
+                          max_iter=cfg.max_iter, workers=args.workers)
     out = _outdir(cfg)
     exports.write_sweep_csv(sweep, os.path.join(out, "sweep.csv"))
     for e_idx, (field_fn, sol_fn) in enumerate(zip(sweep.error_fields, sweep.solutions)):
@@ -268,3 +262,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -162,8 +162,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("grid.i/j/k", "grid sizes must be at least 3")
     if cfg.quad_rule != "simpson":
         bad("quadrature.rule", "must be 'simpson'")
-    if cfg.preconditioner not in ("ilu", "jacobi", "none"):
-        bad("solver.preconditioner", "must be 'ilu', 'jacobi' or 'none'")
+    if cfg.preconditioner != "ilu":
+        bad("solver.preconditioner", "must be 'ilu'")
     if cfg.method != "gmres":
         bad("solver.method", "must be 'gmres'")
     positives = {

@@ -13,10 +13,6 @@ class TraceLimitError(RuntimeError):
     """
 
 
-class StencilError(ValueError):
-    """A finite-difference stencil does not fit inside the domain."""
-
-
 class AssemblyError(ValueError):
     """A linear system could not be assembled from the given data."""
 

@@ -20,23 +20,24 @@ stationary system at absorption alpha + 1/dt, assembled once by
 
 The operator is assembled from eps-free parts, T = H + alpha I and the
 Laplacian, each built and cut once into its interior block [:n, :n] and
-ring coupling [:n, n:], and combined per eps as T - eps Delta.  The pinned
-matrix is built only when read.
+ring coupling [:n, n:], and combined per eps as T - eps Delta.
 
 Solves are restarted GMRES on the interior block, the ring values, held only
 in the ring rows of the right-hand side, moved to its interior rows through
-the coupling.  The preconditioner is an incomplete LU factorization, with a
-Jacobi fallback, of the interior block of T (at alpha + 1/dt for the implicit
-Euler step), not of the viscous block: T does not depend on eps, so an eps
-sweep factors it once and every solve of the sweep reuses it, and for small
-eps the viscous block is a small perturbation of it.  The block is factored in
-downwind order, strong component by strong component (a transport sweep):
-upwind H couples a node only to its upwind neighbours, so in that order T is
-block lower triangular and the factors fill in only inside the small
-components where characteristics close on themselves.  GMRES has one call
-site, :func:`solve_static`.  Reports name the preconditioner that was actually
-built and carry an independently recomputed relative residual of the full
-pinned system, for an implicit Euler step the step system.
+the coupling.  The preconditioner is an incomplete LU factorization of the
+interior block of T (at alpha + 1/dt for the implicit Euler step), not of the
+viscous block: T does not depend on eps, so an eps sweep factors it once and
+every solve of the sweep reuses it, and for small eps the viscous block is a
+small perturbation of it.  The block is a strictly diagonally dominant
+M-matrix (upwind H has zero row sums and no positive off-diagonal entry, and
+alpha > 0), so its incomplete LU exists (Meijerink and van der Vorst, 1977).
+It is factored in downwind order, strong component by strong component (a
+transport sweep): upwind H couples a node only to its upwind neighbours, so
+in that order T is block lower triangular and the factors fill in only inside
+the small components where characteristics close on themselves.  GMRES has
+one call site, :func:`solve_static`.  Reports carry an independently
+recomputed relative residual of the full pinned system, for an implicit
+Euler step the step system.
 """
 
 from __future__ import annotations
@@ -87,13 +88,6 @@ class LinearSystem:
     grid: PhaseGrid
     mask: BoundaryMask
     epsilon: float
-
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        """The pinned matrix, interior rows over identity ring rows, for readers; no solve uses it."""
-        n, size = self.grid.n_interior, self.grid.size
-        return sp.vstack([sp.hstack([self.interior, self.coupling]), sp.eye(size - n, size, k=n)],
-                         format="csr")
 
 
 def symmetric_part(a: sp.spmatrix) -> sp.csr_matrix:
@@ -181,17 +175,6 @@ def _rhs(grid: PhaseGrid, mask: BoundaryMask, f: SymmetricTensorField, t: float,
 # Krylov solve
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Preconditioner:
-    """An approximate inverse (None for "none") and the kind actually built."""
-
-    operator: spla.LinearOperator | None
-    kind: str
-
-
-NO_PRECONDITIONER = Preconditioner(None, "none")
-
-
 def sweep_order(block: sp.spmatrix) -> np.ndarray:
     """The nodes of a transport block in downwind order, strong component by strong component.
 
@@ -206,30 +189,20 @@ def sweep_order(block: sp.spmatrix) -> np.ndarray:
     return np.argsort(labels, kind="stable")
 
 
-def make_preconditioner(block: sp.csr_matrix, kind: str) -> Preconditioner:
-    """A ``kind`` preconditioner built from ``block``, a transport-operator block.
+def make_preconditioner(block: sp.csr_matrix) -> spla.LinearOperator:
+    """The incomplete LU of ``block``, a transport-operator block, as an approximate inverse.
 
     The ILU factors the block permuted into :func:`sweep_order`, with no
-    further column ordering.  A failed ILU factorization falls back to
-    Jacobi.
+    further column ordering; a failed factorization raises :class:`NumericalError`.
     """
-    if kind == "none":
-        return NO_PRECONDITIONER
-    if kind == "jacobi":
-        d = block.diagonal()
-        d = np.where(np.abs(d) > 0.0, d, 1.0)
-        return Preconditioner(spla.LinearOperator(block.shape, matvec=lambda v: v / d), kind)
-    if kind == "ilu":
-        order = sweep_order(block)
-        back = np.argsort(order)
-        try:
-            ilu = spla.spilu(block[order][:, order].tocsc(), drop_tol=1e-6, fill_factor=30,
-                             permc_spec="NATURAL")
-        except RuntimeError:
-            return make_preconditioner(block, "jacobi")
-        return Preconditioner(
-            spla.LinearOperator(block.shape, matvec=lambda v: ilu.solve(v[order])[back]), kind)
-    raise ValueError(f"unknown preconditioner {kind!r}")
+    order = sweep_order(block)
+    back = np.argsort(order)
+    try:
+        ilu = spla.spilu(block[order][:, order].tocsc(), drop_tol=1e-6, fill_factor=30,
+                         permc_spec="NATURAL")
+    except RuntimeError as exc:
+        raise NumericalError(f"incomplete LU of the transport block failed: {exc}") from None
+    return spla.LinearOperator(block.shape, matvec=lambda v: ilu.solve(v[order])[back])
 
 
 def time_levels(dt: float, t_final: float) -> list[float]:
@@ -246,7 +219,7 @@ def solve_static(
     system: LinearSystem,
     tol: float = 1e-10,
     max_iter: int | None = None,
-    preconditioner: str | Preconditioner = "ilu",
+    preconditioner: spla.LinearOperator | None = None,
     x0: np.ndarray | None = None,
 ) -> tuple[GridFunction, SolveReport]:
     """Solve the assembled system to relative residual <= tol.
@@ -256,8 +229,8 @@ def solve_static(
     residual falls to tol * |rhs|.  The ring rows of the pinned system hold
     exactly, so that is the residual of the full system, the quantity the
     report gates on.
-    ``preconditioner`` is a kind, built here from ``system.transport``, or a
-    preconditioner already built from the same transport block.
+    ``preconditioner`` is a :func:`make_preconditioner` of
+    ``system.transport`` already built, or None to build it here.
     ``max_iter`` caps the restart cycles and ``x0`` is a full-length
     starting guess.  Non-convergence is reported, not raised: the best
     iterate is returned with ``converged=False`` and the caller decides.
@@ -273,17 +246,15 @@ def solve_static(
     bnorm = float(np.linalg.norm(system.rhs))
 
     # a zero right-hand side needs no preconditioner: GMRES returns 0 at once
-    if np.linalg.norm(b_i) == 0.0:
-        precond = NO_PRECONDITIONER
-    elif isinstance(preconditioner, str):
-        precond = make_preconditioner(system.transport, preconditioner)
-    else:
-        precond = preconditioner
+    zero = np.linalg.norm(b_i) == 0.0
+    if preconditioner is None and not zero:
+        preconditioner = make_preconditioner(system.transport)
     cycles = max_iter if max_iter is not None else default_max_iter(system.grid.size)
     inner = []  # one preconditioned residual norm per inner iteration
     x, _ = spla.gmres(system.interior, b_i, x0=x0[:n] if x0 is not None else None, rtol=0.0,
-                      atol=tol * bnorm, restart=60, maxiter=cycles, M=precond.operator,
-                      callback=inner.append, callback_type="pr_norm")
+                      atol=tol * bnorm, restart=60, maxiter=cycles,
+                      M=None if zero else preconditioner, callback=inner.append,
+                      callback_type="pr_norm")
     if not np.all(np.isfinite(x)):
         raise NumericalError("GMRES produced non-finite iterates")
     u = system.rhs.copy()
@@ -296,7 +267,7 @@ def solve_static(
         final_residual=res,
         converged=bool(res <= tol),
         wall_time=time.perf_counter() - t0,
-        method=f"gmres+{precond.kind}",
+        method="gmres+none" if zero else "gmres+ilu",
     )
 
 
@@ -311,7 +282,6 @@ def solve_dynamic(
     boundary_data,
     tol: float = 1e-10,
     max_iter: int | None = None,
-    preconditioner: str = "ilu",
 ) -> tuple[list[GridFunction], list[SolveReport]]:
     """Implicit Euler march of the dynamic problem; returns all steps and their reports.
 
@@ -333,7 +303,7 @@ def solve_dynamic(
     shape = (len(times), system.mask.outflow_idx.size)
     if table.shape != shape:
         raise AssemblyError(f"boundary table shape {table.shape} != {shape}")
-    precond = make_preconditioner(system.transport, preconditioner)
+    precond = make_preconditioner(system.transport)
     n = grid.n_interior
     states = [GridFunction(grid, np.zeros(grid.size))]
     reports: list[SolveReport] = []

@@ -47,9 +47,7 @@ marched in; the batches keep the march's temporaries in cache, and rays of
 like length leave their march together instead of short ones leaving long
 ones to march on in a thin tail.
 A transform value is :func:`interior_solution` at an outflow state, the
-batch of one, and :func:`oracle_residuals` differentiates the same march on
-a finite-difference stencil, so every public entry point exercises the same
-arithmetic.
+batch of one, so every public entry point exercises the same arithmetic.
 
 In a radial medium every rotation about the center maps rays to rays, and
 turning a :class:`~raytransport.phasegrid.PhaseGrid` by 2 pi q / g,
@@ -76,10 +74,10 @@ from typing import Sequence
 import numpy as np
 
 from .config import finite_float
-from .errors import DomainError, StencilError
-from .geodesic import IntegratorConfig, PhaseSpacePoint, angle_phase_point, march, rk4_step
+from .errors import DomainError
+from .geodesic import IntegratorConfig, PhaseSpacePoint, march, rk4_step
 from .phasegrid import PhaseGrid, rotation_orbits
-from .refractive import RefractiveModel, turn_rate
+from .refractive import RefractiveModel
 from .tensorfield import SymmetricTensorField, moment
 
 
@@ -337,86 +335,3 @@ def dynamic_boundary_table(
     if np.any(times < 0.0):
         raise ValueError("times must be nonnegative")
     return _march_backward(model, f, att, times, x, xi, cfg)[:, 0].T
-
-
-# ---------------------------------------------------------------------------
-# transport residual
-# ---------------------------------------------------------------------------
-
-def _residual_stencil(model, f, t: float, points, fd_step: float):
-    """The times and the states at which the transport residual reads u.
-
-    The times are t, then t +- fd_step when the field depends on time.  The
-    states are, per point in order: the center, x1 +- fd_step, x2 +- fd_step
-    and theta +- fd_step.  The direction angle is held fixed under spatial
-    shifts, with the tangent re-normalized at the shifted base point.
-    """
-    if model.dim != 2:
-        raise ValueError("the transport residual is implemented for dim 2")
-    e1 = np.array([fd_step, 0.0])
-    e2 = np.array([0.0, fd_step])
-    stencil = []
-    for p in points:
-        x = np.asarray(p.x, dtype=float)
-        xi = np.asarray(p.xi, dtype=float)
-        r = float(np.linalg.norm(x))
-        if r + fd_step >= 1.0 - 1e-12:
-            raise StencilError(f"stencil of width {fd_step} does not fit at |x| = {r:.6g}")
-        th = float(np.arctan2(xi[1], xi[0]))
-        offs = [(x, th), (x + e1, th), (x - e1, th), (x + e2, th), (x - e2, th),
-                (x, th + fd_step), (x, th - fd_step)]
-        stencil += [angle_phase_point(model, xx, a) for xx, a in offs]
-    times = [t, t + fd_step, t - fd_step] if f.is_dynamic else [t]
-    return np.array(times), stencil
-
-
-def _residual_combine(model, f, att, t: float, points, fd_step: float, vals: np.ndarray) -> np.ndarray:
-    """(d_t u) + H u + alpha u - f . xi^m from u on the stencil, one row per point.
-
-    ``vals`` is (n_points, n_states, n_times) in the order of
-    :func:`_residual_stencil`.  H u combines central differences in x and
-    in the direction angle, the latter weighted by the turning rate of the
-    ray; d_t u is the central difference at the center, when there are
-    three times.
-    """
-    x = np.array([p.x for p in points], dtype=float)
-    xi = np.array([p.xi for p in points], dtype=float)
-    width = 2.0 * fd_step
-    u = vals[:, :, 0]
-    du_dx1 = (u[:, 1] - u[:, 2]) / width
-    du_dx2 = (u[:, 3] - u[:, 4]) / width
-    du_dth = (u[:, 5] - u[:, 6]) / width
-    h_u = xi[:, 0] * du_dx1 + xi[:, 1] * du_dx2 + turn_rate(model, x, xi) * du_dth
-    dt_u = (vals[:, 0, 1] - vals[:, 0, 2]) / width if vals.shape[2] > 1 else 0.0
-    src = np.asarray(moment(f, t, x, xi), dtype=float)
-    return dt_u + h_u + att.alpha0 * u[:, 0] - src
-
-
-def oracle_residuals(
-    model: RefractiveModel,
-    f: SymmetricTensorField,
-    att: Attenuation,
-    t: float,
-    points: Sequence[PhaseSpacePoint],
-    fd_step: float,
-    cfg: IntegratorConfig | None = None,
-) -> np.ndarray:
-    """(d_t u) + H u + alpha u - f . xi^m of the characteristic solution at 2D phase states.
-
-    H u is assembled from central differences of u in the sphere-bundle
-    coordinates (x, theta): the x-derivatives hold the direction angle fixed
-    (the tangent is re-normalized at the shifted base point) and the fiber
-    derivative is a central difference in theta, weighted by the turning
-    rate of the ray.  The time derivative is a central difference with the
-    same step, evaluated only when the field depends on time (it vanishes
-    identically otherwise).  The seven stencil states of every point are
-    one batched march, which carries one column per time.
-    """
-    if not len(points):
-        return np.zeros(0)
-    times, stencil = _residual_stencil(model, f, float(t), points, fd_step)
-    xs = np.array([pp.x for pp in stencil])
-    xis = np.array([pp.xi for pp in stencil])
-    vals = _march_backward(model, f, att, times, xs, xis, cfg)[:, 0]
-    return _residual_combine(model, f, att, float(t), points, fd_step,
-                             vals.reshape(len(points), -1, times.size))

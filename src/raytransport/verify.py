@@ -228,7 +228,6 @@ def epsilon_sweep(
     cfg: IntegratorConfig | None = None,
     tol: float = 1e-10,
     max_iter: int | None = None,
-    preconditioner: str = "ilu",
     workers: int = 1,
 ) -> SweepResult:
     """Solve the viscosity system for each eps against characteristic boundary data.
@@ -239,7 +238,8 @@ def epsilon_sweep(
     Laplacian are built once, and the ILU of the transport block, in
     downwind strong-component order, is factored once for all eps.  Solver
     failures are recorded per eps (NaN norms, method "failed") and the sweep
-    continues.
+    continues; a failed factorization of the shared ILU raises
+    :class:`NumericalError`.
     """
     eps = [float(e) for e in eps_list]
     if not eps or any(not 0.0 < e < np.inf for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
@@ -248,7 +248,7 @@ def epsilon_sweep(
     u_ref = GridFunction(grid, u_ref_vals)
 
     parts = operator_parts(grid, model, att)
-    precond = make_preconditioner(parts.transport, preconditioner)
+    precond = make_preconditioner(parts.transport)
     l2s, linfs, reports, fields, sols = [], [], [], [], []
     for e in eps:
         try:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import raytransport as rt
-from conftest import bouguer_invariant, random_phase_points
+from conftest import bouguer_invariant, oracle_residuals, random_phase_points
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -105,8 +105,8 @@ def test_criterion_4_transport_residual(demo_model, demo_field, unit_attenuation
     """Residual of the characteristic solution decays at second order in the stencil step."""
     pts = random_phase_points(demo_model, 50, seed=404, r_lo=0.1, r_hi=0.85)
     cfg = rt.IntegratorConfig(step=1e-3)
-    r_coarse = rt.oracle_residuals(demo_model, demo_field, unit_attenuation, 0.0, pts, 0.02, cfg)
-    r_fine = rt.oracle_residuals(demo_model, demo_field, unit_attenuation, 0.0, pts, 0.01, cfg)
+    r_coarse = oracle_residuals(demo_model, demo_field, unit_attenuation, 0.0, pts, 0.02, cfg)
+    r_fine = oracle_residuals(demo_model, demo_field, unit_attenuation, 0.0, pts, 0.01, cfg)
     ratio = float(np.linalg.norm(r_coarse) / np.linalg.norm(r_fine))
     ok = 3.0 <= ratio <= 5.0
     report("criterion 4 (transport derivation)", ok,

@@ -4,8 +4,10 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import raytransport as rt
+from conftest import pinned_matrix
 from raytransport.cli import run
 from raytransport.config import ExperimentConfig, parse_config_text
 from raytransport.errors import ConfigError
@@ -14,7 +16,7 @@ from raytransport.exports import write_gridfunction_csv, write_pgm_slice, write_
 
 def write_system_dump(system, prefix):
     """Triplet CSV of the matrix plus the right-hand side."""
-    coo = system.matrix.tocoo()
+    coo = pinned_matrix(system).tocoo()
     mat_path = write_rows_csv(
         prefix + "_matrix.csv", ["row", "col", "value"], zip(coo.row, coo.col, coo.data))
     rhs_path = write_rows_csv(prefix + "_b.csv", ["row", "value"], enumerate(system.rhs))
@@ -148,15 +150,17 @@ class TestCliCommands:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert run(["run", str(tmp_path / "nope.cfg")]) == 2
 
-    def test_module_entry_point_runs_the_cli(self):
-        """``python -m raytransport`` is the CLI: a missing config exits 2 with its error."""
+    @pytest.mark.parametrize("module", ["raytransport", "raytransport.cli"])
+    def test_module_entry_point_runs_the_cli(self, module):
+        """``python -m raytransport`` and ``-m raytransport.cli`` are the CLI: a missing config
+        exits 2 with its error."""
         src = os.path.dirname(os.path.dirname(rt.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
-            [sys.executable, "-m", "raytransport", "run", "configs/nonexistent.cfg"],
+            [sys.executable, "-m", module, "run", "configs/nonexistent.cfg"],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
-        assert "nonexistent.cfg" in proc.stderr
+        assert "config error:" in proc.stderr and "nonexistent.cfg" in proc.stderr
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -175,6 +179,7 @@ class TestCliCommands:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,value", [("method", "foo"), ("preconditioner", "lu"),
+                                           ("preconditioner", "jacobi"), ("preconditioner", "none"),
                                            ("max_iter", "0"), ("max_iter", "-3")])
     def test_bad_solver_choice_exits_2(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "s.cfg"
@@ -312,7 +317,7 @@ class TestCliCommands:
             "[run]\ncommand = solve-static\noutput_dir = %s/out\n"
             "[model]\nmodel = paper4\n[field]\nfield = paper4\n"
             "[attenuation]\nalpha = 1.0\n[grid]\ni = 6\nj = 6\nk = 4\n"
-            "[solver]\nepsilon = 1e-3\ntol = 1e-30\nmax_iter = 1\npreconditioner = none\n"
+            "[solver]\nepsilon = 1e-3\ntol = 1e-30\nmax_iter = 1\n"
         ) % tmp_path
         cfg = tmp_path / "u.cfg"
         cfg.write_text(base)
@@ -336,7 +341,7 @@ class TestCliCommands:
             "[run]\ncommand = solve-dynamic\noutput_dir = %s/out\n"
             "[model]\nmodel = constant:1.0\n[field]\nfield = paper4\nswitch_on = true\n"
             "[attenuation]\nalpha = 1.0\n[grid]\ni = 6\nj = 6\nk = 4\n"
-            "[solver]\nepsilon = 1e-3\ntol = 1e-30\nmax_iter = 1\npreconditioner = none\n"
+            "[solver]\nepsilon = 1e-3\ntol = 1e-30\nmax_iter = 1\n"
             "[dynamic]\ndt = 0.25\nt_final = 0.5\n" % tmp_path)
         assert run(["run", str(cfg)]) == 4
         final = tmp_path / "out" / "final.csv"
@@ -345,6 +350,21 @@ class TestCliCommands:
         final.unlink()
         assert run(["run", str(cfg), "--allow-unconverged"]) == 0
         assert final.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "solve-static", "solve-dynamic"])
+    def test_failed_ilu_exits_3(self, tmp_path, capsys, monkeypatch, command):
+        """A failed factorization of the transport block is a numerical failure; nothing falls back."""
+        def failing_spilu(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(spla, "spilu", failing_spilu)
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text(
+            "[run]\ncommand = %s\noutput_dir = %s/out\n"
+            "[grid]\ni = 6\nj = 6\nk = 4\n[quadrature]\nstep = 1e-2\n"
+            "[solver]\nepsilon = 1e-2,1e-3\n[dynamic]\ndt = 0.25\nt_final = 0.5\n" % (command, tmp_path))
+        assert run(["run", str(cfg)]) == 3
+        assert "numerical failure: incomplete LU" in capsys.readouterr().err
 
     def test_solve_static_reads_no_grid_oracle(self, tmp_path, monkeypatch):
         """solve-static takes its boundary data from the outflow table, not the whole-grid oracle."""
@@ -427,7 +447,7 @@ class TestExports:
         mat_path, rhs_path = write_system_dump(system, str(tmp_path / "sys"))
         mat_lines = open(mat_path).read().splitlines()
         assert mat_lines[0] == "row,col,value"
-        assert len(mat_lines) == system.matrix.nnz + 1
+        assert len(mat_lines) == pinned_matrix(system).nnz + 1
         rhs_lines = open(rhs_path).read().splitlines()
         assert len(rhs_lines) == grid.size + 1
 

@@ -7,8 +7,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import raytransport as rt
+from conftest import StencilError, oracle_residuals, residual_combine, residual_stencil
 from raytransport import transport
-from raytransport.errors import DomainError, StencilError, TraceLimitError
+from raytransport.errors import DomainError, TraceLimitError
 from raytransport.geodesic import march
 from raytransport.phasegrid import rotation_orbits
 from raytransport.tensorfield import moment
@@ -258,7 +259,6 @@ class TestInteriorSolution:
             lambda: rt.interior_solution_grid(demo_model, f, unit_attenuation, grid, cfg, t=np.nan),
             lambda: rt.dynamic_boundary_table(demo_model, f, unit_attenuation, grid.x[idx], grid.xi[idx],
                                               [np.nan, 0.5], cfg),
-            lambda: rt.oracle_residuals(demo_model, f, unit_attenuation, np.nan, [p], 1e-3, cfg),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="finite"):
@@ -713,9 +713,9 @@ class TestThreeDimensional:
 
 def residual_of(model, f, att, u, t, p, fd_step):
     """The residual combination of a user-supplied u(t, p) read on the oracle's stencil."""
-    times, stencil = transport._residual_stencil(model, f, t, [p], fd_step)
+    times, stencil = residual_stencil(model, f, t, [p], fd_step)
     vals = np.array([[[float(u(tt, pp)) for tt in times] for pp in stencil]])
-    return float(transport._residual_combine(model, f, att, t, [p], fd_step, vals)[0])
+    return float(residual_combine(model, f, att, t, [p], fd_step, vals)[0])
 
 
 class TestResidual:
@@ -736,8 +736,8 @@ class TestResidual:
 
         pts = random_phase_points(demo_model, 10, seed=2)
         cfg = rt.IntegratorConfig(step=1e-3)
-        r1 = rt.oracle_residuals(demo_model, demo_field, unit_attenuation, 0.0, pts, 0.02, cfg)
-        r2 = rt.oracle_residuals(demo_model, demo_field, unit_attenuation, 0.0, pts, 0.01, cfg)
+        r1 = oracle_residuals(demo_model, demo_field, unit_attenuation, 0.0, pts, 0.02, cfg)
+        r2 = oracle_residuals(demo_model, demo_field, unit_attenuation, 0.0, pts, 0.01, cfg)
         ratio = np.linalg.norm(r1) / np.linalg.norm(r2)
         assert 3.0 <= ratio <= 5.0
 
@@ -749,7 +749,7 @@ class TestResidual:
         f = rt.with_switch_on(demo_field)
         points = [rt.angle_phase_point(model, x, theta)
                   for x, theta in [([0.3, -0.2], 1.1), ([0.0, 0.0], 0.4), ([-0.6, 0.5], 2.9)]]
-        res = rt.oracle_residuals(model, f, unit_attenuation, 0.4, points, 1e-3, rt.IntegratorConfig(step=1e-2))
+        res = oracle_residuals(model, f, unit_attenuation, 0.4, points, 1e-3, rt.IntegratorConfig(step=1e-2))
         assert np.max(np.abs(res)) <= 1e-4
 
     @pytest.mark.parametrize("kind", ["switch-on", "time-dependent"])
@@ -762,10 +762,10 @@ class TestResidual:
         points = [rt.angle_phase_point(demo_model, x, theta)
                   for x, theta in [([0.3, -0.2], 1.1), ([0.0, 0.0], 0.4), ([-0.6, 0.5], 2.9)]]
         rays = _marched_rays(monkeypatch)
-        rt.oracle_residuals(demo_model, f, unit_attenuation, 0.4, points, 1e-3, rt.IntegratorConfig(step=1e-2))
+        oracle_residuals(demo_model, f, unit_attenuation, 0.4, points, 1e-3, rt.IntegratorConfig(step=1e-2))
         assert rays == [7 * len(points)]
 
     def test_stencil_near_boundary(self, demo_model, demo_field, unit_attenuation):
         p = rt.angle_phase_point(demo_model, [0.995, 0.0], 2.0)
         with pytest.raises(StencilError):
-            rt.oracle_residuals(demo_model, demo_field, unit_attenuation, 0.0, [p], 0.01)
+            oracle_residuals(demo_model, demo_field, unit_attenuation, 0.0, [p], 0.01)
