@@ -197,13 +197,25 @@ def _radial_n_grad(coeffs: tuple, x) -> tuple[np.ndarray, np.ndarray]:
     return n, np.asarray(dn)[..., None] * x
 
 
+def _row_sum(p: np.ndarray) -> np.ndarray:
+    """The columns of p added in index order: the row sums of :func:`_dot` from its products."""
+    out = p[..., 0] + p[..., 1]
+    for i in range(2, p.shape[-1]):
+        out += p[..., i]
+    return out
+
+
 def _radial_accel(coeffs: tuple, dcoeffs2: tuple, x, v) -> np.ndarray:
-    """k (x |v|^2 - 2 v (x . v)) with k = 2 p'(s) / p(s), s = |x|^2; ``dcoeffs2`` are those of 2 p'."""
-    s = _dot(x, x)
+    """k (x |v|^2 - 2 v (x . v)) with k = 2 p'(s) / p(s), s = |x|^2; ``dcoeffs2`` are those of 2 p'.
+
+    |x|^2, |v|^2 and x . v are the row sums of x * x, v * v and x * v, each
+    product array formed once in the layout of the states.
+    """
+    s = _row_sum(x * x)
     k = _horner(dcoeffs2, s) / _horner(coeffs, s)
-    v2 = _dot(v, v)
+    v2 = _row_sum(v * v)
     v2 *= k
-    xv = _dot(x, v)
+    xv = _row_sum(x * v)
     xv *= k
     xv *= 2.0
     a = x * v2[..., None]

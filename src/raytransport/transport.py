@@ -56,12 +56,20 @@ g = gcd(J, K), maps nodes to nodes
 :func:`interior_solution_grid` marches one ray per orbit of g nodes, and the
 running integral carries one column per turn as it carries one per time:
 after each interval, and at the exit stubs, the representatives' positions
-and directions are turned together into every member's frame by one einsum,
-a component-major (state, component, turn, ray) block of two products per
-component (no BLAS), and the source is read there.  Representatives keep
-the per-node march's bits and the other members differ from it by
-round-off.  A non-radial medium is the orbit of size one and takes no
-rotation arithmetic.
+and directions are turned together into every member's frame, and the
+source is read there.  The turn is one stacked matmul: each member's
+2 x 2 rotation times the (2, 2n) block of the n representatives' x and xi
+columns, written into a (turn, component, x|xi, ray) block whose turn 0 is
+the representatives.  Each product is a gemm of M N K = 8n <= 65536 up to
+:data:`MAX_BATCH_RAYS`, too small for OpenBLAS to split over threads, so it
+runs on the calling thread; every entry is a two-term sum computed alike at
+every column, and a single ray is two columns, not a matrix-vector product,
+so a state's bits do not depend on its batch (with OpenBLAS 0.3.31, no
+column of widths 1 to 8191 and 2 to 40 turns moved under 1 or 2 BLAS
+threads).
+Representatives keep the per-node march's bits and the other members
+differ from it by round-off.  A non-radial medium is the orbit of size one
+and takes no rotation arithmetic.
 """
 
 from __future__ import annotations
@@ -178,7 +186,7 @@ def _march_backward(
     step = float(cfg.step)
     turns = np.asarray(turns, dtype=float)
     cos, sin = np.cos(turns[1:]), np.sin(turns[1:])
-    rot = np.array([[cos, -sin], [sin, cos]]).transpose(0, 2, 1)  # (2, g - 1, 2)
+    rot = np.stack([cos, -sin, sin, cos], axis=-1).reshape(-1, 2, 2)  # (g - 1, 2, 2), C-contiguous
     switched = f.switch_on
     f = replace(f, switch_on=False) if switched else f  # the weights make the cut-off
     a = att.alpha0
@@ -188,18 +196,23 @@ def _march_backward(
     def source_at(s, x, xi):
         """The moment at each state in every turn as (n, n_turns, n_times), n_times 1 if not time-dependent.
 
-        x and xi are turned together into one C-contiguous (state, component,
-        turn, ray) block: turn 0 is the states themselves, and each further
-        component, x1 cos - x2 sin or x1 sin + x2 cos, is two products summed
-        in index order by einsum's own loop (no BLAS), so a state's bits do
-        not depend on its batch.  The moment reads the (n, n_turns, 2)
-        transpose views, each component of each turn one contiguous row.
+        x and xi are turned together into one C-contiguous (turn, component,
+        x|xi, ray) block whose turn 0 is the states themselves: one stacked
+        matmul writes each further turn's 2 x 2 rotation times turn 0's
+        (2, 2n) block of x and xi columns into it.  Each product is a BLAS
+        gemm whose entries are two-term sums, computed alike at every
+        column, so a state's bits do not depend on its batch; one ray is
+        still two columns, so the matrix-vector path, whose bits differ, is
+        never taken, and M N K = 8n <= 65536 is too small for OpenBLAS to
+        thread.  The moment reads the (n, n_turns, 2) transpose views of x
+        and xi, each component of each turn one contiguous row.
         """
         if turns.size > 1:
-            block = np.empty((2, 2, turns.size, x.shape[0]))
-            block[0, :, 0], block[1, :, 0] = x.T, xi.T
-            np.einsum("kqc,pcn->pkqn", rot, block[:, :, 0], out=block[:, :, 1:])
-            x, xi = block[0].T, block[1].T
+            n = x.shape[0]
+            block = np.empty((turns.size, 2, 2, n))
+            block[0, :, 0], block[0, :, 1] = x.T, xi.T
+            np.matmul(rot, block[0].reshape(2, 2 * n), out=block[1:].reshape(turns.size - 1, 2, 2 * n))
+            x, xi = block[:, :, 0].transpose(2, 0, 1), block[:, :, 1].transpose(2, 0, 1)
         else:
             x, xi = x[:, None], xi[:, None]
         if f.time_dependent:

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 import raytransport as rt
-from raytransport.refractive import turn_rate
+from raytransport.refractive import _dot, _horner, turn_rate
 
 
 @pytest.fixture(scope="session")
@@ -37,6 +37,24 @@ def bouguer_invariant(model, x, v) -> float:
     v = np.asarray(v, dtype=float)
     n = float(model.n(x))
     return n * n * float(x[0] * v[1] - x[1] * v[0])
+
+
+def dot_radial_accel(coeffs: tuple, dcoeffs2: tuple, x, v) -> np.ndarray:
+    """The radial ray acceleration with |x|^2, |v|^2 and x . v as three ``_dot`` calls.
+
+    The reference the kernel ``refractive._radial_accel``, which forms each
+    product array once, must equal byte for byte.
+    """
+    s = _dot(x, x)
+    k = _horner(dcoeffs2, s) / _horner(coeffs, s)
+    v2 = _dot(v, v)
+    v2 *= k
+    xv = _dot(x, v)
+    xv *= k
+    xv *= 2.0
+    a = x * v2[..., None]
+    a -= v * xv[..., None]
+    return a
 
 
 def random_phase_points(model, count, seed, r_lo=0.1, r_hi=0.85):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import raytransport as rt
+from conftest import dot_radial_accel
 from raytransport.errors import DomainError
 from raytransport.refractive import _dot, acceleration
 
@@ -278,6 +279,19 @@ class TestRadialKernel:
         model = RADIAL_BUILDERS[name](dim=dim)
         x, v = ball_states(dim, 4000, 10 + dim)
         assert_near_gradient_form(model, x, v)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("spec", ["paper4", "constant:1.3", "radial:1,-0.45"])
+    def test_acceleration_bytes_equal_dot_reference(self, spec, dim):
+        """Component-major and row-major batches and single states give the bytes of the
+        kernel that sums |x|^2, |v|^2 and x . v with three ``_dot`` calls."""
+        model = rt.parse_model(spec, dim=dim)
+        x, v = ball_states(dim, 4000, 30 + dim)
+        major = (np.ascontiguousarray(x.T).T, np.ascontiguousarray(v.T).T)
+        cases = [(x, v), major] + [(x[i], v[i]) for i in range(5)]
+        for xs, vs in cases:
+            got, want = acceleration(model, xs, vs), dot_radial_accel(*model.accel.args, xs, vs)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_constant_medium_has_no_acceleration(self, dim):

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from functools import partial
 
 import numpy as np
@@ -406,6 +409,24 @@ class TestOrbitOracle:
         assert np.array_equal(u[reps], ref[reps])
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    def test_blas_threads_do_not_move_bits(self):
+        """The turn is one small matrix product per member frame, which OpenBLAS
+        never threads: (40, 40, 20) turns each ray into 20 frames, with the same
+        bytes under one BLAS thread and two."""
+        src = os.path.dirname(os.path.dirname(rt.__file__))
+        code = ("import sys, raytransport as rt; m = rt.paper4_model(); "
+                "u = rt.interior_solution_grid(m, rt.paper4_field(), rt.constant_attenuation(1.0), "
+                "rt.build_grid(m, 40, 40, 20), rt.IntegratorConfig(step=1e-2)); "
+                "sys.stdout.buffer.write(u.tobytes())")
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr.decode()
+            runs.append(proc.stdout)
+        assert len(runs[0]) == 32000 * 8 and runs[0] == runs[1]
+
     def test_worker_counts_agree_bitwise(self, demo_model, demo_field, unit_attenuation):
         cfg = rt.IntegratorConfig(step=1e-2)
         grid = rt.build_grid(demo_model, 8, 10, 10)
@@ -430,16 +451,26 @@ class TestBatchedMarch:
 
     LIMIT = 7
 
-    @pytest.mark.parametrize("medium", ["affine", "paper4"])
+    @pytest.mark.parametrize(("medium", "shape", "limit"), [
+        pytest.param("affine", (6, 6, 4), LIMIT, id="affine"),
+        pytest.param("paper4", (6, 6, 4), LIMIT, id="paper4"),
+        pytest.param("paper4", (6, 6, 4), 1, id="paper4-6x6x4-limit1"),
+        pytest.param("paper4", (6, 6, 4), 2, id="paper4-6x6x4-limit2"),
+        pytest.param("paper4", (6, 8, 8), 1, id="paper4-6x8x8-limit1"),
+        pytest.param("paper4", (8, 10, 10), 1, id="paper4-8x10x10-limit1"),
+    ])
     @pytest.mark.parametrize("switched", [False, True], ids=["static", "switch-on"])
     def test_grid_bits_do_not_depend_on_the_batch_limit(self, demo_field, unit_attenuation, monkeypatch,
-                                                        medium, switched):
+                                                        medium, shape, limit, switched):
+        """paper4 turns each ray into g = gcd(J, K) = 2, 8 or 10 frames; at limit 1 a
+        march is one ray, the width at which a plain matrix-vector product would
+        take other bits than a wide batch."""
         model = rt.parse_model("affine:2,0.3,0.2" if medium == "affine" else "paper4")
         f, t = (rt.with_switch_on(demo_field), 0.3) if switched else (demo_field, 0.0)
         cfg = rt.IntegratorConfig(step=1e-2)
-        grid = rt.build_grid(model, 6, 6, 4)
+        grid = rt.build_grid(model, *shape)
         whole = rt.interior_solution_grid(model, f, unit_attenuation, grid, cfg, t=t)
-        monkeypatch.setattr(transport, "MAX_BATCH_RAYS", self.LIMIT)
+        monkeypatch.setattr(transport, "MAX_BATCH_RAYS", limit)
         rays = _marched_rays(monkeypatch)
         batched = rt.interior_solution_grid(model, f, unit_attenuation, grid, cfg, t=t)
         assert len(rays) > 1
