@@ -36,11 +36,14 @@ arrays, the iteration counts and the criterion-6 gap l2(1e-6) - l2(1e-9).
 The fiber-integral check: ``check_fiber_identity``'s lhs and rhs for the two
 3D media of acceptance criterion 5 (paper4 and the affine medium
 2 + 0.3 x_1 - 0.2 x_3), each of ``standard_fiber_functions()``, criterion
-5's three base points, both pairing conventions and orders (16, 16) and
-(64, 64).  And the config layer: for each of ``configs/*.cfg`` and the seed-0 config
-text of the three ``perfbench`` workloads (read from this script's
-checkout, so both trees parse the same texts), ``parse_config_text(text)``'s
-``to_text()`` and the ``dataclasses.astuple`` of the parsed config.
+5's three base points and orders (16, 16) and (64, 64), keyed without a
+pairing convention, so a tree whose check still takes one is compared at
+its default, the metric-gradient pairing.  ``coercivity_margin``'s two
+suprema for paper4 and an affine medium in 2D and in 3D.  And the config
+layer: for each of ``configs/*.cfg`` and the seed-0 config text of the
+three ``perfbench`` workloads (read from this script's checkout, so both
+trees parse the same texts), ``parse_config_text(text)``'s ``to_text()``
+and the ``dataclasses.astuple`` of the parsed config.
 The pinned matrix and the transport residual are the tests' own
 (``pinned_matrix`` and ``oracle_residuals`` of ``tests/conftest.py``, read
 from this script's checkout, so both trees compute them with the same code
@@ -87,6 +90,7 @@ SWEEP_STEP = 8e-3
 GRAZE_MEDIUM, GRAZE_RAYS, GRAZE_SEED, GRAZE_STEP = "radial:1,-0.45", 400, 2, 0.1
 FIBER_POINTS = [(0.2, 0.1, -0.3), (-0.4, 0.25, 0.1), (0.0, 0.0, 0.5)]
 FIBER_ORDERS = (16, 64)
+MARGIN_MEDIA = [("paper4", 2), ("paper4", 3), ("affine:2,0.3,0.2", 2), ("affine:2,0.3,0.2,-0.2", 3)]
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TESTS = os.path.join(ROOT, "tests")
 
@@ -183,6 +187,7 @@ def dump() -> dict:
     out.update(dump_oracle(media, att, field))
     out.update(dump_sweep(media["paper4"], att, field))
     out.update(dump_fiber())
+    out.update(dump_margins())
     out.update(dump_config())
     return out
 
@@ -299,15 +304,24 @@ def dump_sweep(model, att, field) -> dict:
 
 def dump_fiber() -> dict:
     import raytransport as rt
-    from raytransport.verify import CONVENTIONS
 
     media = {"paper4": rt.paper4_model(dim=3), "affine": rt.affine_model(2.0, [0.3, 0.0, -0.2])}
     out = {}
     for name, model in media.items():
         for fi, fn in enumerate(rt.standard_fiber_functions()):
-            for x, conv, order in itertools.product(FIBER_POINTS, CONVENTIONS, FIBER_ORDERS):
-                chk = rt.check_fiber_identity(model, fn, x, order, order, conv)
-                out[("fiber", name, fi, x, conv, order)] = (chk.lhs.hex(), chk.rhs.hex())
+            for x, order in itertools.product(FIBER_POINTS, FIBER_ORDERS):
+                chk = rt.check_fiber_identity(model, fn, x, order, order)
+                out[("fiber", name, fi, x, order)] = (chk.lhs.hex(), chk.rhs.hex())
+    return out
+
+
+def dump_margins() -> dict:
+    import raytransport as rt
+
+    out = {}
+    for spec, dim in MARGIN_MEDIA:
+        rep = rt.coercivity_margin(rt.parse_model(spec, dim=dim), 1.0)
+        out[("coercivity margin", spec, dim)] = (rep.sup_riemannian.hex(), rep.sup_euclidean.hex())
     return out
 
 

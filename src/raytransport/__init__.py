@@ -76,7 +76,6 @@ from .verify import (
     FiberFunction,
     IdentityCheck,
     SweepResult,
-    calibrate_identity_convention,
     check_fiber_identity,
     epsilon_sweep,
     relative_error,

@@ -190,6 +190,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("dynamic.t_final", "must be at least dt")
     if cfg.command in GRID_COMMANDS and cfg.dim != 2:
         bad("model.dim", f"{cfg.command} runs on a phase grid, which requires dim = 2")
+    if cfg.command == "trace" and cfg.dim != 2:
+        bad("model.dim", "trace requires dim = 2")
     if cfg.command == "check-prop1":
         if cfg.dim != 3:
             bad("model.dim", "check-prop1 requires dim = 3")

@@ -96,25 +96,18 @@ def symmetric_part(a: sp.spmatrix) -> sp.csr_matrix:
 
 @dataclass(frozen=True, eq=False)
 class OperatorParts:
-    """Interior blocks and ring couplings of H + alpha I and of the Laplacian (None if eps = 0 only)."""
+    """Interior blocks and ring couplings of H + alpha I and of the Laplacian."""
 
     transport: sp.csr_matrix
     transport_coupling: sp.csr_matrix
-    laplacian: sp.csr_matrix | None = None
-    laplacian_coupling: sp.csr_matrix | None = None
+    laplacian: sp.csr_matrix
+    laplacian_coupling: sp.csr_matrix
 
 
-def operator_parts(
-    grid: PhaseGrid,
-    model: RefractiveModel,
-    att: Attenuation,
-    viscous: bool = True,
-) -> OperatorParts:
-    """Build H + alpha I and, if ``viscous``, the Laplacian, each cut into its two blocks."""
+def operator_parts(grid: PhaseGrid, model: RefractiveModel, att: Attenuation) -> OperatorParts:
+    """Build H + alpha I and the Laplacian, each cut into its two blocks."""
     n = grid.n_interior
     t = h_matrix(grid, model) + sp.diags(np.full(grid.size, att.alpha0))
-    if not viscous:
-        return OperatorParts(t[:n, :n], t[:n, n:])
     lap = laplace_matrix(grid, model)
     return OperatorParts(t[:n, :n], t[:n, n:], lap[:n, :n], lap[:n, n:])
 
@@ -152,7 +145,7 @@ def assemble(
         raise AssemblyError(f"boundary data shape {data.shape} != grid ({grid.size},)")
     mask = classify_boundary(grid, model)
 
-    parts = parts or operator_parts(grid, model, att, viscous=epsilon > 0.0)
+    parts = parts or operator_parts(grid, model, att)
     interior, coupling = interior_operator(parts, epsilon)
     b = _rhs(grid, mask, f, t, data[mask.outflow_idx])
     if not all(np.all(np.isfinite(v)) for v in (interior.data, coupling.data, b)):

@@ -10,10 +10,9 @@ Two independent checks of the machinery:
   where u is a test function of the unit direction omega = n xi and the
   fiber derivative du/dxi on the sphere |xi| = 1/n is n times the part of
   u's ambient gradient tangent to the sphere, so no chart of the sphere
-  enters.  The pairing <grad n, xi> is evaluated under a
-  selectable convention (the two readings differ by a factor n^2), and
-  ``calibrate_identity_convention`` picks the one whose discrepancy vanishes
-  under quadrature refinement.
+  enters.  The metric is g = n^2 delta, so <grad n, xi> is the euclidean
+  pairing at the metric-unit xi (|xi| = 1/n), under which the identity
+  holds exactly.
 
 * ``epsilon_sweep`` solves the viscosity system for a decreasing list of eps
   against boundary data read off the characteristic solution, and records
@@ -37,8 +36,6 @@ from .solve import SolveReport, assemble, make_preconditioner, operator_parts, s
 from .tensorfield import SymmetricTensorField
 from .transport import Attenuation, interior_solution_grid
 
-CONVENTIONS = ("metric-gradient", "euclidean-gradient")
-
 
 @dataclass(frozen=True)
 class FiberFunction:
@@ -58,7 +55,6 @@ class IdentityCheck:
     lhs: float
     rhs: float
     abs_diff: float
-    convention: str
 
 
 def _exp_b(w):
@@ -87,15 +83,12 @@ def check_fiber_identity(
     x,
     n_theta: int = 64,
     n_phi: int = 64,
-    convention: str = "metric-gradient",
 ) -> IdentityCheck:
     """Evaluate both sides of the fiber-integral identity at a base point.
 
     Quadrature is Gauss-Legendre in cos(theta) (which absorbs the sin(theta)
     of the sphere measure) tensored with the trapezoid rule in phi.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}")
     if n_theta < 4 or n_phi < 4:
         raise ValueError("quadrature orders must be at least 4")
     if model.dim != 3:
@@ -122,42 +115,10 @@ def check_fiber_identity(
     lhs_integrand = np.einsum("tpk,tpk->tp", a, du_dxi) * u
     lhs = float(np.sum(wq * lhs_integrand))
 
-    g_dot_omega = np.einsum("k,tpk->tp", grad, omega)
-    if convention == "metric-gradient":
-        # <grad n, xi> read as the euclidean pairing with |xi| = 1/n
-        rhs_integrand = g_dot_omega / nval**2 * u**2
-    else:
-        # metric pairing of the euclidean gradient: an extra n^2
-        rhs_integrand = g_dot_omega * u**2
+    # <grad n, xi> / n with xi = omega / n
+    rhs_integrand = np.einsum("k,tpk->tp", grad, omega) / nval**2 * u**2
     rhs = float(np.sum(wq * rhs_integrand))
-    return IdentityCheck(lhs=lhs, rhs=rhs, abs_diff=abs(lhs - rhs), convention=convention)
-
-
-def calibrate_identity_convention(
-    models: Sequence[RefractiveModel],
-    u_tests: Sequence[FiberFunction],
-    points: Sequence,
-    orders: tuple[int, int] = (16, 32),
-) -> tuple[str, dict]:
-    """Run both pairing conventions under refinement and pick the consistent one.
-
-    Returns the winning convention and a per-convention record of the worst
-    discrepancy at the coarse and fine orders.
-    """
-    record: dict = {}
-    for conv in CONVENTIONS:
-        worst = []
-        for order in orders:
-            d = 0.0
-            for m in models:
-                for u in u_tests:
-                    for x in points:
-                        chk = check_fiber_identity(m, u, x, n_theta=order, n_phi=order, convention=conv)
-                        d = max(d, chk.abs_diff / (1.0 + abs(chk.rhs)))
-            worst.append(d)
-        record[conv] = tuple(worst)
-    chosen = min(CONVENTIONS, key=lambda c: record[c][-1])
-    return chosen, record
+    return IdentityCheck(lhs=lhs, rhs=rhs, abs_diff=abs(lhs - rhs))
 
 
 # ---------------------------------------------------------------------------

@@ -115,26 +115,25 @@ def test_criterion_4_transport_residual(demo_model, demo_field, unit_attenuation
 
 
 def test_criterion_5_fiber_identity():
-    """Integral identity at orders (64, 64) under the calibrated convention."""
+    """Integral identity at orders (64, 64), <grad n, xi> paired at the metric-unit xi."""
     models = [rt.paper4_model(dim=3), rt.affine_model(2.0, [0.3, 0.0, -0.2])]
     points = [(0.2, 0.1, -0.3), (-0.4, 0.25, 0.1), (0.0, 0.0, 0.5)]
     fns = rt.standard_fiber_functions()
-    conv, _ = rt.calibrate_identity_convention(models, fns, points)
     worst = 0.0
     shrink_ok = True
     for model in models:
         for fn in fns:
             for x in points:
-                chk = rt.check_fiber_identity(model, fn, x, 64, 64, conv)
+                chk = rt.check_fiber_identity(model, fn, x, 64, 64)
                 worst = max(worst, chk.abs_diff / (1.0 + abs(chk.rhs)))
-                d128 = rt.check_fiber_identity(model, fn, x, 128, 128, conv).abs_diff
+                d128 = rt.check_fiber_identity(model, fn, x, 128, 128).abs_diff
                 floor = 1e-12 * (1.0 + abs(chk.rhs))
                 # doubling shrinks the gap 4x until the rounding floor
                 if chk.abs_diff > floor and d128 > chk.abs_diff / 4.0:
                     shrink_ok = False
     ok = worst <= 1e-6 and shrink_ok
     report("criterion 5 (fiber-integral identity)", ok,
-           f"convention = {conv}, worst scaled discrepancy = {worst:.3e} <= 1e-6, "
+           f"worst scaled discrepancy = {worst:.3e} <= 1e-6, "
            f"doubling shrink (or rounding floor) holds = {shrink_ok}")
 
 

@@ -302,6 +302,17 @@ class TestCliCommands:
         assert "model.dim" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_trace_in_3d_exits_2(self, tmp_path, capsys):
+        """The trace is 2D: a 3D config is rejected, naming model.dim, before any output."""
+        cfg = tmp_path / "trace.cfg"
+        cfg.write_text(MINIMAL.replace("x = 0.3,0.0", "x = 0.3,0.0,0.0").replace(
+            "model = constant:1.0", "model = constant:1.0\ndim = 3").replace(
+            "command = trace", f"command = trace\noutput_dir = {tmp_path}/out"))
+        assert run(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model.dim:")
+        assert not (tmp_path / "out").exists()
+
     def test_env_var_overrides_output(self, tmp_path, monkeypatch):
         cfg = tmp_path / "trace.cfg"
         cfg.write_text(MINIMAL)
@@ -393,6 +404,23 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "convention = metric-gradient" in out
         assert (tmp_path / "out" / "prop1.csv").exists()
+
+    def test_check_prop1_refinement_record(self, tmp_path, capsys):
+        """The record is the worst scaled discrepancy at orders 16 and 32 over the CLI's points."""
+        from raytransport.cli import IDENTITY_POINTS
+
+        model = rt.paper4_model(dim=3)
+        worst = []
+        for order in (16, 32):
+            checks = [rt.check_fiber_identity(model, fn, x, order, order)
+                      for fn in rt.standard_fiber_functions() for x in IDENTITY_POINTS]
+            worst.append(max(c.abs_diff / (1.0 + abs(c.rhs)) for c in checks))
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            "[run]\ncommand = check-prop1\noutput_dir = %s/out\n"
+            "[model]\nmodel = paper4\ndim = 3\n[prop1]\nn_theta = 8\nn_phi = 8\n" % tmp_path)
+        assert run(["run", str(cfg)]) == 0
+        assert f"(refinement record {worst[0]:.3e} -> {worst[1]:.3e})" in capsys.readouterr().out
 
     def test_transform_table(self, tmp_path):
         cfg = tmp_path / "t.cfg"

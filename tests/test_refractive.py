@@ -335,6 +335,18 @@ class TestCoercivityMargin:
         assert rep.sup_euclidean == pytest.approx(0.8, abs=1e-3)
         assert rep.satisfied
 
+    @pytest.mark.parametrize("spec, riemannian, euclidean", [
+        ("paper4", np.sqrt(2.0) / 4.0, 0.8),
+        # |b| / (a - |b|)^2 and |b| / (a - |b|), at the boundary point opposite b
+        ("affine:2,0.3,0.2,-0.2", np.sqrt(0.17) / (2.0 - np.sqrt(0.17)) ** 2,
+         np.sqrt(0.17) / (2.0 - np.sqrt(0.17))),
+    ])
+    def test_margins_in_3d(self, spec, riemannian, euclidean):
+        rep = rt.coercivity_margin(rt.parse_model(spec, dim=3), 1.0)
+        assert rep.sup_riemannian == pytest.approx(riemannian, abs=1e-3)
+        assert rep.sup_euclidean == pytest.approx(euclidean, abs=1e-3)
+        assert rep.satisfied
+
     def test_affine_fails_euclidean_reading(self):
         rep = rt.coercivity_margin(rt.affine_model(2.0, [1.0, 0.0]), 0.4)
         assert rep.sup_euclidean == pytest.approx(1.0, abs=1e-3)

@@ -195,7 +195,7 @@ SWEEP_MEDIA = [
 def _transport_block(spec, shape):
     model = rt.parse_model(spec)
     grid = rt.build_grid(model, *shape)
-    parts = solve.operator_parts(grid, model, rt.constant_attenuation(1.0), viscous=False)
+    parts = solve.operator_parts(grid, model, rt.constant_attenuation(1.0))
     return model, grid, parts.transport
 
 
@@ -232,7 +232,7 @@ class TestSweepOrder:
         (to round-off), at the static alpha and the implicit Euler alpha + 1/dt: the ILU exists."""
         model = rt.parse_model(spec)
         grid = rt.build_grid(model, *shape)
-        block = solve.operator_parts(grid, model, rt.constant_attenuation(alpha), viscous=False).transport
+        block = solve.operator_parts(grid, model, rt.constant_attenuation(alpha)).transport
         coo = block.tocoo()
         assert np.all(coo.data[coo.row != coo.col] <= 0.0)
         diag = block.diagonal()

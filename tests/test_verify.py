@@ -27,13 +27,19 @@ class TestFiberIdentity:
         chk = rt.check_fiber_identity(MODELS_3D[0], const, (0.3, 0.1, -0.2), 32, 32)
         assert chk.abs_diff <= 1e-12
 
-    def test_calibration_picks_metric_gradient(self):
-        conv, record = rt.calibrate_identity_convention(
-            MODELS_3D, rt.standard_fiber_functions(), POINTS_3D, orders=(16, 32))
-        assert conv == "metric-gradient"
-        # the rejected reading misses by an O(1) factor, not by quadrature error
-        assert record["euclidean-gradient"][-1] > 1e-2
-        assert record["metric-gradient"][-1] < 1e-10
+    def test_euclidean_gradient_reading_misses(self):
+        """Pairing the euclidean gradient in the metric puts an extra n^2 on the right-hand side;
+        that reading misses by an O(1) factor, not by quadrature error."""
+        metric = euclidean = 0.0
+        for model in MODELS_3D:
+            for fn in rt.standard_fiber_functions():
+                for x in POINTS_3D:
+                    chk = rt.check_fiber_identity(model, fn, x, 32, 32)
+                    metric = max(metric, chk.abs_diff / (1.0 + abs(chk.rhs)))
+                    rhs = chk.rhs * float(model.n(np.asarray(x))) ** 2
+                    euclidean = max(euclidean, abs(chk.lhs - rhs) / (1.0 + abs(rhs)))
+        assert metric < 1e-10
+        assert euclidean > 1e-2
 
     def test_identity_at_tolerance(self):
         for model in MODELS_3D:
@@ -92,8 +98,6 @@ class TestFiberIdentity:
             rt.check_fiber_identity(rt.paper4_model(dim=2), fn, (0.1, 0.1), 16, 16)
         with pytest.raises(ValueError):
             rt.check_fiber_identity(MODELS_3D[0], fn, (1.2, 0.0, 0.0), 16, 16)
-        with pytest.raises(ValueError):
-            rt.check_fiber_identity(MODELS_3D[0], fn, POINTS_3D[0], 16, 16, convention="bogus")
 
 
 @pytest.fixture(scope="module")
