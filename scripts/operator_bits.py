@@ -15,11 +15,12 @@ the characteristic oracle: ``interior_solution_grid`` for the three media on
 the small grids, for paper4 on (30, 30, 10), for the affine medium on
 (40, 40, 20) at step 1e-2 (32000 rays, the one grid marched in more than
 one batch), for paper4 on the same grid and step (1600 rays, each turned
-into g = 20 member frames), for paper4 on (8, 10, 10) at step 1e-2 with
-``transport.MAX_BATCH_RAYS`` set to 1 (80 marches of one ray turned into
-10 frames, the width at which a plain matrix-vector turn would take other
-bits) and for a rank-0 and a rank-2 field on (4, 5, 6) (even ranks,
-whose moments keep their sign under the march's reversed velocity), three
+into g = 20 member frames), for paper4 on (8, 10, 10) and (4, 20, 20) at
+step 1e-2 with ``transport.MAX_BATCH_RAYS`` set to 1 (80 marches of one ray
+each, turned into 10 and 20 frames, the width at which a plain
+matrix-vector turn would take other bits) and for a rank-0 and a rank-2
+field on (4, 5, 6) (even ranks, whose moments keep their sign under the
+march's reversed velocity), three
 ``dynamic_boundary_table`` runs (a switch-on field, a time-dependent one and
 one that is both, each at times on and off the quadrature step, every table
 one march with a column per time), ``interior_solution_grid`` of the
@@ -80,8 +81,8 @@ SMALL_GRIDS = GRIDS[:4]
 DEMO_GRID = (30, 30, 10)
 # the grid whose affine march is split into batches and whose paper4 rays are turned into 20 frames
 BATCHED_GRID, BATCHED_STEP = (40, 40, 20), 1e-2
-# a paper4 grid marched one ray per batch, each ray turned into gcd(10, 10) frames
-SINGLE_RAY_GRID = (8, 10, 10)
+# paper4 grids marched one ray per batch, each ray turned into gcd(J, K) = 10 and 20 frames
+SINGLE_RAY_GRIDS = [(8, 10, 10), (4, 20, 20)]
 EVEN_RANK_GRID = (4, 5, 6)
 TRACE_STATES = [([0.3, -0.2], 1.1), ([0.0, 0.0], 0.4), ([-0.6, 0.5], 2.9)]
 SWEEP_EPS = (1e-3, 1e-6, 1e-9)
@@ -234,11 +235,12 @@ def dump_oracle(media: dict, att, field) -> dict:
             out[("oracle", name, BATCHED_GRID, BATCHED_STEP)] = Digest(rt.interior_solution_grid(
                 model, field, att, grid, rt.IntegratorConfig(step=BATCHED_STEP)))
         if name == "paper4":
-            grid = rt.build_grid(model, *SINGLE_RAY_GRID)
             limit, transport.MAX_BATCH_RAYS = transport.MAX_BATCH_RAYS, 1
             try:
-                out[("oracle", name, SINGLE_RAY_GRID, BATCHED_STEP, "MAX_BATCH_RAYS = 1")] = Digest(
-                    rt.interior_solution_grid(model, field, att, grid, coarse))
+                for shape in SINGLE_RAY_GRIDS:
+                    grid = rt.build_grid(model, *shape)
+                    out[("oracle", name, shape, BATCHED_STEP, "MAX_BATCH_RAYS = 1")] = Digest(
+                        rt.interior_solution_grid(model, field, att, grid, coarse))
             finally:
                 transport.MAX_BATCH_RAYS = limit
         grid = rt.build_grid(model, *EVEN_RANK_GRID)

@@ -35,11 +35,19 @@ def write_rows_csv(path: str, header, rows) -> str:
 
 
 def write_gridfunction_csv(gf: GridFunction, path: str) -> str:
-    """Rows in linear index order; i, j, k are the 1-based grid labels."""
+    """Rows in linear index order; i, j, k are the 1-based grid labels.
+
+    Formats column by column, ``str`` of the labels and ``repr`` of the
+    floats, the bytes :func:`write_rows_csv` writes for the same rows.
+    """
     g = gf.grid
     labels = (np.indices((g.I, g.J, g.K)).reshape(3, -1) + 1).tolist()
-    rows = zip(*labels, g.r.tolist(), g.phi.tolist(), g.theta.tolist(), gf.values.tolist())
-    return write_rows_csv(path, ["i", "j", "k", "r", "phi", "theta", "value"], rows)
+    floats = (g.r.tolist(), g.phi.tolist(), g.theta.tolist(), gf.values.tolist())
+    columns = [map(str, c) for c in labels] + [map(repr, c) for c in floats]
+    with open(path, "w") as fh:
+        fh.write("i,j,k,r,phi,theta,value\n")
+        fh.writelines([",".join(row) + "\n" for row in zip(*columns)])
+    return path
 
 
 def write_path_csv(path_obj: GeodesicPath, path: str) -> str:

@@ -41,6 +41,9 @@ from .refractive import RefractiveModel, _dot, acceleration
 
 # Tangential boundary starts below this |<xi, nu>| are treated as glancing.
 GLANCING_TOL = 1e-12
+# A ray of a radial medium is refused as trapped when its Bouguer invariant exceeds n(1) by more
+# than this share, far above the invariant's round-off, so that no state on the sphere is.
+TRAPPED_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -222,6 +225,25 @@ def refine_exit(model: RefractiveModel, x: np.ndarray, v: np.ndarray, hi, iters:
     return hi, x_exit, v_exit
 
 
+def _refuse_trapped(model: RefractiveModel, x, v, heading, inside) -> None:
+    """Raise TraceLimitError for the rays of a radial medium that provably never reach the sphere.
+
+    Along a ray of a radial medium the Bouguer invariant n(|x|) |x| sin(x, v)
+    is constant and at most n(r) r at every radius r the ray reaches, so a
+    ray started strictly inside the sphere whose invariant exceeds n(1)
+    never reaches it and would march to the step cap.
+    """
+    xx, vv = _dot(x, x), _dot(v, v)
+    bouguer = model.n(x) * np.sqrt(np.maximum(xx * vv - heading * heading, 0.0) / vv)
+    n1 = float(model.n(np.eye(model.dim)[0]))
+    trapped = inside & (xx < 1.0) & (bouguer > n1 * (1.0 + TRAPPED_SLACK))
+    if trapped.any():
+        raise TraceLimitError(
+            f"{np.count_nonzero(trapped)} rays are trapped and never reach the sphere: their "
+            f"Bouguer invariant n |x| sin(x, v), up to {bouguer[trapped].max():.6g}, exceeds n(1) = {n1:.6g}"
+        )
+
+
 def _keep(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """The rows of a selected by mask, in a's component-major layout.
 
@@ -270,7 +292,10 @@ def march(
     states at step/2; it differs from an RK4 half-step by O(step^4).
 
     A ray that starts on the sphere without heading strictly inward exits at
-    once: it is not marched and is absent from the result.  Any other ray
+    once: it is not marched and is absent from the result.  In a radial
+    medium, rays from strictly inside the sphere whose Bouguer invariant
+    exceeds n(1) never reach it, and the march raises
+    :class:`TraceLimitError` for them before its first interval.  Any other ray
     runs until the interpolated mid or the end state of an interval leaves
     the ball; it is parked at the state that began that interval, and all
     parked rays are refined by one batched :func:`refine_exit` once every
@@ -302,6 +327,8 @@ def march(
     rad = np.sqrt(_dot(x0, x0))
     heading = _dot(v0, x0)
     inside = ~((rad >= 1.0 - 10.0 * cfg.boundary_tol) & (heading >= -GLANCING_TOL))
+    if model.radial:
+        _refuse_trapped(model, x0, v0, heading, inside)
 
     alive = np.nonzero(inside)[0]
     # the one conversion: compressing x0.T yields C-contiguous (dim, N) rows

@@ -103,8 +103,14 @@ def _const_component(c: float, t, x):
 
 
 def _paper4_first(t, x):
+    """1 / (x1^2 + x2^2 + 1), summed in that order in one fresh array (a float at one point)."""
     x = np.asarray(x, dtype=float)
-    return 1.0 / (x[..., 0] ** 2 + x[..., 1] ** 2 + 1.0)
+    d = x[..., 0] ** 2
+    if not d.shape:
+        return 1.0 / (d + x[..., 1] ** 2 + 1.0)
+    d += x[..., 1] ** 2
+    d += 1.0
+    return np.divide(1.0, d, out=d)
 
 
 def _paper4_second(t, x):

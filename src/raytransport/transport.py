@@ -57,16 +57,20 @@ g = gcd(J, K), maps nodes to nodes
 running integral carries one column per turn as it carries one per time:
 after each interval, and at the exit stubs, the representatives' positions
 and directions are turned together into every member's frame, and the
-source is read there.  The turn is one stacked matmul: each member's
-2 x 2 rotation times the (2, 2n) block of the n representatives' x and xi
-columns, written into a (turn, component, x|xi, ray) block whose turn 0 is
-the representatives.  Each product is a gemm of M N K = 8n <= 65536 up to
-:data:`MAX_BATCH_RAYS`, too small for OpenBLAS to split over threads, so it
-runs on the calling thread; every entry is a two-term sum computed alike at
-every column, and a single ray is two columns, not a matrix-vector product,
-so a state's bits do not depend on its batch (with OpenBLAS 0.3.31, no
-column of widths 1 to 8191 and 2 to 40 turns moved under 1 or 2 BLAS
-threads).
+source is read there.  The turn is one stacked matmul: the rows of every
+member's 2 x 2 rotation, stacked (2, 1, g - 1, 2), times the representatives'
+(x|xi, component, ray) columns, written straight into a C-contiguous
+(component, x|xi, turn, ray) block whose turn 0 is a copy of the
+representatives.  So the source read finds each component's turns and rays
+in one contiguous run, and its (ray, turn) result already has the running
+integral's memory order.  The products are four gemms of
+M N K = 2 (g - 1) n each; every entry is a two-term sum computed alike at
+every column, and a single ray is padded to two columns, since at one
+column numpy takes the matrix-vector path, whose bits differ.  So a state's
+bits do not depend on its batch, nor, as measured with OpenBLAS 0.3.31, on
+the BLAS thread count: on paper4 (80, 80, 40) at step 1e-2 (g = 40, 6400
+rays in one batch) the oracle took as much CPU time as wall time with the
+BLAS threads unpinned, and wrote the same bytes under one thread and two.
 Representatives keep the per-node march's bits and the other members
 differ from it by round-off.  A non-radial medium is the orbit of size one
 and takes no rotation arithmetic.
@@ -186,7 +190,8 @@ def _march_backward(
     step = float(cfg.step)
     turns = np.asarray(turns, dtype=float)
     cos, sin = np.cos(turns[1:]), np.sin(turns[1:])
-    rot = np.stack([cos, -sin, sin, cos], axis=-1).reshape(-1, 2, 2)  # (g - 1, 2, 2), C-contiguous
+    # row c of each further turn's rotation: rows[c, 0, q - 1] = (R_q)[c], C-contiguous (2, 1, g - 1, 2)
+    rows = np.stack([np.stack([cos, -sin], axis=-1), np.stack([sin, cos], axis=-1)])[:, None]
     switched = f.switch_on
     f = replace(f, switch_on=False) if switched else f  # the weights make the cut-off
     a = att.alpha0
@@ -196,23 +201,25 @@ def _march_backward(
     def source_at(s, x, xi):
         """The moment at each state in every turn as (n, n_turns, n_times), n_times 1 if not time-dependent.
 
-        x and xi are turned together into one C-contiguous (turn, component,
-        x|xi, ray) block whose turn 0 is the states themselves: one stacked
-        matmul writes each further turn's 2 x 2 rotation times turn 0's
-        (2, 2n) block of x and xi columns into it.  Each product is a BLAS
-        gemm whose entries are two-term sums, computed alike at every
-        column, so a state's bits do not depend on its batch; one ray is
-        still two columns, so the matrix-vector path, whose bits differ, is
-        never taken, and M N K = 8n <= 65536 is too small for OpenBLAS to
-        thread.  The moment reads the (n, n_turns, 2) transpose views of x
-        and xi, each component of each turn one contiguous row.
+        x and xi are turned together into one C-contiguous (component,
+        x|xi, turn, ray) block whose turn 0 is a copy of the states: one
+        stacked matmul multiplies the rows of every further turn's rotation,
+        (2, 1, g - 1, 2), with turn 0's (x|xi, component, ray) view, four BLAS
+        gemms of M N K = 2 (g - 1) n written straight into turns 1 to g - 1.
+        Every entry is a two-term sum computed alike at every column, so a
+        state's bits do not depend on its batch.  A single ray is padded to
+        two columns, a copy of itself, and sliced off again: at one column
+        numpy takes the matrix-vector path, whose bits differ.  The moment
+        reads the (n, n_turns, 2) transpose views of the x and xi halves,
+        so each component's turns and rays are one contiguous run, and its
+        (n, n_turns) result has the integrals' memory order.
         """
         if turns.size > 1:
             n = x.shape[0]
-            block = np.empty((turns.size, 2, 2, n))
-            block[0, :, 0], block[0, :, 1] = x.T, xi.T
-            np.matmul(rot, block[0].reshape(2, 2 * n), out=block[1:].reshape(turns.size - 1, 2, 2 * n))
-            x, xi = block[:, :, 0].transpose(2, 0, 1), block[:, :, 1].transpose(2, 0, 1)
+            block = np.empty((2, 2, turns.size, max(n, 2)))
+            block[:, 0, 0], block[:, 1, 0] = x.T, xi.T
+            np.matmul(rows, block[:, :, 0].transpose(1, 0, 2), out=block[:, :, 1:])
+            x, xi = block[:, 0, :, :n].T, block[:, 1, :, :n].T
         else:
             x, xi = x[:, None], xi[:, None]
         if f.time_dependent:

@@ -377,6 +377,17 @@ class TestCliCommands:
         assert run(["run", str(cfg)]) == 3
         assert "numerical failure: incomplete LU" in capsys.readouterr().err
 
+    def test_trapped_rays_exit_3(self, tmp_path, capsys):
+        """A sweep in a trapping medium is refused before its first march interval."""
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(
+            "[run]\ncommand = sweep\noutput_dir = %s/out\n[model]\nmodel = radial:1,-0.45\n"
+            "[grid]\ni = 12\nj = 12\nk = 8\n[quadrature]\nstep = 1e-2\n[integrator]\nstep = 1e-2\n"
+            "[solver]\nepsilon = 1e-2\n" % tmp_path)
+        assert run(["run", str(cfg)]) == 3
+        assert "numerical failure: 14 rays are trapped" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
     def test_solve_static_reads_no_grid_oracle(self, tmp_path, monkeypatch):
         """solve-static takes its boundary data from the outflow table, not the whole-grid oracle."""
         from raytransport import cli, transport
@@ -444,6 +455,21 @@ class TestExports:
         lines = open(path).read().splitlines()
         assert len(lines) == grid.size + 1
         assert lines[0] == "i,j,k,r,phi,theta,value"
+
+    def test_gridfunction_csv_matches_the_row_writer(self, tmp_path, demo_model):
+        """Formatting column by column writes the bytes of write_rows_csv's per-value
+        formatting, -0.0, integral and tiny floats included."""
+        grid = rt.build_grid(demo_model, 3, 4, 5)
+        values = np.sin(np.arange(grid.size) * 0.7)
+        values[:4] = [-0.0, 0.0, 2.0, -1e-300]
+        gf = rt.GridFunction(grid, values)
+        labels = np.indices((grid.I, grid.J, grid.K)).reshape(3, -1) + 1
+        ref = write_rows_csv(str(tmp_path / "rows.csv"), ["i", "j", "k", "r", "phi", "theta", "value"],
+                             zip(*labels, grid.r, grid.phi, grid.theta, values))
+        path = write_gridfunction_csv(gf, str(tmp_path / "g.csv"))
+        data = open(path, "rb").read()
+        assert data == open(ref, "rb").read()
+        assert data.splitlines()[1].startswith(b"1,1,1,") and data.splitlines()[1].endswith(b",-0.0")
 
     def test_pgm_bytes(self, tmp_path, demo_model):
         """A varying and a constant slice, byte for byte: each gray level as str(int),

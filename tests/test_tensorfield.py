@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import raytransport as rt
-from raytransport.tensorfield import SymmetricTensorField, moment
+from raytransport.tensorfield import SymmetricTensorField, _paper4_first, moment
 
 
 class TestMoment:
@@ -185,6 +185,21 @@ class TestDemoField:
         assert moment(demo_field, 0.0, [0.0, 0.0], [0.0, 1.0]) == 0.0
         assert moment(demo_field, 0.0, [1.0, 0.0], [1.0, 0.0]) == 0.5
         assert moment(demo_field, 0.0, [1.0, 0.0], [0.0, 1.0]) == 1.0
+
+    def test_first_component_bits(self):
+        """1 / (x1^2 + x2^2 + 1) bit for bit on row-major, component-major and strided
+        (n, g, 2) points, in a fresh array that leaves x as it was; one point is a float."""
+        rng = np.random.default_rng(5)
+        rows = rng.uniform(-1.0, 1.0, (7, 3, 2))
+        block = rng.uniform(-1.0, 1.0, (2, 2, 3, 7))  # (component, x|xi, turn, ray)
+        for x in (rows, np.ascontiguousarray(rows.T).T, block[:, 0].T):
+            before = x.copy()
+            got = _paper4_first(0.0, x)
+            assert np.array_equal(got, 1.0 / (x[..., 0] ** 2 + x[..., 1] ** 2 + 1.0))
+            assert not np.shares_memory(got, x) and np.array_equal(x, before)
+        one = _paper4_first(0.0, [0.3, -0.4])
+        point = np.array([0.3, -0.4])
+        assert isinstance(one, float) and one == 1.0 / (point[0] ** 2 + point[1] ** 2 + 1.0)
 
     def test_time_independence(self, demo_field):
         assert not demo_field.time_dependent

@@ -10,8 +10,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import raytransport as rt
-from conftest import StencilError, oracle_residuals, residual_combine, residual_stencil
-from raytransport import transport
+from conftest import StencilError, bouguer_invariant, oracle_residuals, residual_combine, residual_stencil
+from raytransport import geodesic, transport
 from raytransport.errors import DomainError, TraceLimitError
 from raytransport.geodesic import march
 from raytransport.phasegrid import rotation_orbits
@@ -410,9 +410,9 @@ class TestOrbitOracle:
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_blas_threads_do_not_move_bits(self):
-        """The turn is one small matrix product per member frame, which OpenBLAS
-        never threads: (40, 40, 20) turns each ray into 20 frames, with the same
-        bytes under one BLAS thread and two."""
+        """The turn is four small matrix products of M N K = 2 (g - 1) n, whose bits do
+        not depend on the BLAS threads: (40, 40, 20) turns each ray into 20 frames,
+        with the same bytes under one BLAS thread and two."""
         src = os.path.dirname(os.path.dirname(rt.__file__))
         code = ("import sys, raytransport as rt; m = rt.paper4_model(); "
                 "u = rt.interior_solution_grid(m, rt.paper4_field(), rt.constant_attenuation(1.0), "
@@ -458,13 +458,15 @@ class TestBatchedMarch:
         pytest.param("paper4", (6, 6, 4), 2, id="paper4-6x6x4-limit2"),
         pytest.param("paper4", (6, 8, 8), 1, id="paper4-6x8x8-limit1"),
         pytest.param("paper4", (8, 10, 10), 1, id="paper4-8x10x10-limit1"),
+        pytest.param("paper4", (4, 20, 20), 1, id="paper4-4x20x20-limit1"),
+        pytest.param("paper4", (4, 20, 20), 3, id="paper4-4x20x20-limit3"),
     ])
     @pytest.mark.parametrize("switched", [False, True], ids=["static", "switch-on"])
     def test_grid_bits_do_not_depend_on_the_batch_limit(self, demo_field, unit_attenuation, monkeypatch,
                                                         medium, shape, limit, switched):
-        """paper4 turns each ray into g = gcd(J, K) = 2, 8 or 10 frames; at limit 1 a
+        """paper4 turns each ray into g = gcd(J, K) = 2, 8, 10 or 20 frames; at limit 1 a
         march is one ray, the width at which a plain matrix-vector product would
-        take other bits than a wide batch."""
+        take other bits than a wide batch (at g = 20, 19 turn rows at one column)."""
         model = rt.parse_model("affine:2,0.3,0.2" if medium == "affine" else "paper4")
         f, t = (rt.with_switch_on(demo_field), 0.3) if switched else (demo_field, 0.0)
         cfg = rt.IntegratorConfig(step=1e-2)
@@ -522,6 +524,43 @@ class TestBatchedMarch:
 
         assert np.array_equal(sorted_rows(np.hstack([x0, -v0])), sorted_rows(np.hstack([grid.x, grid.xi])))
         assert np.all(np.diff(transport._chord_length(x0, v0)) >= 0.0)
+
+
+class TestTrappedRays:
+    """In n = 1 - 0.45 |x|^2, n r peaks at 0.574 near r = 0.861, above n(1) = 0.55: a
+    ray whose Bouguer invariant n^2 |x ^ xi| exceeds n(1) never reaches the sphere."""
+
+    MEDIUM, SHAPE, STEP = "radial:1,-0.45", (12, 12, 8), 1e-2
+
+    def test_refused_before_the_first_interval(self, demo_field, unit_attenuation, monkeypatch):
+        model = rt.parse_model(self.MEDIUM)
+        grid = rt.build_grid(model, *self.SHAPE)
+        reps = rotation_orbits(grid)[0][:, 0]
+        bouguer = np.abs([bouguer_invariant(model, x, xi) for x, xi in zip(grid.x[reps], grid.xi[reps])])
+        trapped = bouguer[bouguer > float(model.n(np.array([1.0, 0.0])))]
+        steps = []
+        monkeypatch.setattr(geodesic, "rk4_step", lambda *args: steps.append(args))
+        with pytest.raises(TraceLimitError) as err:
+            rt.interior_solution_grid(model, demo_field, unit_attenuation, grid, rt.IntegratorConfig(step=self.STEP))
+        assert trapped.size == 14 and steps == []
+        assert str(err.value).startswith("14 rays are trapped")
+        assert f"up to {trapped.max():.6g}, exceeds n(1) = 0.55" in str(err.value)
+
+    def test_states_on_the_sphere_are_marched(self, demo_field, unit_attenuation):
+        """Every state of the boundary ring, glancing ones included, exits.  A state on
+        the sphere tilted off its tangent by 1e-12 has the invariant n(1) to the last
+        bit and is not refused: it marches, and its near-grazing orbit hits the cap."""
+        model = rt.parse_model(self.MEDIUM)
+        cfg = rt.IntegratorConfig(step=self.STEP)
+        grid = rt.build_grid(model, *self.SHAPE)
+        ring = rt.classify_boundary(grid, model).boundary_idx
+        table = rt.dynamic_boundary_table(model, demo_field, unit_attenuation, grid.x[ring], grid.xi[ring],
+                                          [0.0], cfg)
+        assert np.all(np.isfinite(table))
+        p = rt.angle_phase_point(model, [0.0, 1.0], 1e-12)
+        with pytest.raises(TraceLimitError, match="did not exit within 50 intervals"):
+            rt.interior_solution(model, demo_field, unit_attenuation, 0.0, p,
+                                 rt.IntegratorConfig(step=self.STEP, max_steps=50))
 
 
 def _time_component(t, x):
