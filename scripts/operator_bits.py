@@ -44,7 +44,14 @@ suprema for paper4 and an affine medium in 2D and in 3D.  And the config
 layer: for each of ``configs/*.cfg`` and the seed-0 config text of the
 three ``perfbench`` workloads (read from this script's checkout, so both
 trees parse the same texts), ``parse_config_text(text)``'s ``to_text()``
-and the ``dataclasses.astuple`` of the parsed config.
+and the ``dataclasses.astuple`` of the parsed config.  The CLI's files: each
+of those texts and four small ones (a trace, a transform table of a
+switch-on field at 6 times, a solve-static run in the affine medium and a
+check-prop1 run) is run by ``raytransport.cli.run`` into a temporary
+directory named by ``RAYTRANSPORT_OUTPUT``, and every file it wrote gets an
+entry of its sha256, keyed by the config and the file's name, next to an
+entry of the exit code.  Stdout is left out, since it prints the output
+path.
 The pinned matrix and the transport residual are the tests' own
 (``pinned_matrix`` and ``oracle_residuals`` of ``tests/conftest.py``, read
 from this script's checkout, so both trees compute them with the same code
@@ -190,6 +197,7 @@ def dump() -> dict:
     out.update(dump_fiber())
     out.update(dump_margins())
     out.update(dump_config())
+    out.update(dump_cli())
     return out
 
 
@@ -327,9 +335,8 @@ def dump_margins() -> dict:
     return out
 
 
-def dump_config() -> dict:
-    from raytransport.config import parse_config_text
-
+def config_texts() -> dict:
+    """The text of each of ``configs/*.cfg`` and the seed-0 config of each perfbench workload."""
     sys.path.insert(0, ROOT)
     from perfbench.workloads import WORKLOADS, config_text
 
@@ -338,10 +345,56 @@ def dump_config() -> dict:
         with open(path) as fh:
             texts[os.path.basename(path)] = fh.read()
     texts.update((w, config_text(w, 0)) for w in WORKLOADS)
+    return texts
+
+
+def dump_config() -> dict:
+    from raytransport.config import parse_config_text
+
     out = {}
-    for name, text in texts.items():
+    for name, text in config_texts().items():
         cfg = parse_config_text(text)
         out[("config", name)] = (cfg.to_text(), dataclasses.astuple(cfg))
+    return out
+
+
+# small configs of the commands the bundled and benchmark configs do not run
+CLI_TEXTS = {
+    "trace": "[run]\ncommand = trace\n[model]\nmodel = paper4\n"
+             "[integrator]\nstep = 5e-3\n[trace]\nx = 0.3,-0.2\ntheta = 1.1\n",
+    "transform-table": "[run]\ncommand = transform-table\n[model]\nmodel = paper4\n"
+                       "[field]\nfield = paper4\nswitch_on = true\n[grid]\ni = 10\nj = 10\nk = 8\n"
+                       "[quadrature]\nstep = 1e-2\n[dynamic]\ndt = 0.1\nt_final = 0.5\n",
+    "solve-static": "[run]\ncommand = solve-static\n[model]\nmodel = affine:2,0.3,0.2\n"
+                    "[grid]\ni = 10\nj = 10\nk = 8\n[quadrature]\nstep = 1e-2\n[solver]\nepsilon = 1e-3\n",
+    "check-prop1": "[run]\ncommand = check-prop1\n[model]\nmodel = paper4\ndim = 3\n"
+                   "[prop1]\nn_theta = 24\nn_phi = 24\n",
+}
+
+
+def dump_cli() -> dict:
+    """The exit code and every written file's sha256 of a CLI run of each config text."""
+    import contextlib
+    import io
+    import tempfile
+
+    from raytransport.cli import run
+
+    out = {}
+    for name, text in {**config_texts(), **CLI_TEXTS}.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, written = os.path.join(tmp, "run.cfg"), os.path.join(tmp, "out")
+            with open(cfg, "w") as fh:
+                fh.write(text)
+            os.environ["RAYTRANSPORT_OUTPUT"] = written
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    out[("cli exit", name)] = run(["run", cfg])
+            finally:
+                del os.environ["RAYTRANSPORT_OUTPUT"]
+            for path in sorted(glob.glob(os.path.join(written, "*"))):
+                with open(path, "rb") as fh:
+                    out[("cli", name, os.path.basename(path))] = hashlib.sha256(fh.read()).hexdigest()
     return out
 
 

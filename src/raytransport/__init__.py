@@ -47,9 +47,11 @@ from .refractive import (
 from .solve import (
     CoercivityEstimate,
     LinearSystem,
+    MMatrixCertificate,
     SolveReport,
     assemble,
     discrete_coercivity,
+    m_matrix_certificate,
     solve_dynamic,
     solve_static,
     symmetric_part,

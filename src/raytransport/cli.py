@@ -95,13 +95,11 @@ def _cmd_transform_table(cfg, args) -> int:
     grid = build_grid(model, cfg.grid_i, cfg.grid_j, cfg.grid_k)
     times = time_levels(cfg.dt, cfg.t_final) if f.is_dynamic else [0.0]
     idx, table = _outflow_table(model, f, att, grid, times, oracle_cfg)
-    rows = [
-        (t, grid.phi[i], grid.theta[i], table[r, c])
-        for r, t in enumerate(times)
-        for c, i in enumerate(idx)
-    ]
+    # one row per (time, outflow node), times outermost
+    columns = [np.repeat(times, idx.size), np.tile(grid.phi[idx], len(times)),
+               np.tile(grid.theta[idx], len(times)), table.ravel()]
     out = os.path.join(_outdir(cfg), "table.csv")
-    exports.write_rows_csv(out, ["t", "phi", "theta", "value"], rows)
+    exports.write_csv(out, ["t", "phi", "theta", "value"], columns)
     print(f"transform-table: {len(times)} time(s) x {idx.size} outflow nodes, wrote {out}")
     return 0
 
@@ -189,7 +187,7 @@ def _cmd_check_prop1(cfg, args) -> int:
     coarse, fine = (_identity_rows(model, fns, order, order)[1] for order in (16, 32))
     rows, worst = _identity_rows(model, fns, cfg.n_theta, cfg.n_phi)
     out = os.path.join(_outdir(cfg), "prop1.csv")
-    exports.write_rows_csv(out, ["point", "fn", "lhs", "rhs", "abs_diff"], rows)
+    exports.write_csv(out, ["point", "fn", "lhs", "rhs", "abs_diff"], zip(*rows))
     print(
         f"check-prop1: convention = metric-gradient (refinement record {coarse:.3e} -> {fine:.3e}), "
         f"worst scaled discrepancy = {worst:.3e}, wrote {out}"

@@ -1,7 +1,12 @@
 """CSV and PGM writers.
 
-All writers format floats with ``str`` (shortest round-trip representation),
-so identical inputs produce byte-identical files.
+One rule turns a number into CSV text: :func:`write_csv` formats each column
+once, from its numpy dtype, booleans as ``true``/``false``, integers with
+``str`` and floats with ``repr``, the shortest text that reads back as the
+same float (``-0.0``, ``nan`` and ``inf`` as such).  So identical inputs give
+byte-identical files.  A column is typed as a whole: one that mixed ints and
+floats would print its ints as floats.  The PGM range sidecar prints its two
+floats with the same ``repr``.
 """
 
 from __future__ import annotations
@@ -18,46 +23,37 @@ from .phasegrid import GridFunction
 _LEVELS = tuple(str(i) for i in range(256))
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return str(float(v))
+def _column_text(column) -> list[str]:
+    a = np.asarray(column)
+    if a.dtype == bool:
+        return [("false", "true")[v] for v in a.tolist()]
+    if a.dtype.kind in "iu":
+        return list(map(str, a.tolist()))
+    return list(map(repr, a.astype(float, copy=False).tolist()))
 
 
-def write_rows_csv(path: str, header, rows) -> str:
+def write_csv(path: str, header, columns) -> str:
+    """A CSV of equal-length columns (else ValueError) under ``header``, each formatted by its dtype."""
+    text = [_column_text(c) for c in columns]
+    lines = [",".join(row) + "\n" for row in zip(*text, strict=True)]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(lines)
     return path
 
 
 def write_gridfunction_csv(gf: GridFunction, path: str) -> str:
-    """Rows in linear index order; i, j, k are the 1-based grid labels.
-
-    Formats column by column, ``str`` of the labels and ``repr`` of the
-    floats, the bytes :func:`write_rows_csv` writes for the same rows.
-    """
+    """Rows in linear index order; i, j, k are the 1-based grid labels."""
     g = gf.grid
-    labels = (np.indices((g.I, g.J, g.K)).reshape(3, -1) + 1).tolist()
-    floats = (g.r.tolist(), g.phi.tolist(), g.theta.tolist(), gf.values.tolist())
-    columns = [map(str, c) for c in labels] + [map(repr, c) for c in floats]
-    with open(path, "w") as fh:
-        fh.write("i,j,k,r,phi,theta,value\n")
-        fh.writelines([",".join(row) + "\n" for row in zip(*columns)])
-    return path
+    labels = np.indices((g.I, g.J, g.K)).reshape(3, -1) + 1
+    return write_csv(path, ["i", "j", "k", "r", "phi", "theta", "value"],
+                     [*labels, g.r, g.phi, g.theta, gf.values])
 
 
 def write_path_csv(path_obj: GeodesicPath, path: str) -> str:
     dim = path_obj.xs.shape[1]
     header = ["tau"] + [f"x{d + 1}" for d in range(dim)] + [f"v{d + 1}" for d in range(dim)]
-    rows = [
-        (path_obj.taus[i], *path_obj.xs[i], *path_obj.vs[i])
-        for i in range(len(path_obj))
-    ]
-    return write_rows_csv(path, header, rows)
+    return write_csv(path, header, [path_obj.taus, *path_obj.xs.T, *path_obj.vs.T])
 
 
 def write_pgm_slice(gf: GridFunction, k: int, path: str) -> str:
@@ -80,14 +76,15 @@ def write_pgm_slice(gf: GridFunction, k: int, path: str) -> str:
             fh.write(" ".join([_LEVELS[v] for v in row]) + "\n")
     base, _ = os.path.splitext(path)
     with open(base + ".range.txt", "w") as fh:
-        fh.write(f"min {_fmt(lo)}\nmax {_fmt(hi)}\n")
+        fh.write(f"min {lo!r}\nmax {hi!r}\n")
     return path
 
 
 def write_sweep_csv(sweep, path: str) -> str:
-    return write_rows_csv(
+    reports = sweep.reports
+    return write_csv(
         path,
         ["epsilon", "l2_rel_err", "linf_rel_err", "iterations", "residual", "converged"],
-        sweep.rows(),
+        [sweep.epsilons, sweep.l2, sweep.linf, [r.iterations for r in reports],
+         [r.final_residual for r in reports], [r.converged for r in reports]],
     )
-

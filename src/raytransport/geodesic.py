@@ -99,9 +99,28 @@ def angle_phase_point(model: RefractiveModel, x, theta: float) -> PhaseSpacePoin
     return unit_phase_point(model, x, np.array([np.cos(theta), np.sin(theta)]))
 
 
-def speed_defect(model: RefractiveModel, x, v) -> float:
-    """|n(x) |v| - 1|: deviation from metric unit speed."""
-    return abs(float(model.n(np.asarray(x))) * float(np.linalg.norm(v)) - 1.0)
+def speed_defect(model: RefractiveModel, x, v) -> np.ndarray:
+    """|n(x) |v| - 1| per state (the rows of x and v): deviation from metric unit speed."""
+    v = np.asarray(v, dtype=float)
+    return np.abs(model.n(np.asarray(x, dtype=float)) * np.sqrt(_dot(v, v)) - 1.0)
+
+
+def check_states(model: RefractiveModel, x, xi, boundary_tol: float) -> None:
+    """Refuse start states (rows of x and xi) that no march may start from.
+
+    Raises ValueError for a zero xi or one whose speed defect exceeds 1e-8,
+    and :class:`DomainError` for a point more than 10 boundary_tol outside
+    the sphere.  A zero xi is refused before any division by its length.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1, model.dim)
+    xi = np.asarray(xi, dtype=float).reshape(-1, model.dim)
+    if np.any(_dot(xi, xi) == 0.0):
+        raise ValueError("xi must be non-zero")
+    if not np.all(speed_defect(model, x, xi) <= 1e-8):
+        raise ValueError("xi is not metric-unit; normalize with unit_phase_point")
+    r = np.sqrt(_dot(x, x))
+    if not np.all(r <= 1.0 + 10.0 * boundary_tol):
+        raise DomainError(f"start point outside the ball: |x| = {np.max(r):.6g}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,23 +413,15 @@ def trace(model: RefractiveModel, p, cfg: IntegratorConfig | None = None):
     """
     cfg = cfg or IntegratorConfig()
     points = [p] if isinstance(p, PhaseSpacePoint) else list(p)
-    for pt in points:
-        if np.linalg.norm(pt.xi) == 0.0:
-            raise ValueError("xi must be non-zero")
-        if speed_defect(model, pt.x, pt.xi) > 1e-8:
-            raise ValueError("xi is not metric-unit; normalize with unit_phase_point")
-        r0 = float(np.linalg.norm(pt.x))
-        if r0 > 1.0 + 10.0 * cfg.boundary_tol:
-            raise DomainError(f"start point outside the ball: |x| = {r0:.6g}")
-
     if not points:
         return []
+    x0 = np.array([pt.x for pt in points], dtype=float)
+    xi0 = np.array([pt.xi for pt in points], dtype=float)
+    check_states(model, x0, xi0, cfg.boundary_tol)
     h = cfg.step
     interval = 2.0 * h
     # ray 2 i is (x_i, xi_i) and ray 2 i + 1 its backward half (x_i, -xi_i)
     sign = np.tile([1.0, -1.0], len(points))
-    x0 = np.array([pt.x for pt in points], dtype=float)
-    xi0 = np.array([pt.xi for pt in points], dtype=float)
     rays, taus, xs, vs = [2 * np.arange(len(points))], [np.zeros(len(points))], [x0], [xi0]
 
     def record(alive, s, xm, vm, xe, ve, carry):

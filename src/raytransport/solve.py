@@ -30,7 +30,8 @@ viscous block: T does not depend on eps, so an eps sweep factors it once and
 every solve of the sweep reuses it, and for small eps the viscous block is a
 small perturbation of it.  The block is a strictly diagonally dominant
 M-matrix (upwind H has zero row sums and no positive off-diagonal entry, and
-alpha > 0), so its incomplete LU exists (Meijerink and van der Vorst, 1977).
+alpha > 0), so its incomplete LU exists (Meijerink and van der Vorst, 1977);
+:func:`m_matrix_certificate` checks the same of an assembled system at any eps.
 It is factored in downwind order, strong component by strong component (a
 transport sweep): upwind H couples a node only to its upwind neighbours, so
 in that order T is block lower triangular and the factors fill in only inside
@@ -152,6 +153,54 @@ def assemble(
         raise NumericalError("assembled system contains non-finite entries")
     return LinearSystem(interior=interior, coupling=coupling, transport=parts.transport, rhs=b,
                         grid=grid, mask=mask, epsilon=epsilon)
+
+
+# A row sum counts as alpha when it falls short of it by at most this share of the row's absolute sum.
+ROW_SUM_RTOL = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class MMatrixCertificate:
+    """Margins of the M-matrix property on the interior rows [A | C] of a pinned system.
+
+    ``max_offdiag`` is the largest off-diagonal entry (the property needs it
+    <= 0), ``min_row_excess`` the smallest row sum minus alpha (>= 0 up to
+    round-off), and ``failing_rows`` the interior rows with a positive
+    off-diagonal entry or a row sum below alpha by more than
+    :data:`ROW_SUM_RTOL` of the row's absolute sum.
+    """
+
+    max_offdiag: float
+    min_row_excess: float
+    failing_rows: np.ndarray
+
+    @property
+    def holds(self) -> bool:
+        return self.failing_rows.size == 0
+
+
+def m_matrix_certificate(system: LinearSystem, alpha: float) -> MMatrixCertificate:
+    """Check in O(nnz) that the interior rows [A | C] of ``system`` form an M-matrix with row sums alpha.
+
+    ``alpha`` is the absorption the system was assembled at (alpha + 1/dt
+    for an implicit Euler step).  Where the certificate holds, A is a
+    strictly diagonally dominant M-matrix, so ||A^-1||_inf <= 1/alpha and
+    the solution obeys the maximum principle
+    ||u||_inf <= max(||f . xi^m||_inf / alpha, ||ring data||_inf), uniformly in eps and h.
+    """
+    a, c = system.interior.tocoo(), system.coupling.tocoo()
+    row = np.concatenate([a.row, c.row])
+    val = np.concatenate([a.data, c.data])
+    off = np.concatenate([a.row != a.col, np.ones(c.nnz, dtype=bool)])
+    n = system.interior.shape[0]
+    excess = np.bincount(row, weights=val, minlength=n) - alpha
+    short = excess < -ROW_SUM_RTOL * np.bincount(row, weights=np.abs(val), minlength=n)
+    failing = np.union1d(row[off & (val > 0.0)], np.nonzero(short)[0])
+    return MMatrixCertificate(
+        max_offdiag=float(val[off].max()),
+        min_row_excess=float(excess.min()),
+        failing_rows=failing,
+    )
 
 
 def _rhs(grid: PhaseGrid, mask: BoundaryMask, f: SymmetricTensorField, t: float,

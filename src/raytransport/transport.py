@@ -86,8 +86,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import finite_float
-from .errors import DomainError
-from .geodesic import IntegratorConfig, PhaseSpacePoint, march, rk4_step
+from .geodesic import IntegratorConfig, PhaseSpacePoint, check_states, march, rk4_step
 from .phasegrid import PhaseGrid, rotation_orbits
 from .refractive import RefractiveModel
 from .tensorfield import SymmetricTensorField, moment
@@ -278,14 +277,13 @@ def interior_solution(
 
     Vanishes as (x, xi) approaches an inflow boundary state; at an outflow
     boundary state it is the transform, of a time-dependent or switch-on
-    field the one read at t + tau along the ray.  Points within
-    10 cfg.boundary_tol outside the sphere count as boundary points, as
-    in :func:`raytransport.geodesic.trace`.
+    field the one read at t + tau along the ray.  The state is checked as
+    :func:`raytransport.geodesic.trace` checks its own: xi must be
+    metric-unit, and points within 10 cfg.boundary_tol outside the sphere
+    count as boundary points.
     """
     cfg = cfg or IntegratorConfig()
-    r = float(np.linalg.norm(p.x))
-    if r > 1.0 + 10.0 * cfg.boundary_tol:
-        raise DomainError(f"point is not inside the ball: |x| = {r:.6g}")
+    check_states(model, p.x, p.xi, cfg.boundary_tol)
     return float(_march_backward(model, f, att, float(t), p.x, p.xi, cfg)[0, 0, 0])
 
 
@@ -312,6 +310,8 @@ def interior_solution_grid(
     separate processes and reassembled in chunk order; each chunk is
     sorted and split into batches of at most MAX_BATCH_RAYS rays on its
     own, so the batches depend on the worker count and the result does not.
+    Grid nodes are metric-unit states of the ball by construction, so unlike
+    the other entry points this one does not check its states.
     """
     if model.radial:
         members, turns = rotation_orbits(grid)
@@ -347,11 +347,13 @@ def dynamic_boundary_table(
     A time-dependent field is read at t + tau in each column, and a switch-on
     field integrates over the most recent stretch of ray of parameter length
     t, as at every entry point; a field with neither gives the same
-    transform at every t.
+    transform at every t.  The states are checked as
+    :func:`raytransport.geodesic.trace` checks its own.
     """
     times = np.asarray(list(times), dtype=float)
     if not times.size:
         return np.zeros((0, len(x)))
     if np.any(times < 0.0):
         raise ValueError("times must be nonnegative")
+    check_states(model, x, xi, (cfg or IntegratorConfig()).boundary_tol)
     return _march_backward(model, f, att, times, x, xi, cfg)[:, 0].T

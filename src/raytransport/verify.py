@@ -174,11 +174,6 @@ class SweepResult:
     solutions: list[GridFunction | None]
     u_ref: GridFunction
 
-    def rows(self):
-        for k, eps in enumerate(self.epsilons):
-            r = self.reports[k]
-            yield (eps, self.l2[k], self.linf[k], r.iterations, r.final_residual, r.converged)
-
 
 def epsilon_sweep(
     model: RefractiveModel,

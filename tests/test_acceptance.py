@@ -179,6 +179,40 @@ def test_criterion_8_discrete_coercivity(demo_model, demo_field, unit_attenuatio
            f"lambda_min = {est.lambda_min:.6f} > 0 on (10, 10, 8) at eps = 1e-2")
 
 
+def test_criterion_11_m_matrix_certificate(demo_model, demo_field, unit_attenuation):
+    """The interior rows [A | C] are an M-matrix with row sums alpha on the demo grid at every
+    sweep eps and on (40, 40, 32), and the demo sweep's solutions obey the maximum principle
+    ||u||_inf <= max(||f . xi^m||_inf / alpha, ||ring data||_inf)."""
+    from raytransport.config import load_config
+    from raytransport.solve import operator_parts
+
+    cfg = load_config(os.path.join(REPO, "configs", "paper4_sweep.cfg"))
+    alpha = unit_attenuation.alpha0
+    grid = rt.build_grid(demo_model, cfg.grid_i, cfg.grid_j, cfg.grid_k)
+    oracle_cfg = rt.IntegratorConfig(step=cfg.quad_step, max_steps=cfg.max_steps,
+                                     boundary_tol=cfg.boundary_tol)
+    sweep = rt.epsilon_sweep(demo_model, demo_field, unit_attenuation, grid, cfg.epsilons, oracle_cfg,
+                             tol=cfg.tol)
+    n = grid.n_interior
+    certs, worst_ratio = [], 0.0
+    for eps, sol in zip(sweep.epsilons, sweep.solutions):
+        system = rt.assemble(grid, demo_model, demo_field, unit_attenuation, eps, sweep.u_ref.values)
+        certs.append(rt.m_matrix_certificate(system, alpha))
+        bound = max(np.max(np.abs(system.rhs[:n])) / alpha, np.max(np.abs(system.rhs[n:])))
+        worst_ratio = max(worst_ratio, np.max(np.abs(sol.values)) / bound)
+    fine = rt.build_grid(demo_model, 40, 40, 32)
+    parts = operator_parts(fine, demo_model, unit_attenuation)
+    for eps in (1e-2,) + sweep.epsilons:
+        system = rt.assemble(fine, demo_model, demo_field, unit_attenuation, eps, np.zeros(fine.size),
+                             parts=parts)
+        certs.append(rt.m_matrix_certificate(system, alpha))
+    ok = all(c.holds for c in certs) and worst_ratio <= 1.0
+    report("criterion 11 (M-matrix certificate)", ok,
+           f"{len(certs)} systems, max off-diagonal {max(c.max_offdiag for c in certs):.3e} <= 0, "
+           f"row sums - alpha >= {min(c.min_row_excess for c in certs):.3e}; "
+           f"max |u| / maximum-principle bound = {worst_ratio:.4f} <= 1")
+
+
 def test_criterion_9_dynamic_stationary_limit():
     """Switched-on static field: the implicit-Euler march reaches the static solve.
 

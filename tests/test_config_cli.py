@@ -11,15 +11,14 @@ from conftest import pinned_matrix
 from raytransport.cli import run
 from raytransport.config import ExperimentConfig, parse_config_text
 from raytransport.errors import ConfigError
-from raytransport.exports import write_gridfunction_csv, write_pgm_slice, write_rows_csv
+from raytransport.exports import write_csv, write_gridfunction_csv, write_pgm_slice
 
 
 def write_system_dump(system, prefix):
     """Triplet CSV of the matrix plus the right-hand side."""
     coo = pinned_matrix(system).tocoo()
-    mat_path = write_rows_csv(
-        prefix + "_matrix.csv", ["row", "col", "value"], zip(coo.row, coo.col, coo.data))
-    rhs_path = write_rows_csv(prefix + "_b.csv", ["row", "value"], enumerate(system.rhs))
+    mat_path = write_csv(prefix + "_matrix.csv", ["row", "col", "value"], [coo.row, coo.col, coo.data])
+    rhs_path = write_csv(prefix + "_b.csv", ["row", "value"], [np.arange(system.rhs.size), system.rhs])
     return mat_path, rhs_path
 
 DEMO_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs",
@@ -456,20 +455,41 @@ class TestExports:
         assert len(lines) == grid.size + 1
         assert lines[0] == "i,j,k,r,phi,theta,value"
 
-    def test_gridfunction_csv_matches_the_row_writer(self, tmp_path, demo_model):
-        """Formatting column by column writes the bytes of write_rows_csv's per-value
-        formatting, -0.0, integral and tiny floats included."""
+    def test_csv_formats_each_column_by_its_dtype(self, tmp_path):
+        """Booleans as true/false, integers with str, floats with repr: -0.0, nan and inf included."""
+        path = write_csv(str(tmp_path / "c.csv"), ["flag", "count", "value"], [
+            np.array([True, False, True, False, True, False]),
+            np.array([0, -7, 2147483647, 3, 10, 1], dtype=np.int32),
+            np.array([-0.0, 0.0, 2.0, 1e-300, np.nan, np.inf]),
+        ])
+        assert open(path, "rb").read() == (
+            b"flag,count,value\n"
+            b"true,0,-0.0\n"
+            b"false,-7,0.0\n"
+            b"true,2147483647,2.0\n"
+            b"false,3,1e-300\n"
+            b"true,10,nan\n"
+            b"false,1,inf\n"
+        )
+        with pytest.raises(ValueError):
+            write_csv(str(tmp_path / "short.csv"), ["a", "b"], [[1, 2], [0.5]])
+
+    def test_gridfunction_csv_matches_the_column_writer(self, tmp_path, demo_model):
+        """The grid CSV is the 1-based labels and the node coordinates and values, column by
+        column, in linear index order, -0.0, integral and tiny floats included."""
         grid = rt.build_grid(demo_model, 3, 4, 5)
         values = np.sin(np.arange(grid.size) * 0.7)
         values[:4] = [-0.0, 0.0, 2.0, -1e-300]
         gf = rt.GridFunction(grid, values)
         labels = np.indices((grid.I, grid.J, grid.K)).reshape(3, -1) + 1
-        ref = write_rows_csv(str(tmp_path / "rows.csv"), ["i", "j", "k", "r", "phi", "theta", "value"],
-                             zip(*labels, grid.r, grid.phi, grid.theta, values))
+        ref = write_csv(str(tmp_path / "columns.csv"), ["i", "j", "k", "r", "phi", "theta", "value"],
+                        [*labels, grid.r, grid.phi, grid.theta, values])
         path = write_gridfunction_csv(gf, str(tmp_path / "g.csv"))
         data = open(path, "rb").read()
         assert data == open(ref, "rb").read()
-        assert data.splitlines()[1].startswith(b"1,1,1,") and data.splitlines()[1].endswith(b",-0.0")
+        lines = data.splitlines()
+        assert lines[1].startswith(b"1,1,1,") and lines[1].endswith(b",-0.0")
+        assert lines[4].endswith(b",-1e-300")
 
     def test_pgm_bytes(self, tmp_path, demo_model):
         """A varying and a constant slice, byte for byte: each gray level as str(int),

@@ -225,19 +225,38 @@ class TestSweepOrder:
         with pytest.raises(NumericalError, match="incomplete LU"):
             solve.make_preconditioner(block)
 
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
     @pytest.mark.parametrize("alpha", [1.0, 1.0 + 1.0 / 0.05])
     @pytest.mark.parametrize("spec, shape", SWEEP_MEDIA + [("paper4", (30, 30, 10))])
-    def test_transport_block_is_a_diagonally_dominant_m_matrix(self, spec, shape, alpha):
-        """No positive off-diagonal entry, a positive diagonal and row sums of at least alpha
-        (to round-off), at the static alpha and the implicit Euler alpha + 1/dt: the ILU exists."""
+    def test_m_matrix_certificate_holds(self, spec, shape, alpha, eps):
+        """No positive off-diagonal entry in [A | C] and row sums alpha to round-off, at the static
+        alpha and the implicit Euler alpha + 1/dt; at eps = 0, A is the transport block the ILU
+        factors, so its row sums are at least alpha and its diagonal positive."""
         model = rt.parse_model(spec)
         grid = rt.build_grid(model, *shape)
-        block = solve.operator_parts(grid, model, rt.constant_attenuation(alpha)).transport
-        coo = block.tocoo()
-        assert np.all(coo.data[coo.row != coo.col] <= 0.0)
-        diag = block.diagonal()
+        att = rt.constant_attenuation(alpha)
+        system = rt.assemble(grid, model, rt.paper4_field(), att, eps, np.zeros(grid.size))
+        cert = rt.m_matrix_certificate(system, alpha)
+        assert cert.holds
+        assert cert.max_offdiag <= 0.0
+        assert abs(cert.min_row_excess) <= 1e-12 * alpha
+        diag = system.interior.diagonal()
         assert np.all(diag > 0.0)
-        assert np.all(np.asarray(block.sum(axis=1)).ravel() >= alpha - 1e-14 * diag.max())
+
+    def test_m_matrix_certificate_names_failing_rows(self, small_setup):
+        """A positive off-diagonal entry and a row sum short of alpha each fail their row."""
+        model, field, att, grid = small_setup
+        system = rt.assemble(grid, model, field, att, 1e-3, np.zeros(grid.size))
+        interior = system.interior.tolil()
+        interior[3, 4] = 0.5
+        interior[7, 7] -= 0.25
+        cert = rt.m_matrix_certificate(dataclasses.replace(system, interior=interior.tocsr()), att.alpha0)
+        assert not cert.holds
+        assert cert.max_offdiag == 0.5
+        assert cert.min_row_excess == pytest.approx(-0.25)
+        assert cert.failing_rows.tolist() == [3, 7]
+        strict = rt.m_matrix_certificate(system, 2.0 * att.alpha0)
+        assert strict.failing_rows.size == grid.n_interior
 
     def test_single_component_medium_solves(self):
         """Radial-direction nodes neither turn nor sweep in phi, so each is a

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from functools import partial
 
 import numpy as np
@@ -266,6 +267,57 @@ class TestInteriorSolution:
         for call in calls:
             with pytest.raises(ValueError, match="finite"):
                 call()
+
+
+def _refusing_march(*args, **kwargs):
+    raise AssertionError("a refused state must not reach the march")
+
+
+class TestStateChecks:
+    """trace, interior_solution and dynamic_boundary_table refuse the same start states."""
+
+    X = np.array([0.1, 0.0])
+
+    @staticmethod
+    def entry_points(model, f, att, x, xi):
+        return [
+            lambda: rt.trace(model, rt.PhaseSpacePoint(x, xi)),
+            lambda: rt.interior_solution(model, f, att, 0.0, rt.PhaseSpacePoint(x, xi)),
+            lambda: rt.dynamic_boundary_table(model, f, att, x[None], xi[None], [0.0]),
+        ]
+
+    @pytest.fixture(autouse=True)
+    def no_march(self, monkeypatch):
+        monkeypatch.setattr(geodesic, "march", _refusing_march)
+        monkeypatch.setattr(transport, "march", _refusing_march)
+
+    def test_zero_xi_raises_at_once_without_a_warning(self, demo_model, demo_field, unit_attenuation):
+        for call in self.entry_points(demo_model, demo_field, unit_attenuation, self.X, np.zeros(2)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="non-zero"):
+                    call()
+
+    def test_non_unit_xi_raises(self, demo_model, demo_field, unit_attenuation):
+        """(3, 0) at (0.1, 0) is three times too fast for metric unit speed 1/n."""
+        for call in self.entry_points(demo_model, demo_field, unit_attenuation, self.X, np.array([3.0, 0.0])):
+            with pytest.raises(ValueError, match="metric-unit"):
+                call()
+
+    def test_point_outside_the_ball_raises(self, demo_model, demo_field, unit_attenuation):
+        x = np.array([1.1, 0.0])
+        xi = np.array([1.0, 0.0]) / float(demo_model.n(x))
+        for call in self.entry_points(demo_model, demo_field, unit_attenuation, x, xi):
+            with pytest.raises(DomainError, match="outside the ball"):
+                call()
+
+    def test_one_bad_state_of_a_table_raises(self, demo_model, demo_field, unit_attenuation):
+        grid = rt.build_grid(demo_model, 6, 6, 4)
+        idx = rt.classify_boundary(grid, demo_model).outflow_idx
+        xi = grid.xi[idx].copy()
+        xi[-1] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="metric-unit"):
+            rt.dynamic_boundary_table(demo_model, demo_field, unit_attenuation, grid.x[idx], xi, [0.0, 0.5])
 
 
 class TestGridOracle:
