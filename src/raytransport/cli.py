@@ -1,6 +1,6 @@
 """Configuration-driven experiment runner.
 
-Usage: ``raytransport run CONFIG [--workers N] [--allow-unconverged]``.
+Usage: ``raytransport run CONFIG [--allow-unconverged]``.
 The subcommand is the ``run.command`` key of the config.  Exit codes:
 0 success, 2 config error, 3 numerical failure, 4 non-convergence (unless
 ``--allow-unconverged``).  The environment variable ``RAYTRANSPORT_OUTPUT``
@@ -150,7 +150,7 @@ def _cmd_sweep(cfg, args) -> int:
     f = _field(cfg)
     grid = build_grid(model, cfg.grid_i, cfg.grid_j, cfg.grid_k)
     sweep = epsilon_sweep(model, f, att, grid, cfg.epsilons, cfg=oracle_cfg, tol=cfg.tol,
-                          max_iter=cfg.max_iter, workers=args.workers)
+                          max_iter=cfg.max_iter)
     out = _outdir(cfg)
     exports.write_sweep_csv(sweep, os.path.join(out, "sweep.csv"))
     for e_idx, (field_fn, sol_fn) in enumerate(zip(sweep.error_fields, sweep.solutions)):
@@ -231,7 +231,6 @@ def run(argv=None) -> int:
     sub = parser.add_subparsers(dest="mode", required=True)
     runp = sub.add_parser("run", help="execute the command named in a config file")
     runp.add_argument("config", help="path to the experiment config")
-    runp.add_argument("--workers", type=int, default=None, help="override run.workers")
     runp.add_argument(
         "--allow-unconverged", action="store_true",
         help="report non-converged solves instead of failing with exit 4",
@@ -240,10 +239,6 @@ def run(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        if args.workers is None:
-            args.workers = cfg.workers
-        elif args.workers < 1:
-            raise ConfigError(f"--workers: must be at least 1, got {args.workers}")
         code = _COMMANDS[cfg.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -58,7 +58,7 @@ class ExperimentConfig:
     command: str = _key("run.command", str)
     output_dir: str = _key("run.output_dir", str, "out")
     seed: int = _key("run.seed", int, 0)
-    workers: int = _key("run.workers", int, 1)
+    workers: int = _key("run.workers", int, 1)  # only 1: everything runs in one process
     model_spec: str = _key("model.model", str, "paper4")
     dim: int = _key("model.dim", int, 2)
     field_spec: str = _key("field.field", str, "paper4")
@@ -156,8 +156,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("run.command", f"must be one of {', '.join(COMMANDS)}")
     if cfg.dim not in (2, 3):
         bad("model.dim", "must be 2 or 3")
-    if cfg.workers < 1:
-        bad("run.workers", "must be at least 1")
+    if cfg.seed < 0:
+        bad("run.seed", "must be nonnegative")
+    if cfg.workers != 1:
+        bad("run.workers", "must be 1")
     if min(cfg.grid_i, cfg.grid_j, cfg.grid_k) < 3:
         bad("grid.i/j/k", "grid sizes must be at least 3")
     if cfg.quad_rule != "simpson":
@@ -199,3 +201,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
             bad("prop1.n_theta/n_phi", "quadrature orders must be at least 4")
     if cfg.command == "trace" and len(cfg.trace_x) != cfg.dim:
         bad("trace.x", f"needs {cfg.dim} coordinates")
+    if cfg.command in ("sweep", "solve-static") and cfg.switch_on:
+        bad("field.switch_on", f"{cfg.command} reads the solution at t = 0, where a switch-on "
+                               "field has not acted yet")

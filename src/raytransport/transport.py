@@ -78,9 +78,7 @@ and takes no rotation arithmetic.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -294,7 +292,6 @@ def interior_solution_grid(
     grid: PhaseGrid,
     cfg: IntegratorConfig | None = None,
     t: float = 0.0,
-    workers: int = 1,
 ) -> np.ndarray:
     """Characteristic solution at every node of a phase grid.
 
@@ -305,27 +302,16 @@ def interior_solution_grid(
     source at the member's own states, one running integral per member.
     Representatives get the per-node march's bits; the other members
     differ from it by round-off, within 1e-12 of max |u|.  The grid of a
-    non-radial medium is marched one ray per node.  With ``workers > 1``
-    the marched rays are split into contiguous chunks evaluated in
-    separate processes and reassembled in chunk order; each chunk is
-    sorted and split into batches of at most MAX_BATCH_RAYS rays on its
-    own, so the batches depend on the worker count and the result does not.
-    Grid nodes are metric-unit states of the ball by construction, so unlike
-    the other entry points this one does not check its states.
+    non-radial medium is marched one ray per node.  Grid nodes are
+    metric-unit states of the ball by construction, so unlike the other
+    entry points this one does not check its states.
     """
     if model.radial:
         members, turns = rotation_orbits(grid)
     else:
         members, turns = np.arange(grid.size)[:, None], np.zeros(1)
-    x, xi = grid.x[members[:, 0]], grid.xi[members[:, 0]]
-    run = partial(_march_backward, model, f, att, t, cfg=cfg, turns=turns)
-    if workers <= 1:
-        vals = run(x, xi)
-    else:
-        bounds = np.linspace(0, x.shape[0], workers + 1).astype(int)
-        jobs = [(x[a:b], xi[a:b]) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            vals = np.concatenate(list(pool.map(run, [j[0] for j in jobs], [j[1] for j in jobs])))
+    reps = members[:, 0]
+    vals = _march_backward(model, f, att, t, grid.x[reps], grid.xi[reps], cfg, turns)
     u = np.empty(members.size)
     u[members] = vals[:, :, 0]
     return u

@@ -184,7 +184,6 @@ def epsilon_sweep(
     cfg: IntegratorConfig | None = None,
     tol: float = 1e-10,
     max_iter: int | None = None,
-    workers: int = 1,
 ) -> SweepResult:
     """Solve the viscosity system for each eps against characteristic boundary data.
 
@@ -200,7 +199,7 @@ def epsilon_sweep(
     eps = [float(e) for e in eps_list]
     if not eps or any(not 0.0 < e < np.inf for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
         raise ValueError("eps_list must be strictly decreasing, positive and finite")
-    u_ref_vals = interior_solution_grid(model, f, att, grid, cfg=cfg, workers=workers)
+    u_ref_vals = interior_solution_grid(model, f, att, grid, cfg=cfg)
     u_ref = GridFunction(grid, u_ref_vals)
 
     parts = operator_parts(grid, model, att)

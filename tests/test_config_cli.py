@@ -1,3 +1,5 @@
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -21,8 +23,29 @@ def write_system_dump(system, prefix):
     rhs_path = write_csv(prefix + "_b.csv", ["row", "value"], [np.arange(system.rhs.size), system.rhs])
     return mat_path, rhs_path
 
-DEMO_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs",
-                           "paper4_sweep.cfg")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMO_CONFIG = os.path.join(ROOT, "configs", "paper4_sweep.cfg")
+
+
+def bundled_config_texts():
+    """The text of each of ``configs/*.cfg`` and the seed-0 texts of the benchmark's own
+    configs, ``AFFINE_CONFIG`` and ``DYNAMIC_CONFIG`` of ``perfbench/workloads.py``.  Those
+    are read from the file's syntax tree, so nothing under ``perfbench/`` is imported, and
+    formatted with the values its ``config_text`` gives seed 0."""
+    texts = {}
+    for path in sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg"))):
+        with open(path) as fh:
+            texts[os.path.basename(path)] = fh.read()
+    with open(os.path.join(ROOT, "perfbench", "workloads.py")) as fh:
+        tree = ast.parse(fh.read())
+    strings = {t.id: node.value.value for node in tree.body if isinstance(node, ast.Assign)
+               and isinstance(node.value, ast.Constant) for t in node.targets if isinstance(t, ast.Name)}
+    texts["AFFINE_CONFIG"] = strings["AFFINE_CONFIG"].format(a="2", b1="0.3", b2="0.2")
+    texts["DYNAMIC_CONFIG"] = strings["DYNAMIC_CONFIG"].format(alpha="1.0")
+    return texts
+
+
+BUNDLED_TEXTS = bundled_config_texts()
 
 MINIMAL = """
 [run]
@@ -81,9 +104,15 @@ class TestConfigParsing:
         cfg = parse_config_text(MINIMAL)
         assert parse_config_text(cfg.to_text()) == cfg
         cfg2 = ExperimentConfig(
-            command="sweep", epsilons=(1e-2, 1e-5), grid_i=12, grid_j=14, grid_k=6,
+            command="solve-dynamic", epsilons=(1e-2, 1e-5), grid_i=12, grid_j=14, grid_k=6,
             switch_on=True, max_iter=250, output_dir="elsewhere", quad_step=5e-4)
         assert parse_config_text(cfg2.to_text()) == cfg2
+
+    @pytest.mark.parametrize("name", sorted(BUNDLED_TEXTS))
+    def test_bundled_and_benchmark_configs_parse(self, name):
+        """A key change that would make a bundled or benchmark config exit 2 fails here."""
+        cfg = parse_config_text(BUNDLED_TEXTS[name])
+        assert parse_config_text(cfg.to_text()) == cfg
 
     def test_to_text_of_every_key(self):
         """Section order, key order and value formatting, with every key away from its default."""
@@ -166,15 +195,48 @@ class TestCliCommands:
         cfg.write_text("[run]\ncommand = fly\n")
         assert run(["run", str(cfg)]) == 2
 
-    @pytest.mark.parametrize("workers", ["0", "-2"])
-    def test_workers_flag_below_1_exits_2(self, tmp_path, capsys, workers):
-        """--workers is held to the same bound as run.workers, before any output."""
+    def test_workers_flag_is_refused(self, tmp_path, capsys):
+        """The grid oracle runs in one process: argparse refuses --workers, before any output."""
         cfg = tmp_path / "s.cfg"
         cfg.write_text(
             "[run]\ncommand = sweep\noutput_dir = %s/out\n"
             "[grid]\ni = 6\nj = 6\nk = 4\n[solver]\nepsilon = 1e-3\n" % tmp_path)
-        assert run(["run", str(cfg), "--workers", workers]) == 2
-        assert "--workers" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run(["run", str(cfg), "--workers", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "2"])
+    def test_workers_key_other_than_1_exits_2(self, tmp_path, capsys, workers):
+        """run.workers is kept for old configs and accepts only 1."""
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(
+            "[run]\ncommand = sweep\noutput_dir = %s/out\nworkers = %s\n"
+            "[grid]\ni = 6\nj = 6\nk = 4\n[solver]\nepsilon = 1e-3\n" % (tmp_path, workers))
+        assert run(["run", str(cfg)]) == 2
+        assert "run.workers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        """The coercivity probes need a seed numpy accepts: a negative one exits 2, before any output."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            "[run]\ncommand = coercivity\noutput_dir = %s/out\nseed = -1\n"
+            "[grid]\ni = 6\nj = 6\nk = 4\n[solver]\nepsilon = 1e-2\n" % tmp_path)
+        assert run(["run", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: run.seed:")
+
+    @pytest.mark.parametrize("command", ["sweep", "solve-static"])
+    def test_switch_on_static_command_exits_2(self, tmp_path, capsys, command):
+        """sweep and solve-static read the oracle at t = 0, where a switch-on field is still 0."""
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(
+            "[run]\ncommand = %s\noutput_dir = %s/out\n[field]\nswitch_on = true\n"
+            "[grid]\ni = 6\nj = 6\nk = 4\n[solver]\nepsilon = 1e-3\n" % (command, tmp_path))
+        assert run(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: field.switch_on:")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,value", [("method", "foo"), ("preconditioner", "lu"),

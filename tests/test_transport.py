@@ -345,12 +345,6 @@ class TestGridOracle:
         assert_allclose(vals[mask.inflow_idx], 0.0)
         assert_allclose(vals[mask.glancing_idx], 0.0)
 
-    def test_workers_deterministic(self, demo_model, demo_field, unit_attenuation):
-        grid = rt.build_grid(demo_model, 5, 6, 4)
-        a = rt.interior_solution_grid(demo_model, demo_field, unit_attenuation, grid, workers=1)
-        b = rt.interior_solution_grid(demo_model, demo_field, unit_attenuation, grid, workers=2)
-        assert np.array_equal(a, b)
-
     def test_marches_at_the_config_step(self, demo_model, demo_field, unit_attenuation, monkeypatch):
         steps = []
 
@@ -479,13 +473,6 @@ class TestOrbitOracle:
             runs.append(proc.stdout)
         assert len(runs[0]) == 32000 * 8 and runs[0] == runs[1]
 
-    def test_worker_counts_agree_bitwise(self, demo_model, demo_field, unit_attenuation):
-        cfg = rt.IntegratorConfig(step=1e-2)
-        grid = rt.build_grid(demo_model, 8, 10, 10)
-        runs = [rt.interior_solution_grid(demo_model, demo_field, unit_attenuation, grid, cfg, workers=w)
-                for w in (1, 2, 3)]
-        assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
-
     def test_non_radial_medium_marches_every_node(self, demo_field, unit_attenuation, monkeypatch):
         model = rt.parse_model("affine:2,0.3,0.2")
         cfg = rt.IntegratorConfig(step=1e-2)
@@ -542,15 +529,6 @@ class TestBatchedMarch:
         batched = rt.dynamic_boundary_table(demo_model, f, unit_attenuation, grid.x[idx], grid.xi[idx], times,
                                             cfg)
         assert np.array_equal(batched, whole)
-
-    def test_worker_counts_agree_bitwise(self, demo_field, unit_attenuation, monkeypatch):
-        model = rt.parse_model("affine:2,0.3,0.2")
-        cfg = rt.IntegratorConfig(step=1e-2)
-        grid = rt.build_grid(model, 6, 6, 4)
-        monkeypatch.setattr(transport, "MAX_BATCH_RAYS", self.LIMIT)
-        runs = [rt.interior_solution_grid(model, demo_field, unit_attenuation, grid, cfg, workers=w)
-                for w in (1, 2, 3)]
-        assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
 
     def test_one_march_per_batch(self, demo_field, unit_attenuation, monkeypatch):
         """n rays are ceil(n / limit) marches, each of at most limit rays, that march
