@@ -52,10 +52,12 @@ directory named by ``RAYTRANSPORT_OUTPUT``, and every file it wrote gets an
 entry of its sha256, keyed by the config and the file's name, next to an
 entry of the exit code.  Stdout is left out, since it prints the output
 path.
-The pinned matrix and the transport residual are the tests' own
-(``pinned_matrix`` and ``oracle_residuals`` of ``tests/conftest.py``, read
-from this script's checkout, so both trees compute them with the same code
-on their own ``raytransport``).
+The pinned matrix, Delta_x, Delta_xi and the transport residual are the
+tests' own (``pinned_matrix``, ``laplace_x_matrix``, ``laplace_xi_matrix``
+and ``oracle_residuals`` of ``tests/conftest.py``, read from this script's
+checkout, so both trees compute them with the same code on their own
+``raytransport``: the two Laplacian parts from its ``_matrix`` and stencil
+helpers).
 Exits 1 if any hash differs.
 
 Every differing entry is printed with two max relative changes, so that a
@@ -143,7 +145,7 @@ def dump() -> dict:
     from raytransport import solve as sv
 
     sys.path.insert(0, TESTS)
-    from conftest import pinned_matrix
+    from conftest import laplace_x_matrix, laplace_xi_matrix, pinned_matrix
 
     spilu_inputs = []
     spilu = spla.spilu
@@ -165,8 +167,8 @@ def dump() -> dict:
         for shape in GRIDS:
             grid = rt.build_grid(model, *shape)
             out[("H", name, shape)] = MatrixDigest(pg.h_matrix(grid, model))
-            out[("Lx", name, shape)] = MatrixDigest(pg.laplace_x_matrix(grid, model))
-            out[("Lxi", name, shape)] = MatrixDigest(pg.laplace_xi_matrix(grid, model))
+            out[("Lx", name, shape)] = MatrixDigest(laplace_x_matrix(grid, model))
+            out[("Lxi", name, shape)] = MatrixDigest(laplace_xi_matrix(grid, model))
             out[("L", name, shape)] = MatrixDigest(pg.laplace_matrix(grid, model))
             if grid.size > SOLVE_MAX_NODES:
                 continue

@@ -204,3 +204,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.command in ("sweep", "solve-static") and cfg.switch_on:
         bad("field.switch_on", f"{cfg.command} reads the solution at t = 0, where a switch-on "
                                "field has not acted yet")
+    single = cfg.command in ("solve-static", "solve-dynamic") or (cfg.command == "coercivity" and cfg.dim == 2)
+    if single and len(cfg.epsilons) > 1:
+        bad("solver.epsilon", f"{cfg.command} solves at one eps, got {len(cfg.epsilons)} values")

@@ -44,6 +44,8 @@ GLANCING_TOL = 1e-12
 # A ray of a radial medium is refused as trapped when its Bouguer invariant exceeds n(1) by more
 # than this share, far above the invariant's round-off, so that no state on the sphere is.
 TRAPPED_SLACK = 1e-12
+# The cap of Newton steps per ray of :func:`refine_exit`.
+EXIT_NEWTON_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,6 @@ class GeodesicPath:
     vs: np.ndarray
     tau_minus: float
     tau_plus: float
-    step: float
 
     def __len__(self) -> int:
         return self.taus.shape[0]
@@ -193,7 +194,7 @@ def _hermite_mid(y0: np.ndarray, y1: np.ndarray, d0: np.ndarray, d1: np.ndarray,
     return mid
 
 
-def refine_exit(model: RefractiveModel, x: np.ndarray, v: np.ndarray, hi, iters: int = 60):
+def refine_exit(model: RefractiveModel, x: np.ndarray, v: np.ndarray, hi):
     """Find the crossing of |gamma| = 1 inside a step by safeguarded Newton.
 
     ``x, v`` are the last states strictly inside the ball and the crossing
@@ -206,9 +207,9 @@ def refine_exit(model: RefractiveModel, x: np.ndarray, v: np.ndarray, hi, iters:
     beyond the sphere: a Newton iterate is taken only in (lo, hi], else the
     bracket's midpoint.  A ray stops once its next iterate is within 4 ulp of
     hi, whose state it already holds, and returns hi: s_exit is the first
-    parameter found at or beyond the sphere.  ``iters`` caps the steps per
-    ray.  Every ray iterates on its own numbers, so its exit is the same,
-    bit for bit, refined alone or in a batch.
+    parameter found at or beyond the sphere.  :data:`EXIT_NEWTON_STEPS`
+    caps the steps per ray.  Every ray iterates on its own numbers, so its
+    exit is the same, bit for bit, refined alone or in a batch.
     """
     n, dim = x.shape
     lo = np.zeros(n)
@@ -219,7 +220,7 @@ def refine_exit(model: RefractiveModel, x: np.ndarray, v: np.ndarray, hi, iters:
     # the rays still searching: their states, last iterate, phi and slope there
     rays, xk, vk, ak = np.arange(n), x, v, a1
     s, phi, slope = np.zeros(n), _dot(x, x) - 1.0, 2.0 * _dot(x, v)
-    for _ in range(iters):
+    for _ in range(EXIT_NEWTON_STEPS):
         lo_k, hi_k = lo[rays], hi[rays]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = s - phi / slope
@@ -451,7 +452,6 @@ def trace(model: RefractiveModel, p, cfg: IntegratorConfig | None = None):
             vs=vs[nodes],
             tau_minus=float(taus[nodes[0]]),
             tau_plus=float(taus[nodes[-1]]),
-            step=h,
         ))
     return paths[0] if isinstance(p, PhaseSpacePoint) else paths
 

@@ -366,17 +366,8 @@ def _laplace_x_stencils(grid: PhaseGrid, model: RefractiveModel):
 
 
 def _laplace_xi_stencil(grid: PhaseGrid):
+    """Legs of Delta_xi, a bare second theta derivative."""
     return _periodic(grid, "theta", _central_second(grid.dtheta))
-
-
-def laplace_x_matrix(grid: PhaseGrid, model: RefractiveModel) -> sp.csr_matrix:
-    """Spatial part of the phase Laplacian in polar coordinates."""
-    return _matrix(grid, *_laplace_x_stencils(grid, model))
-
-
-def laplace_xi_matrix(grid: PhaseGrid, model: RefractiveModel) -> sp.csr_matrix:
-    """Fiber part of the phase Laplacian: a bare second theta derivative."""
-    return _matrix(grid, _laplace_xi_stencil(grid))
 
 
 def laplace_matrix(grid: PhaseGrid, model: RefractiveModel) -> sp.csr_matrix:

@@ -22,8 +22,9 @@ model family so that no gradient array is formed:
              pass each for p and p' (a constant medium gives a = 0);
     affine   n = a + b . x: the gradient form with the slope b as one (dim,) array.
 
-Dot products are summed in index order.  The Christoffel symbols are not
-formed here; the tests check the kernels against them.
+Every row-wise product is summed by one helper, :func:`_row_sum`, in index
+order: :func:`_dot` is the row sums of a * b.  The Christoffel symbols are
+not formed here; the tests check the kernels against them.
 """
 
 from __future__ import annotations
@@ -85,12 +86,17 @@ def turn_rate(model: RefractiveModel, x: np.ndarray, xi: np.ndarray) -> np.ndarr
     return (a[..., 1] * xi[..., 0] - a[..., 0] * xi[..., 1]) / _dot(xi, xi)
 
 
+def _row_sum(p: np.ndarray) -> np.ndarray:
+    """The columns of p added in index order: the one row-sum helper of the package."""
+    out = p[..., 0] + p[..., 1]
+    for i in range(2, p.shape[-1]):
+        out += p[..., i]
+    return out
+
+
 def _dot(a: np.ndarray, b) -> np.ndarray:
     """Row-wise euclidean product over the last axis, summed in index order."""
-    out = a[..., 0] * b[..., 0]
-    for i in range(1, a.shape[-1]):
-        out += a[..., i] * b[..., i]
-    return out
+    return _row_sum(a * b)
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +202,6 @@ def _radial_n_grad(coeffs: tuple, x) -> tuple[np.ndarray, np.ndarray]:
     # p'(s) from its coefficients k c_k; a constant medium gets grad n = 0 * x
     dn = 2.0 * _horner(tuple(k * c for k, c in enumerate(coeffs))[1:], s)
     return n, np.asarray(dn)[..., None] * x
-
-
-def _row_sum(p: np.ndarray) -> np.ndarray:
-    """The columns of p added in index order: the row sums of :func:`_dot` from its products."""
-    out = p[..., 0] + p[..., 1]
-    for i in range(2, p.shape[-1]):
-        out += p[..., i]
-    return out
 
 
 def _radial_accel(coeffs: tuple, dcoeffs2: tuple, x, v) -> np.ndarray:

@@ -367,7 +367,6 @@ def solve_dynamic(
 class CoercivityEstimate:
     lambda_min: float
     reliable: bool
-    probes: int
 
 
 def discrete_coercivity(system: LinearSystem, probes: int = 4, seed: int = 0) -> CoercivityEstimate:
@@ -399,5 +398,5 @@ def discrete_coercivity(system: LinearSystem, probes: int = 4, seed: int = 0) ->
         except spla.ArpackError:
             reliable = False
     if not np.isfinite(best):
-        return CoercivityEstimate(lambda_min=np.nan, reliable=False, probes=probes)
-    return CoercivityEstimate(lambda_min=c - best, reliable=reliable, probes=probes)
+        return CoercivityEstimate(lambda_min=np.nan, reliable=False)
+    return CoercivityEstimate(lambda_min=c - best, reliable=reliable)

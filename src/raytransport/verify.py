@@ -131,15 +131,11 @@ class ErrorNorms:
     linf: float
 
 
-def relative_error(
-    u_num: GridFunction,
-    u_ref: GridFunction,
-    floor_cut: float | None = None,
-) -> tuple[GridFunction, ErrorNorms]:
-    """Pointwise |u_num - u_ref| / max(|u_ref|, floor_cut) and its norms.
+def relative_error(u_num: GridFunction, u_ref: GridFunction) -> tuple[GridFunction, ErrorNorms]:
+    """Pointwise |u_num - u_ref| / max(|u_ref|, floor) and its norms.
 
-    The default floor is 1e-12 * max|u_ref| (1.0 when the reference vanishes
-    identically).  The norms are taken over the nodes where |u_ref| exceeds
+    The floor is 1e-12 * max|u_ref|, or 1.0 when the reference vanishes
+    identically.  The norms are taken over the nodes where |u_ref| exceeds
     the floor, or over all nodes when none does; the l2 norm is the
     node-averaged root mean square.
     """
@@ -147,11 +143,10 @@ def relative_error(
     if (a.I, a.J, a.K) != (b.I, b.J, b.K):
         raise ValueError("grid mismatch between numerical and reference fields")
     ref = u_ref.values
-    if floor_cut is None:
-        m = float(np.max(np.abs(ref)))
-        floor_cut = 1e-12 * m if m > 0.0 else 1.0
-    field = np.abs(u_num.values - ref) / np.maximum(np.abs(ref), floor_cut)
-    above = np.abs(ref) > floor_cut
+    m = float(np.max(np.abs(ref)))
+    floor = 1e-12 * m if m > 0.0 else 1.0
+    field = np.abs(u_num.values - ref) / np.maximum(np.abs(ref), floor)
+    above = np.abs(ref) > floor
     counted = field[above] if above.any() else field
     norms = ErrorNorms(l2=float(np.sqrt(np.mean(counted**2))), linf=float(np.max(counted)))
     return GridFunction(u_num.grid, field), norms
@@ -161,7 +156,7 @@ def relative_error(
 class SweepResult:
     """Per-eps relative errors of the viscosity solves against the characteristic reference.
 
-    Norms are :func:`relative_error`'s, over the nodes where |u_ref| exceeds its default floor;
+    Norms are :func:`relative_error`'s, over the nodes where |u_ref| exceeds its floor;
     ``epsilons`` are strictly decreasing and positive, as
     :func:`epsilon_sweep` requires.
     """

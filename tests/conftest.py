@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 import raytransport as rt
-from raytransport.refractive import _dot, _horner, turn_rate
+from raytransport.phasegrid import _laplace_x_stencils, _laplace_xi_stencil, _matrix
+from raytransport.refractive import _horner, turn_rate
 
 
 @pytest.fixture(scope="session")
@@ -39,22 +40,43 @@ def bouguer_invariant(model, x, v) -> float:
     return n * n * float(x[0] * v[1] - x[1] * v[0])
 
 
+def dot_reference(a: np.ndarray, b) -> np.ndarray:
+    """Row-wise euclidean product over the last axis, one product added at a time in index order.
+
+    The reference that ``refractive._dot``, the row sums of a * b, must equal byte for byte.
+    """
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out += a[..., i] * b[..., i]
+    return out
+
+
 def dot_radial_accel(coeffs: tuple, dcoeffs2: tuple, x, v) -> np.ndarray:
-    """The radial ray acceleration with |x|^2, |v|^2 and x . v as three ``_dot`` calls.
+    """The radial ray acceleration with |x|^2, |v|^2 and x . v as three :func:`dot_reference` calls.
 
     The reference the kernel ``refractive._radial_accel``, which forms each
     product array once, must equal byte for byte.
     """
-    s = _dot(x, x)
+    s = dot_reference(x, x)
     k = _horner(dcoeffs2, s) / _horner(coeffs, s)
-    v2 = _dot(v, v)
+    v2 = dot_reference(v, v)
     v2 *= k
-    xv = _dot(x, v)
+    xv = dot_reference(x, v)
     xv *= k
     xv *= 2.0
     a = x * v2[..., None]
     a -= v * xv[..., None]
     return a
+
+
+def laplace_x_matrix(grid, model) -> sp.csr_matrix:
+    """Spatial part Delta_x of the phase Laplacian, from the stencils ``laplace_matrix`` places."""
+    return _matrix(grid, *_laplace_x_stencils(grid, model))
+
+
+def laplace_xi_matrix(grid, model) -> sp.csr_matrix:
+    """Fiber part Delta_xi of the phase Laplacian, a bare second theta derivative."""
+    return _matrix(grid, _laplace_xi_stencil(grid))
 
 
 def random_phase_points(model, count, seed, r_lo=0.1, r_hi=0.85):

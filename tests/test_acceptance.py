@@ -41,6 +41,41 @@ def demo_sweep_runs(tmp_path_factory):
     return outs
 
 
+@pytest.fixture(scope="module")
+def demo_sweep(demo_model, demo_field, unit_attenuation):
+    """The bundled sweep in process, with the grid it ran on (criteria 11 to 13)."""
+    from raytransport.config import load_config
+
+    cfg = load_config(os.path.join(REPO, "configs", "paper4_sweep.cfg"))
+    grid = rt.build_grid(demo_model, cfg.grid_i, cfg.grid_j, cfg.grid_k)
+    oracle_cfg = rt.IntegratorConfig(step=cfg.quad_step, max_steps=cfg.max_steps,
+                                     boundary_tol=cfg.boundary_tol)
+    sweep = rt.epsilon_sweep(demo_model, demo_field, unit_attenuation, grid, cfg.epsilons, oracle_cfg,
+                             tol=cfg.tol)
+    return grid, sweep
+
+
+def upwind_solution(grid, model, field, att, u_ref) -> np.ndarray:
+    """u_0, the eps = 0 solve of the pinned system with the reference's outflow data, at 1e-10."""
+    system = rt.assemble(grid, model, field, att, 0.0, u_ref)
+    sol, rep = rt.solve_static(system, tol=1e-10)
+    assert rep.converged, f"the eps = 0 solve stopped at residual {rep.final_residual:.3e}"
+    return sol.values
+
+
+@pytest.fixture(scope="module")
+def demo_upwind(demo_model, demo_field, unit_attenuation, demo_sweep):
+    """u_0 on the bundled sweep's grid and reference (criteria 12 and 13)."""
+    grid, sweep = demo_sweep
+    return upwind_solution(grid, demo_model, demo_field, unit_attenuation, sweep.u_ref.values)
+
+
+def observed_orders(errors, steps) -> list[float]:
+    """log(e_k / e_k+1) / log(h_k / h_k+1) over consecutive pairs."""
+    return [math.log(errors[k] / errors[k + 1]) / math.log(steps[k] / steps[k + 1])
+            for k in range(len(errors) - 1)]
+
+
 def test_criterion_1_euclidean_chords():
     """n = 1: traced rays are straight chords to 1e-10."""
     model = rt.constant_model(1.0)
@@ -153,6 +188,58 @@ def test_criterion_6_demo_sweep(demo_sweep_runs):
            f"l2 errors {l2[0]:.6f} > {l2[1]:.6f} > {l2[2]:.6f}, all converged at 1e-10")
 
 
+def test_criterion_12_viscosity_limit_order(demo_sweep, demo_upwind):
+    """The viscosity error |u_eps - u_0| / |u_0| of the bundled sweep is first order in eps, u_0
+    the eps = 0 solve on the sweep's reference.  Read in the plain nodal l2 norm until one
+    phase-space norm serves every check (ROADMAP item 10)."""
+    sweep, u0 = demo_sweep[1], demo_upwind
+    errors = [float(np.linalg.norm(sol.values - u0) / np.linalg.norm(u0)) for sol in sweep.solutions]
+    orders = observed_orders(errors, sweep.epsilons)
+    ok = all(0.9 <= p <= 1.1 for p in orders)
+    report("criterion 12 (viscosity limit, order in eps)", ok,
+           "viscosity errors " + ", ".join(f"{e:.4e}" for e in errors) + " at eps "
+           + ", ".join(f"{e:g}" for e in sweep.epsilons) + "; orders "
+           + ", ".join(f"{p:.3f}" for p in orders) + " in [0.9, 1.1] (plain l2)")
+
+
+def test_criterion_13_viscosity_limit_bound(demo_model, demo_field, unit_attenuation, demo_sweep,
+                                            demo_upwind):
+    """max |u_eps - u_0| <= eps ||Delta u_0||_inf / alpha at every sweep eps: u_eps - u_0 vanishes
+    on the ring and solves A e = eps (Delta u_0) on the interior, and where criterion 11's
+    certificate holds ||A^-1||_inf <= 1/alpha."""
+    from raytransport.phasegrid import laplace_matrix
+
+    grid, sweep = demo_sweep
+    alpha, n, u0 = unit_attenuation.alpha0, grid.n_interior, demo_upwind
+    lap_u0 = float(np.max(np.abs((laplace_matrix(grid, demo_model) @ u0)[:n])))
+    certified, ratios = True, []
+    for eps, sol in zip(sweep.epsilons, sweep.solutions):
+        system = rt.assemble(grid, demo_model, demo_field, unit_attenuation, eps, sweep.u_ref.values)
+        certified &= rt.m_matrix_certificate(system, alpha).holds
+        ratios.append(float(np.max(np.abs(sol.values - u0))) / (eps * lap_u0 / alpha))
+    ok = certified and max(ratios) <= 1.0
+    report("criterion 13 (viscosity limit, max-norm bound)", ok,
+           f"certified = {certified}; max |u_eps - u_0| / (eps ||Delta u_0||_inf / alpha) = "
+           + ", ".join(f"{r:.4f}" for r in ratios) + " <= 1")
+
+
+def test_criterion_14_upwind_grid_order(demo_model, demo_field, unit_attenuation):
+    """u_0's grid error |u_0 - u_ref| / |u_ref| (plain l2) falls at first order from cubic 20^3
+    to 40^3 grids, the oracle at step 8e-3, approaching the upwind scheme's order 1 from below."""
+    sizes, errors = (20, 40), []
+    for size in sizes:
+        grid = rt.build_grid(demo_model, size, size, size)
+        u_ref = rt.interior_solution_grid(demo_model, demo_field, unit_attenuation, grid,
+                                          rt.IntegratorConfig(step=8e-3))
+        u0 = upwind_solution(grid, demo_model, demo_field, unit_attenuation, u_ref)
+        errors.append(float(np.linalg.norm(u0 - u_ref) / np.linalg.norm(u_ref)))
+    (order,) = observed_orders(errors, [1.0 / s for s in sizes])
+    ok = 0.8 <= order <= 1.0
+    report("criterion 14 (eps = 0 grid study)", ok,
+           f"grid errors {errors[0]:.6f} -> {errors[1]:.6f} on 20^3 -> 40^3, "
+           f"observed order {order:.3f} in [0.8, 1.0] (plain l2)")
+
+
 def test_criterion_7_coercivity_margins():
     """Refraction margins match the analytic maxima; the affine medium fails."""
     rep = rt.coercivity_margin(rt.paper4_model(), 1.0)
@@ -179,20 +266,14 @@ def test_criterion_8_discrete_coercivity(demo_model, demo_field, unit_attenuatio
            f"lambda_min = {est.lambda_min:.6f} > 0 on (10, 10, 8) at eps = 1e-2")
 
 
-def test_criterion_11_m_matrix_certificate(demo_model, demo_field, unit_attenuation):
+def test_criterion_11_m_matrix_certificate(demo_model, demo_field, unit_attenuation, demo_sweep):
     """The interior rows [A | C] are an M-matrix with row sums alpha on the demo grid at every
     sweep eps and on (40, 40, 32), and the demo sweep's solutions obey the maximum principle
     ||u||_inf <= max(||f . xi^m||_inf / alpha, ||ring data||_inf)."""
-    from raytransport.config import load_config
     from raytransport.solve import operator_parts
 
-    cfg = load_config(os.path.join(REPO, "configs", "paper4_sweep.cfg"))
     alpha = unit_attenuation.alpha0
-    grid = rt.build_grid(demo_model, cfg.grid_i, cfg.grid_j, cfg.grid_k)
-    oracle_cfg = rt.IntegratorConfig(step=cfg.quad_step, max_steps=cfg.max_steps,
-                                     boundary_tol=cfg.boundary_tol)
-    sweep = rt.epsilon_sweep(demo_model, demo_field, unit_attenuation, grid, cfg.epsilons, oracle_cfg,
-                             tol=cfg.tol)
+    grid, sweep = demo_sweep
     n = grid.n_interior
     certs, worst_ratio = [], 0.0
     for eps, sol in zip(sweep.epsilons, sweep.solutions):

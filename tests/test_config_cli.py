@@ -104,7 +104,7 @@ class TestConfigParsing:
         cfg = parse_config_text(MINIMAL)
         assert parse_config_text(cfg.to_text()) == cfg
         cfg2 = ExperimentConfig(
-            command="solve-dynamic", epsilons=(1e-2, 1e-5), grid_i=12, grid_j=14, grid_k=6,
+            command="transform-table", epsilons=(1e-2, 1e-5), grid_i=12, grid_j=14, grid_k=6,
             switch_on=True, max_iter=250, output_dir="elsewhere", quad_step=5e-4)
         assert parse_config_text(cfg2.to_text()) == cfg2
 
@@ -238,6 +238,26 @@ class TestCliCommands:
         assert run(["run", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("config error: field.switch_on:")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["solve-static", "solve-dynamic", "coercivity"])
+    def test_eps_list_of_a_single_solve_exits_2(self, tmp_path, capsys, command):
+        """solve-static, solve-dynamic and 2D coercivity solve at one eps: a list exits 2 naming
+        solver.epsilon, before any output, instead of solving at its first value."""
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(
+            "[run]\ncommand = %s\noutput_dir = %s/out\n[grid]\ni = 6\nj = 6\nk = 4\n"
+            "[quadrature]\nstep = 1e-2\n[solver]\nepsilon = 1e-3,1e-6,1e-9\n"
+            "[dynamic]\ndt = 0.25\nt_final = 0.5\n" % (command, tmp_path))
+        assert run(["run", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: solver.epsilon:")
+        assert not (tmp_path / "out").exists()
+
+    def test_eps_list_of_3d_coercivity_parses(self):
+        """3D coercivity reports the refraction margins only and solves nothing, so it reads no eps."""
+        cfg = parse_config_text("[run]\ncommand = coercivity\n[model]\ndim = 3\n"
+                                "[solver]\nepsilon = 1e-3,1e-6\n")
+        assert cfg.epsilons == (1e-3, 1e-6)
 
     @pytest.mark.parametrize("key,value", [("method", "foo"), ("preconditioner", "lu"),
                                            ("preconditioner", "jacobi"), ("preconditioner", "none"),
@@ -434,7 +454,7 @@ class TestCliCommands:
         cfg.write_text(
             "[run]\ncommand = %s\noutput_dir = %s/out\n"
             "[grid]\ni = 6\nj = 6\nk = 4\n[quadrature]\nstep = 1e-2\n"
-            "[solver]\nepsilon = 1e-2,1e-3\n[dynamic]\ndt = 0.25\nt_final = 0.5\n" % (command, tmp_path))
+            "[solver]\nepsilon = 1e-2\n[dynamic]\ndt = 0.25\nt_final = 0.5\n" % (command, tmp_path))
         assert run(["run", str(cfg)]) == 3
         assert "numerical failure: incomplete LU" in capsys.readouterr().err
 

@@ -534,6 +534,6 @@ class TestExitSearch:
             return rk4_step(*args)
 
         monkeypatch.setattr(geodesic, "rk4_step", counting)
-        s, x_exit, _ = refine_exit(model, x[graze], v[graze], self.STEP, iters=60)
-        assert len(steps) < 60
+        s, x_exit, _ = refine_exit(model, x[graze], v[graze], self.STEP)
+        assert len(steps) < geodesic.EXIT_NEWTON_STEPS
         assert np.all(_dot(x_exit, x_exit) >= 1.0)

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 import raytransport as rt
+from conftest import laplace_x_matrix, laplace_xi_matrix
 from raytransport.geodesic import speed_defect
 from raytransport.phasegrid import (
     GLANCING,
@@ -18,8 +19,6 @@ from raytransport.phasegrid import (
     _radial_second,
     h_matrix,
     laplace_matrix,
-    laplace_x_matrix,
-    laplace_xi_matrix,
 )
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import raytransport as rt
-from conftest import dot_radial_accel
+from conftest import dot_radial_accel, dot_reference
 from raytransport.errors import DomainError
 from raytransport.refractive import _dot, acceleration
 
@@ -256,6 +256,26 @@ RADIAL_BUILDERS = {
     "radial3": partial(rt.radial_poly_model, [2.0, -0.5, 0.25]),
     "radial4": partial(rt.radial_poly_model, [1.2, 0.4, -0.3, 0.25]),
 }
+
+
+class TestRowSums:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_dot_bytes_equal_reference(self, dim):
+        """Row-major and component-major batches, a broadcast (dim,) slope, single states and
+        signed zeros give the bytes of the loop that adds one product at a time."""
+        a, b = ball_states(dim, 4000, 40 + dim)
+        # zero rows whose products are all -0 (sum -0) or mix -0 and +0 (sum +0)
+        a[1:4], b[1:4] = -0.0, 0.5
+        a[4:7], b[4:7] = 0.0, -1.5
+        a[7:10], b[7:10] = 0.0, [-1.0] + [1.0] * (dim - 1)
+        major = (np.ascontiguousarray(a.T).T, np.ascontiguousarray(b.T).T)
+        slope = np.array([0.3, -0.2, 0.5][:dim])
+        cases = [(a, b), major, (a, slope), (major[0], slope), (a, a), major[:1] * 2]
+        cases += [(a[i], b[i]) for i in range(10)] + [(a[i], slope) for i in range(3)]
+        for x, y in cases:
+            got, want = _dot(x, y), dot_reference(x, y)
+            assert np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert np.all(np.signbit(_dot(a[1:7], b[1:7]))) and not np.any(np.signbit(_dot(a[7:10], b[7:10])))
 
 
 class TestRadialKernel:

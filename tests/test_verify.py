@@ -129,10 +129,12 @@ class TestRelativeError:
         assert norms.linf == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_reference_floor(self, grid):
+        """A reference that vanishes identically divides by the floor 1.0, and every node counts."""
         ref = rt.GridFunction(grid, np.zeros(grid.size))
         num = rt.GridFunction(grid, np.full(grid.size, 0.5))
-        field, _ = rt.relative_error(num, ref, floor_cut=0.25)
-        assert_allclose(field.values, 2.0)
+        field, norms = rt.relative_error(num, ref)
+        assert np.all(field.values == 0.5)
+        assert norms.l2 == 0.5 and norms.linf == 0.5
 
     def test_norms_skip_nodes_at_the_floor(self, grid):
         """Where the reference is zero the pointwise error is |u|/floor; the norms leave it out."""
